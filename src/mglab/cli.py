@@ -10,9 +10,9 @@ Exit codes are part of the contract:
     0  the command ran and the checked statement passed
     1  a theorem hypothesis failed (the input does not satisfy the premise)
     2  input error: malformed JSON, schema violation, bad flags
-    3  hypotheses held but the conclusion failed, which means a defect in
-       this tool, never a counterexample to the mathematics; the message
-       says so
+    3  hypotheses held but the conclusion failed, or an unexpected internal
+       error occurred; either means a defect in this tool, never a
+       counterexample to the mathematics, and the message says so
 
 The enumeration limit can be set per call with ``--limit`` or globally with
 the ``MGL_ENUM_LIMIT`` environment variable.
@@ -60,10 +60,7 @@ class InternalCheckError(RuntimeError):
 class RunConfig:
     """Validated run settings shared by the subcommands."""
 
-    command: str
-    input_path: str | None
     output_format: str
-    seed: int | None
     tolerance: float
     enumeration_limit: int
 
@@ -87,13 +84,10 @@ def _default_limit() -> int:
     return value
 
 
-def _config(args, command: str) -> RunConfig:
+def _config(args) -> RunConfig:
     limit = args.limit if getattr(args, "limit", None) is not None else _default_limit()
     return RunConfig(
-        command=command,
-        input_path=getattr(args, "spec", None),
         output_format=getattr(args, "format", "json"),
-        seed=getattr(args, "seed", None),
         tolerance=getattr(args, "tolerance", DEFAULT_TOLERANCE),
         enumeration_limit=limit,
     )
@@ -150,7 +144,7 @@ def _load_json(path: str):
 
 
 def cmd_sigma(args) -> int:
-    config = _config(args, "sigma")
+    config = _config(args)
     space, _, generators = parse_space_descriptor(_load_json(args.spec))
     sigma = generate_sigma_algebra(space, generators)
     report: dict = {
@@ -203,7 +197,7 @@ def _witness_obj(witness):
 
 
 def cmd_verify(args) -> int:
-    config = _config(args, "verify")
+    config = _config(args)
     spec = parse_process_spec(_load_json(args.spec))
     theorem = args.theorem
     tol = config.tolerance
@@ -212,9 +206,12 @@ def cmd_verify(args) -> int:
         raise SpecError("space.weights", "verification needs a probability measure")
     P = spec.measure
 
+    # Each branch sets the verdict and, for the case where the hypotheses
+    # held but the conclusion failed, a description of that defect.
     hypothesis_ok = True
     reason: str | None = None
     passed = True
+    defect = ""
     detail: dict = {}
 
     if theorem == "classify":
@@ -231,14 +228,12 @@ def cmd_verify(args) -> int:
         rep = proc.verify_transform_preservation(C, X, P, bound, tol)
         hypothesis_ok = rep.hypothesis_ok
         reason = rep.hypothesis_failure
-        passed = bool(rep) if hypothesis_ok else False
-        if hypothesis_ok and not passed:
-            raise InternalCheckError(
-                "transform preservation failed with hypotheses satisfied: "
-                f"input {rep.input_label}, output {rep.output_label}, step identity "
-                f"{'held' if rep.step_identity_ok else 'failed'}; this indicates a defect "
-                "in this tool, not a counterexample to the theorem"
-            )
+        passed = bool(rep)
+        defect = (
+            "transform preservation failed with hypotheses satisfied: "
+            f"input {rep.input_label}, output {rep.output_label}, step identity "
+            f"{'held' if rep.step_identity_ok else 'failed'}"
+        )
         detail = dict(to_jsonable(rep))
 
     elif theorem == "stopped":
@@ -262,42 +257,33 @@ def cmd_verify(args) -> int:
                 "and submartingale structure only"
             )
             passed = False
+        elif in_label == proc.MARTINGALE:
+            passed = out_label == proc.MARTINGALE and all(
+                numbers_equal(m, start, tol) for m in means
+            )
+        elif in_label in proc.SUPERMARTINGALE_FAMILY:
+            passed = out_label in proc.SUPERMARTINGALE_FAMILY
         else:
-            if in_label == proc.MARTINGALE:
-                ok = out_label == proc.MARTINGALE and all(
-                    numbers_equal(m, start, tol) for m in means
-                )
-            elif in_label in proc.SUPERMARTINGALE_FAMILY:
-                ok = out_label in proc.SUPERMARTINGALE_FAMILY
-            else:
-                ok = out_label in proc.SUBMARTINGALE_FAMILY
-            passed = ok
-            if not ok:
-                raise InternalCheckError(
-                    f"stopped process of a {in_label} classified as {out_label}: this "
-                    "indicates a defect in this tool, not a counterexample to the theorem"
-                )
+            passed = out_label in proc.SUBMARTINGALE_FAMILY
+        defect = f"stopped process of a {in_label} classified as {out_label}"
 
     elif theorem == "optional-stopping":
         X = _require(spec, "process")
         tau = _require(spec, "stopping_time")
         rep = proc.optional_stopping_report(X, tau, P, tol)
         detail = dict(to_jsonable(rep))
+        passed = bool(rep.holds)
         if rep.holds is None:
             hypothesis_ok = False
             reason = "; ".join(
                 n for n in rep.notes if "not asserted" in n or "no claim" in n
             ) or "no optional-stopping hypothesis applies"
-            passed = False
         else:
-            passed = rep.holds
-            if not passed:
-                raise InternalCheckError(
-                    "optional stopping failed with hypotheses satisfied "
-                    f"(E[X_tau] = {format_number(rep.value_at_stop)}, E[X_0] = "
-                    f"{format_number(rep.value_at_start)}); this indicates a defect in "
-                    "this tool, not a counterexample to the theorem"
-                )
+            defect = (
+                "optional stopping failed with hypotheses satisfied "
+                f"(E[X_tau] = {format_number(rep.value_at_stop)}, E[X_0] = "
+                f"{format_number(rep.value_at_start)})"
+            )
 
     elif theorem == "upcrossing":
         X = _require(spec, "process")
@@ -307,14 +293,8 @@ def cmd_verify(args) -> int:
         hypothesis_ok = rep.hypothesis_ok
         if not hypothesis_ok:
             reason = rep.notes[0] if rep.notes else "not a supermartingale"
-            passed = False
-        else:
-            passed = bool(rep.holds and rep.corollary_holds)
-            if not passed:
-                raise InternalCheckError(
-                    "upcrossing inequality failed on a supermartingale; this indicates a "
-                    "defect in this tool, not a counterexample to the theorem"
-                )
+        passed = hypothesis_ok and bool(rep.holds and rep.corollary_holds)
+        defect = "upcrossing inequality failed on a supermartingale"
 
     elif theorem == "pythagoras":
         M = _require(spec, "process")
@@ -323,32 +303,21 @@ def cmd_verify(args) -> int:
         hypothesis_ok = rep.hypothesis_ok
         if not hypothesis_ok:
             reason = rep.notes[0] if rep.notes else "not a martingale"
-            passed = False
-        else:
-            passed = bool(rep.holds)
-            if not passed:
-                raise InternalCheckError(
-                    f"the L2 identity failed on a martingale (gap {format_number(rep.gap)}); "
-                    "this indicates a defect in this tool, not a counterexample to the theorem"
-                )
+        passed = hypothesis_ok and bool(rep.holds)
+        defect = f"the L2 identity failed on a martingale (gap {format_number(rep.gap)})"
 
     elif theorem == "tower":
         X = _require(spec, "variable")
         G = _require(spec, "conditioning")
         H = _require(spec, "conditioning_fine")
-        ok = cond.tower_check(X, G, H, P, tol)
+        passed = cond.tower_check(X, G, H, P, tol)
         base = cond.conditional_expectation(X, G, P, tol)
         detail = {
             "conditional_given_coarse": base.result,
             "null_atoms": [list(a.members) for a in base.null_atoms],
-            "both_nestings_hold": ok,
+            "both_nestings_hold": passed,
         }
-        passed = ok
-        if not ok:
-            raise InternalCheckError(
-                "a tower identity failed on nested sigma-algebras; this indicates a "
-                "defect in this tool, not a counterexample to the theorem"
-            )
+        defect = "a tower identity failed on nested sigma-algebras"
 
     elif theorem == "kolmogorov":
         X = _require(spec, "variable")
@@ -360,23 +329,18 @@ def cmd_verify(args) -> int:
         else:
             Y = computed.result
             candidate_source = "computed"
-        ok = cond.verify_kolmogorov(X, G, P, Y, tol)
+        passed = cond.verify_kolmogorov(X, G, P, Y, tol)
         detail = {
             "candidate_source": candidate_source,
             "candidate": Y,
             "conditional_expectation": computed.result,
             "null_atoms": [list(a.members) for a in computed.null_atoms],
-            "identity_holds": ok,
+            "identity_holds": passed,
         }
-        passed = ok
-        if not ok:
-            if candidate_source == "computed":
-                raise InternalCheckError(
-                    "the computed conditional expectation failed its defining identity; "
-                    "this indicates a defect in this tool, not a counterexample to the theorem"
-                )
+        if not passed and candidate_source == "given":
             hypothesis_ok = False
             reason = "the supplied candidate is not a version of the conditional expectation"
+        defect = "the computed conditional expectation failed its defining identity"
 
     elif theorem == "tail-bound":
         tau = _require(spec, "stopping_time")
@@ -389,18 +353,17 @@ def cmd_verify(args) -> int:
         if not hypothesis_ok:
             witness = _witness_obj(rep.hypothesis_witness)
             reason = f"conditional firing probability fails the epsilon floor at {witness}"
-            passed = False
-        else:
-            passed = rep.chain_ok and rep.expectation_ok
-            if not passed:
-                raise InternalCheckError(
-                    "the geometric tail chain failed with its hypothesis satisfied; this "
-                    "indicates a defect in this tool, not a counterexample to the theorem"
-                )
+        passed = hypothesis_ok and rep.chain_ok and rep.expectation_ok
+        defect = "the geometric tail chain failed with its hypothesis satisfied"
 
     else:
         raise SpecError("theorem", f"unknown selector {theorem!r}")
 
+    if hypothesis_ok and not passed:
+        raise InternalCheckError(
+            f"{defect}; this indicates a defect in this tool, not a counterexample "
+            "to the theorem"
+        )
     exit_code = 0 if passed else 1
     report = {
         "command": "verify",
@@ -427,7 +390,7 @@ def _write_csv(path: str, ensemble) -> None:
 
 
 def cmd_simulate(args) -> int:
-    config = _config(args, "simulate")
+    config = _config(args)
     seed = args.seed if args.seed is not None else 0
     if args.model == "walk":
         if args.n is None:
@@ -467,9 +430,7 @@ def cmd_simulate(args) -> int:
     if out:
         _write_csv(out, ensemble)
         report["csv_path"] = out
-    payload = to_jsonable(report)
-    text = json.dumps(payload, indent=2)
-    print("\n".join(_human_lines(payload)) if config.output_format == "human" else text)
+    _emit(report, config)
     return 0
 
 
@@ -478,7 +439,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_walk_spec(args) -> int:
-    config = _config(args, "walk-spec")
+    _config(args)  # rejects bad shared flags, though walk-spec uses none of them
     p = parse_number(args.p)
     space, measure, filtration, walk = proc.make_coin_walk(args.n, p)
     spec: dict = {
@@ -594,6 +555,11 @@ def main(argv=None) -> int:
     except (ValueError, TypeError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        # Anything else is a bug or resource exhaustion; exit 3 keeps it
+        # from reading as "hypothesis failed" (exit 1).
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 def entry_point() -> None:

@@ -138,14 +138,11 @@ def tower_check(
     """
     if X.space != G.space or X.space != H.space or X.space != P.space:
         raise ValueError("all arguments must share one sample space")
-    coarse_of = G.atom_index_of
-    for atom in H.atoms:
-        first = coarse_of[atom.members[0]]
-        for i in atom.members[1:]:
-            if coarse_of[i] != first:
-                raise ValueError(
-                    f"not nested: H-atom {list(atom.members)} straddles more than one G-atom"
-                )
+    atom = H.first_split(G.labels)
+    if atom is not None:
+        raise ValueError(
+            f"not nested: H-atom {list(atom.members)} straddles more than one G-atom"
+        )
     base = conditional_expectation(X, G, P, tolerance).result
     via_fine = conditional_expectation(
         conditional_expectation(X, H, P, tolerance).result, G, P, tolerance

@@ -136,13 +136,7 @@ def is_measurable(variable: RandomVariable, sigma: SigmaAlgebra) -> bool:
     """
     if variable.space != sigma.space:
         raise ValueError("variable and sigma-algebra live on different spaces")
-    vals = variable.values
-    for atom in sigma.atoms:
-        first = vals[atom.members[0]]
-        for i in atom.members[1:]:
-            if vals[i] != first:
-                return False
-    return True
+    return sigma.first_split(variable.values) is None
 
 
 def to_simple_form(variable: RandomVariable) -> SimpleFunctionForm:

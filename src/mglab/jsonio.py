@@ -79,7 +79,7 @@ def _parse_partition(raw, field: str, space: SampleSpace) -> SigmaAlgebra:
         raise SpecError(field, "a partition must be a non-empty array of index arrays")
     atoms = tuple(_parse_event(cell, f"{field}[{k}]", space) for k, cell in enumerate(raw))
     try:
-        return SigmaAlgebra(space, atoms)
+        return SigmaAlgebra.from_atoms(space, atoms)
     except ValueError as exc:
         raise SpecError(field, str(exc)) from None
 

@@ -2,10 +2,10 @@
 
 On a finite outcome set every sigma-algebra is generated by a unique
 partition into atoms, and every member set is a union of atoms.  This module
-works with that partition representation throughout: generating a
-sigma-algebra means computing the atom partition, membership means "is a
-union of atoms", and enumeration walks the 2**k unions when that is small
-enough to be sane.
+works with that partition representation throughout, stored as one atom
+label per outcome: generating a sigma-algebra means labelling the atom
+partition, membership means "splits no atom", and enumeration walks the 2**k
+unions when that is small enough to be sane.
 
 Probabilities are ``fractions.Fraction`` end to end, so additivity checks
 are exact equalities rather than tolerance games.
@@ -127,75 +127,105 @@ class SigmaAlgebra:
     ----------
     space:
         The underlying sample space.
-    atoms:
-        Non-empty, pairwise disjoint events covering the space.  They are
-        stored sorted by smallest member, so two descriptions of the same
-        sigma-algebra compare equal.
+    labels:
+        One atom label per outcome: two outcomes share an atom exactly when
+        they share a label.  Labels are renumbered by first appearance, so
+        atom ``k`` is the one with the ``k``-th smallest least member and
+        two descriptions of the same sigma-algebra compare equal.
 
     The member sets of the sigma-algebra are exactly the 2**k unions of
     atoms; use :func:`enumerate_sets` to list them and :func:`contains` to
-    test one without listing them all.
+    test one without listing them all.  :meth:`from_atoms` builds one from
+    a list of cells.
     """
 
     space: SampleSpace
-    atoms: tuple[EventSet, ...]
+    labels: tuple[int, ...]
 
     def __post_init__(self):
-        atoms = tuple(sorted(self.atoms, key=lambda a: a.members[0] if a.members else -1))
-        object.__setattr__(self, "atoms", atoms)
-        seen = [False] * self.space.size
-        for atom in atoms:
+        labels = tuple(self.labels)
+        if len(labels) != self.space.size:
+            raise ValueError(
+                f"got {len(labels)} atom labels for a space of {self.space.size} outcomes"
+            )
+        if any(not isinstance(lab, int) or isinstance(lab, bool) or lab < 0 for lab in labels):
+            raise ValueError("atom labels must be non-negative integers")
+        renumbered: dict[int, int] = {}
+        labels = tuple(renumbered.setdefault(lab, len(renumbered)) for lab in labels)
+        object.__setattr__(self, "labels", labels)
+
+    @classmethod
+    def from_atoms(cls, space: SampleSpace, atoms: Iterable[EventSet]) -> "SigmaAlgebra":
+        """The sigma-algebra whose atoms are ``atoms``.
+
+        The atoms must be non-empty, pairwise disjoint and cover the space;
+        the first violation is named in a ``ValueError``.  The given events,
+        sorted by smallest member, become the cached :attr:`atoms` view.
+        """
+        atoms = tuple(sorted(atoms, key=lambda a: a.members[0] if a.members else -1))
+        labels: list[int | None] = [None] * space.size
+        for pos, atom in enumerate(atoms):
             if len(atom) == 0:
                 raise ValueError("atoms must be non-empty")
             for i in atom.members:
-                if i >= self.space.size:
+                if i >= space.size:
                     raise ValueError(f"atom refers to outcome {i} outside the space")
-                if seen[i]:
+                if labels[i] is not None:
                     raise ValueError(f"outcome {i} appears in two atoms; atoms must be disjoint")
-                seen[i] = True
-        if not all(seen):
-            missing = seen.index(False)
+                labels[i] = pos
+        if None in labels:
+            missing = labels.index(None)
             raise ValueError(f"atoms do not cover the space: outcome {missing} is unassigned")
+        sigma = cls(space, tuple(labels))
+        sigma.__dict__["atoms"] = atoms
+        return sigma
+
+    @cached_property
+    def atoms(self) -> tuple[EventSet, ...]:
+        """The atoms as events, in label order (sorted by smallest member)."""
+        groups: list[list[int]] = [[] for _ in range(self.atom_count)]
+        for i, lab in enumerate(self.labels):
+            groups[lab].append(i)
+        return tuple(EventSet(tuple(g)) for g in groups)
 
     @property
     def atom_count(self) -> int:
-        return len(self.atoms)
-
-    @cached_property
-    def atom_index_of(self) -> tuple[int, ...]:
-        """For each outcome index, the position of the atom containing it."""
-        table = [0] * self.space.size
-        for pos, atom in enumerate(self.atoms):
-            for i in atom.members:
-                table[i] = pos
-        return tuple(table)
+        return max(self.labels) + 1
 
     def atom_containing(self, outcome: int) -> EventSet:
         if not 0 <= outcome < self.space.size:
             raise ValueError(f"outcome index {outcome} out of range")
-        return self.atoms[self.atom_index_of[outcome]]
+        return self.atoms[self.labels[outcome]]
+
+    def first_split(self, keys: Sequence) -> EventSet | None:
+        """The lowest-label atom on which ``keys`` is not constant, or None.
+
+        ``keys`` holds one value per outcome, compared with ``!=``.  None
+        means ``keys`` is measurable: constant on every atom.
+        """
+        firsts: list = []
+        split: int | None = None
+        for lab, key in zip(self.labels, keys):
+            if lab == len(firsts):
+                firsts.append(key)
+            elif key != firsts[lab] and (split is None or lab < split):
+                split = lab
+        return None if split is None else self.atoms[split]
 
     def refines(self, coarser: "SigmaAlgebra") -> bool:
         """True when every atom of ``coarser`` is a union of atoms of ``self``.
 
         Equivalently, ``coarser`` is a sub-sigma-algebra of ``self``.
         """
-        if self.space != coarser.space:
-            return False
-        coarse_of = coarser.atom_index_of
-        for atom in self.atoms:
-            first = coarse_of[atom.members[0]]
-            if any(coarse_of[i] != first for i in atom.members[1:]):
-                return False
-        return True
+        return self.space == coarser.space and self.first_split(coarser.labels) is None
 
 
 def trivial_sigma_algebra(space: SampleSpace) -> SigmaAlgebra:
-    return SigmaAlgebra(space, (space.universe(),))
+    return SigmaAlgebra(space, (0,) * space.size)
 
 
 def discrete_sigma_algebra(space: SampleSpace) -> SigmaAlgebra:
-    return SigmaAlgebra(space, tuple(EventSet((i,)) for i in range(space.size)))
+    return SigmaAlgebra(space, tuple(range(space.size)))
 
 
 def generate_sigma_algebra(space: SampleSpace, generators: Sequence[EventSet]) -> SigmaAlgebra:
@@ -210,13 +240,13 @@ def generate_sigma_algebra(space: SampleSpace, generators: Sequence[EventSet]) -
     """
     for g in generators:
         g.validate_against(space)
-    signature_groups: dict[tuple[bool, ...], list[int]] = {}
+    signature_labels: dict[tuple[bool, ...], int] = {}
     member_sets = [g.member_set for g in generators]
-    for i in range(space.size):
-        sig = tuple(i in ms for ms in member_sets)
-        signature_groups.setdefault(sig, []).append(i)
-    atoms = tuple(EventSet(tuple(group)) for group in signature_groups.values())
-    return SigmaAlgebra(space, atoms)
+    labels = tuple(
+        signature_labels.setdefault(tuple(i in ms for ms in member_sets), len(signature_labels))
+        for i in range(space.size)
+    )
+    return SigmaAlgebra(space, labels)
 
 
 def enumerate_sets(
@@ -256,11 +286,7 @@ def contains(sigma: SigmaAlgebra, event: EventSet) -> bool:
     """
     event.validate_against(sigma.space)
     ms = event.member_set
-    for atom in sigma.atoms:
-        inside = sum(1 for i in atom.members if i in ms)
-        if inside != 0 and inside != len(atom):
-            return False
-    return True
+    return sigma.first_split([i in ms for i in range(sigma.space.size)]) is None
 
 
 def check_sigma_axioms(space: SampleSpace, sets: Iterable[EventSet]) -> tuple[bool, str | None]:

@@ -21,7 +21,7 @@ from itertools import product
 from typing import Sequence
 
 from .conditioning import conditional_expectation
-from .integration import RandomVariable, constant_variable, expectation, is_measurable
+from .integration import RandomVariable, constant_variable, expectation
 from .measure import (
     EventSet,
     ProbabilityMeasure,
@@ -93,15 +93,12 @@ class Filtration:
             if stage.space != self.space:
                 raise ValueError(f"stage {n} lives on a different sample space")
         for n in range(len(stages) - 1):
-            coarse_of = stages[n].atom_index_of
-            for atom in stages[n + 1].atoms:
-                first = coarse_of[atom.members[0]]
-                for i in atom.members[1:]:
-                    if coarse_of[i] != first:
-                        raise ValueError(
-                            f"stage {n + 1} does not refine stage {n}: atom "
-                            f"{list(atom.members)} straddles two earlier atoms"
-                        )
+            atom = stages[n + 1].first_split(stages[n].labels)
+            if atom is not None:
+                raise ValueError(
+                    f"stage {n + 1} does not refine stage {n}: atom "
+                    f"{list(atom.members)} straddles two earlier atoms"
+                )
 
     @property
     def horizon(self) -> int:
@@ -135,8 +132,8 @@ class AdaptedProcess:
         for n, (rv, stage) in enumerate(zip(values, stages)):
             if rv.space != self.filtration.space:
                 raise ValueError(f"X_{n} lives on a different sample space")
-            if not is_measurable(rv, stage):
-                atom = _splitting_atom(rv, stage)
+            atom = stage.first_split(rv.values)
+            if atom is not None:
                 raise ValueError(
                     f"not adapted: X_{n} is not measurable at stage {n}; it splits "
                     f"atom {list(atom.members)}"
@@ -181,9 +178,8 @@ class PredictableSequence:
         for k, rv in enumerate(values):
             if rv.space != self.filtration.space:
                 raise ValueError(f"C_{k + 1} lives on a different sample space")
-            stage = self.filtration.stages[k]
-            if not is_measurable(rv, stage):
-                atom = _splitting_atom(rv, stage)
+            atom = self.filtration.stages[k].first_split(rv.values)
+            if atom is not None:
                 raise ValueError(
                     f"not predictable: C_{k + 1} must be measurable at stage {k}; it "
                     f"splits atom {list(atom.members)}"
@@ -257,14 +253,6 @@ class MartingaleClassification:
         return self.label in SUBMARTINGALE_FAMILY
 
 
-def _splitting_atom(rv: RandomVariable, stage: SigmaAlgebra) -> EventSet:
-    for atom in stage.atoms:
-        first = rv.values[atom.members[0]]
-        if any(rv.values[i] != first for i in atom.members[1:]):
-            return atom
-    raise AssertionError("no splitting atom found for a non-measurable variable")
-
-
 def _validate_time_range(times: Sequence[int | None], filtration: Filtration) -> None:
     if len(times) != filtration.space.size:
         raise ValueError(
@@ -284,14 +272,9 @@ def _stopping_violation(
     times: Sequence[int | None], filtration: Filtration
 ) -> tuple[int, EventSet] | None:
     for n, stage in enumerate(filtration.stages):
-        for atom in stage.atoms:
-            members = atom.members
-            t0 = times[members[0]]
-            first_in = t0 is not None and t0 <= n
-            for i in members[1:]:
-                t = times[i]
-                if (t is not None and t <= n) != first_in:
-                    return n, atom
+        atom = stage.first_split([t is not None and t <= n for t in times])
+        if atom is not None:
+            return n, atom
     return None
 
 
@@ -350,14 +333,12 @@ def make_coin_walk(
     weights = tuple(p_pow[N - i.bit_count()] * q_pow[i.bit_count()] for i in range(size))
     measure = ProbabilityMeasure(space, weights)
 
-    stages = []
-    for n in range(N + 1):
-        block = 1 << (N - n)
-        atoms = tuple(
-            EventSet(tuple(range(start, start + block))) for start in range(0, size, block)
-        )
-        stages.append(SigmaAlgebra(space, atoms))
-    filtration = Filtration(space, tuple(stages))
+    # Stage n's atoms are the prefix classes: outcomes agreeing on their
+    # first n flips, i.e. on the top n bits of the index.
+    stages = tuple(
+        SigmaAlgebra(space, tuple(i >> (N - n) for i in range(size))) for n in range(N + 1)
+    )
+    filtration = Filtration(space, stages)
 
     values = [constant_variable(space, 0)]
     prev = values[0].values

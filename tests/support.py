@@ -92,7 +92,7 @@ def rand_partition(rng: random.Random, space: SampleSpace) -> SigmaAlgebra:
     blocks: dict[int, list[int]] = {}
     for i, g in enumerate(assignment):
         blocks.setdefault(g, []).append(i)
-    return SigmaAlgebra(space, [EventSet(b) for b in blocks.values()])
+    return SigmaAlgebra.from_atoms(space, [EventSet(b) for b in blocks.values()])
 
 
 def refine_partition(rng: random.Random, sigma: SigmaAlgebra) -> SigmaAlgebra:
@@ -107,13 +107,13 @@ def refine_partition(rng: random.Random, sigma: SigmaAlgebra) -> SigmaAlgebra:
             new_atoms.append(EventSet(sorted(set(members) - picked)))
         else:
             new_atoms.append(atom)
-    return SigmaAlgebra(sigma.space, new_atoms)
+    return SigmaAlgebra.from_atoms(sigma.space, new_atoms)
 
 
 def rand_filtration(
     rng: random.Random, space: SampleSpace, horizon: int
 ) -> Filtration:
-    stages = [SigmaAlgebra(space, [EventSet(range(space.size))])]
+    stages = [SigmaAlgebra.from_atoms(space, [EventSet(range(space.size))])]
     for _ in range(horizon):
         stages.append(refine_partition(rng, stages[-1]))
     return Filtration(space, stages)

@@ -1,7 +1,9 @@
 """End-to-end command tests: exit codes, JSON shape, determinism, errors."""
+import dataclasses
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -184,6 +186,31 @@ def test_internal_error_maps_to_exit_three(capsys, space_doc, monkeypatch):
     code, _, err = run_cli(capsys, "sigma", space_doc)
     assert code == 3
     assert "internal invariant violation" in err
+
+
+@pytest.mark.parametrize("exc", [RuntimeError("synthetic bug"), MemoryError("synthetic")])
+def test_unexpected_exception_maps_to_exit_three(capsys, space_doc, monkeypatch, exc):
+    def boom(args):
+        raise exc
+
+    monkeypatch.setattr(cli, "cmd_sigma", boom)
+    code, _, err = run_cli(capsys, "sigma", space_doc)
+    assert code == 3
+    assert err == f"internal error: {type(exc).__name__}: {exc}\n"
+
+
+def test_failed_conclusion_with_hypothesis_held_exits_three(capsys, walk_doc, monkeypatch):
+    real = cli.proc.l2_pythagoras_check
+
+    def broken(*args, **kwargs):
+        rep = real(*args, **kwargs)
+        assert rep.hypothesis_ok
+        return dataclasses.replace(rep, holds=False, gap=Fraction(1, 7))
+
+    monkeypatch.setattr(cli.proc, "l2_pythagoras_check", broken)
+    code, out, err = run_cli(capsys, "verify", walk_doc, "pythagoras")
+    assert code == 3 and out == ""
+    assert "internal invariant violation: the L2 identity failed on a martingale (gap 1/7)" in err
 
 
 def test_simulate_walk_reports_estimate(capsys):

@@ -30,7 +30,7 @@ from support import (
 
 ABCD = SampleSpace(["a", "b", "c", "d"])
 UNIFORM = ProbabilityMeasure(ABCD, ["1/4"] * 4)
-PAIRS = SigmaAlgebra(ABCD, [EventSet([0, 1]), EventSet([2, 3])])
+PAIRS = SigmaAlgebra.from_atoms(ABCD, [EventSet([0, 1]), EventSet([2, 3])])
 
 
 def test_hand_checked_pair_averages():
@@ -122,7 +122,7 @@ def test_tower_requires_nesting():
     fine = discrete_sigma_algebra(ABCD)
     X = RandomVariable(ABCD, [1, 2, 3, 4])
     with pytest.raises(ValueError):
-        tower_check(X, PAIRS, SigmaAlgebra(ABCD, [EventSet([0, 2]), EventSet([1, 3])]),
+        tower_check(X, PAIRS, SigmaAlgebra.from_atoms(ABCD, [EventSet([0, 2]), EventSet([1, 3])]),
                     UNIFORM)
     assert tower_check(X, PAIRS, fine, UNIFORM)
 

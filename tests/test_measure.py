@@ -14,6 +14,7 @@ from mglab import (
     EMPTY_EVENT,
     EventSet,
     ProbabilityMeasure,
+    RandomVariable,
     SampleSpace,
     SigmaAlgebra,
     SizeLimitError,
@@ -22,6 +23,7 @@ from mglab import (
     discrete_sigma_algebra,
     enumerate_sets,
     generate_sigma_algebra,
+    is_measurable,
     is_probability,
     measure_of,
     trivial_sigma_algebra,
@@ -59,9 +61,58 @@ def test_space_rejects_duplicate_labels():
 
 def test_sigma_algebra_requires_partition():
     with pytest.raises(ValueError):
-        SigmaAlgebra(ABCD, [EventSet([0, 1]), EventSet([1, 2, 3])])
+        SigmaAlgebra.from_atoms(ABCD, [EventSet([0, 1]), EventSet([1, 2, 3])])
     with pytest.raises(ValueError):
-        SigmaAlgebra(ABCD, [EventSet([0, 1])])
+        SigmaAlgebra.from_atoms(ABCD, [EventSet([0, 1])])
+
+
+def test_labels_are_renumbered_by_first_appearance():
+    pairs = SigmaAlgebra.from_atoms(ABCD, [EventSet([2, 3]), EventSet([0, 1])])
+    assert pairs.labels == (0, 0, 1, 1)
+    assert SigmaAlgebra(ABCD, (7, 7, 3, 3)) == pairs
+    assert hash(SigmaAlgebra(ABCD, [7, 7, 3, 3])) == hash(pairs)
+    assert [a.members for a in SigmaAlgebra(ABCD, (4, 9, 4, 0)).atoms] == [(0, 2), (1,), (3,)]
+    for bad in [(0, 0, 1), (0, -1, 0, 0), (0, True, 0, 0), (0, 1.0, 0, 0)]:
+        with pytest.raises(ValueError):
+            SigmaAlgebra(ABCD, bad)
+
+
+def test_first_split_reports_lowest_label_atom():
+    # The one-pass scan meets the mismatch inside {1, 2} (at outcome 2)
+    # before the one inside {0, 5} (at outcome 5); {0, 5} has the lower label.
+    space = SampleSpace([f"w{i}" for i in range(6)])
+    sigma = SigmaAlgebra(space, (0, 1, 1, 2, 3, 0))
+    assert sigma.first_split([0, 0, 1, 9, 9, 1]).members == (0, 5)
+    assert sigma.first_split([0, 0, 1, 9, 9, 0]).members == (1, 2)
+    assert sigma.first_split([4, 1, 1, 2, 3, 4]) is None
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_split_scans_match_enumerated_definitions(pyr):
+    from support import rand_partition, refine_partition
+
+    rng = random.Random(pyr.randint(0, 10**9))
+    space = rand_space(rng, max_size=7)
+    n = space.size
+    sigma = rand_partition(rng, space)
+    sets = set(enumerate_sets(sigma))
+
+    keys = [rng.randint(0, 2) for _ in range(n)]
+    brute = next((a for a in sigma.atoms if len({keys[i] for i in a}) > 1), None)
+    assert sigma.first_split(keys) == brute
+
+    event = EventSet(sorted(rng.sample(range(n), rng.randint(0, n))))
+    assert contains(sigma, event) == (event in sets)
+
+    X = RandomVariable(space, keys)
+    level_sets = [EventSet([i for i in range(n) if keys[i] == v]) for v in set(keys)]
+    assert is_measurable(X, sigma) == all(e in sets for e in level_sets)
+
+    for other in (rand_partition(rng, space), refine_partition(rng, sigma)):
+        other_sets = set(enumerate_sets(other))
+        assert other.refines(sigma) == (sets <= other_sets)
+        assert sigma.refines(other) == (other_sets <= sets)
 
 
 def test_trivial_and_discrete():
@@ -72,7 +123,7 @@ def test_trivial_and_discrete():
 
 
 def test_atom_lookup():
-    sigma = SigmaAlgebra(ABCD, [EventSet([0, 1]), EventSet([2, 3])])
+    sigma = SigmaAlgebra.from_atoms(ABCD, [EventSet([0, 1]), EventSet([2, 3])])
     assert sigma.atom_containing(1).members == (0, 1)
     assert sigma.atom_containing(3).members == (2, 3)
 
