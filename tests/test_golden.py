@@ -1,10 +1,12 @@
 """Byte-for-byte CLI regression: stdout and exit code of fixed runs.
 
 ``tests/golden/expected.json`` holds the stdout and exit code of every case
-below.  The two walk specs cover all nine ``verify`` selectors: a fair walk
-with every spec field filled in, and a p=1/3 walk with one zero-weight
+below.  The three walk specs cover all nine ``verify`` selectors: a fair walk
+with every spec field filled in; a p=1/3 walk with one zero-weight
 outcome, which brings out witnesses, null atoms, exit 1 and
-``hypothesis_witness``.  After an intended change to the output, re-capture
+``hypothesis_witness``; and a fair walk in JSON-float halves with one
+zero-weight outcome, whose interval endpoint ``a`` ties a terminal value,
+which pins the float-versus-int types of the reported sums.  After an intended change to the output, re-capture
 with ``PYTHONPATH=src python tests/test_golden.py``.
 """
 import json
@@ -26,7 +28,7 @@ SELECTORS = (
 CASES = {
     **{
         f"verify-{spec}-{theorem}": ["verify", f"{spec}.json", theorem]
-        for spec in ("walk_half", "walk_third")
+        for spec in ("walk_half", "walk_third", "walk_float")
         for theorem in SELECTORS
     },
     "sigma-json": ["sigma", "space4.json"],
