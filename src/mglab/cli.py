@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -67,8 +68,8 @@ class RunConfig:
     def __post_init__(self):
         if self.output_format not in ("json", "human"):
             raise ValueError(f"unknown output format {self.output_format!r}")
-        if not self.tolerance > 0:
-            raise ValueError("tolerance must be positive")
+        if not 0 < self.tolerance < math.inf:
+            raise ValueError("tolerance must be positive and finite")
         if self.enumeration_limit < 1:
             raise ValueError("enumeration limit must be at least 1")
 

@@ -10,9 +10,8 @@ convention value 0, and the report says so rather than hiding it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .integration import RandomVariable, is_measurable
+from .integration import RandomVariable, atom_sums, is_measurable
 from .measure import EventSet, ProbabilityMeasure, SigmaAlgebra
 from .numeric import DEFAULT_TOLERANCE, Number, as_number, numbers_equal
 
@@ -56,28 +55,22 @@ def conditional_expectation(
     """
     if X.space != G.space or X.space != P.space:
         raise ValueError("variable, sigma-algebra, and measure must share one space")
-    values: list[Number] = [0] * X.space.size
+    masses, totals = atom_sums(X.values, G, P.weights)
+    averages: list[Number] = [0] * len(masses)
     null_atoms: list[EventSet] = []
     identity_ok = True
-    for atom in G.atoms:
-        mass = sum((P.weights[i] for i in atom.members), start=Fraction(0))
+    for k, (mass, weighted) in enumerate(zip(masses, totals)):
         if mass == 0:
-            null_atoms.append(atom)
+            null_atoms.append(G.atoms[k])
             continue
-        weighted = 0
-        for i in atom.members:
-            w = P.weights[i]
-            if w:
-                weighted += X.values[i] * w
         avg = as_number(weighted / mass)
-        for i in atom.members:
-            values[i] = avg
+        averages[k] = avg
         # The identity integral_A X dP = integral_A Y dP on this atom reads
         # weighted == avg * mass; for exact inputs this holds by construction,
         # for float inputs it guards against accumulation error.
         if not numbers_equal(weighted, avg * mass, tolerance):
             identity_ok = False
-    result = RandomVariable(X.space, tuple(values))
+    result = RandomVariable(X.space, tuple(averages[lab] for lab in G.labels))
     return ConditionalReport(result, identity_ok, tuple(null_atoms))
 
 
@@ -101,17 +94,9 @@ def verify_kolmogorov(
         raise ValueError("all arguments must share one sample space")
     if not is_measurable(Y, G):
         return False
-    for atom in G.atoms:
-        lhs = 0
-        rhs = 0
-        for i in atom.members:
-            w = P.weights[i]
-            if w:
-                lhs += X.values[i] * w
-                rhs += Y.values[i] * w
-        if not numbers_equal(lhs, rhs, tolerance):
-            return False
-    return True
+    _, lhs = atom_sums(X.values, G, P.weights)
+    _, rhs = atom_sums(Y.values, G, P.weights)
+    return all(numbers_equal(a, b, tolerance) for a, b in zip(lhs, rhs))
 
 
 def tower_check(

@@ -5,6 +5,13 @@ finite weighted sum and "constructing the expectation" means: decompose into
 level sets, integrate the simple form, and check the positive/negative split
 agrees.  All three routes are implemented separately so they can be played
 against each other in tests instead of collapsing into one formula.
+
+Every other P-weighted sum in the exact engine goes through one of two
+kernels here: :func:`weighted_sum` over all outcomes (expectations, the
+optional-stopping and upcrossing figures, the L2 Gram matrix, the exact
+side of cross-validation) and :func:`atom_sums` per atom of a partition
+(conditional expectation, classification, the transform identity, the
+tail-bound hypothesis).  :func:`integrate_simple` stays a separate route.
 """
 from __future__ import annotations
 
@@ -12,7 +19,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .measure import EventSet, ProbabilityMeasure, SampleSpace, SigmaAlgebra, measure_of
 from .numeric import Number, all_exact, as_number
@@ -171,11 +178,40 @@ def expectation(X: RandomVariable, P: ProbabilityMeasure) -> Number:
     """
     if X.space != P.space:
         raise ValueError("variable and measure live on different spaces")
+    return as_number(weighted_sum(X.values, P.weights))
+
+
+def weighted_sum(values: Iterable[Number], weights: Sequence) -> Number:
+    """Sum of v * w over the outcomes of non-zero weight, in outcome order.
+
+    Starts from ``Fraction(0)``, so exact terms give a Fraction and one
+    float term makes the result a float; zero-weight outcomes are skipped,
+    so their values never turn an exact sum into a float.
+    """
     total: Number = Fraction(0)
-    for v, w in zip(X.values, P.weights):
+    for v, w in zip(values, weights):
         if w:
             total += v * w
-    return as_number(total)
+    return total
+
+
+def atom_sums(
+    values: Iterable[Number], sigma: SigmaAlgebra, weights: Sequence
+) -> tuple[list, list]:
+    """Per-atom ``(masses, totals)``, both indexed by the labels of ``sigma``.
+
+    ``masses[k]`` is the weight of atom k and ``totals[k]`` the sum of v * w
+    over its outcomes of non-zero weight, in ascending outcome order, from
+    one pass over the label vector.  Both start at int 0, so a null atom
+    has mass 0 and integer weights give integer sums.
+    """
+    masses: list = [0] * sigma.atom_count
+    totals: list = [0] * sigma.atom_count
+    for lab, v, w in zip(sigma.labels, values, weights):
+        if w:
+            masses[lab] += w
+            totals[lab] += v * w
+    return masses, totals
 
 
 def pos_neg_split(X: RandomVariable) -> tuple[RandomVariable, RandomVariable]:

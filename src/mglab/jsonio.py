@@ -25,6 +25,7 @@ offending field, which the CLI turns into an exit-2 message.
 from __future__ import annotations
 
 import dataclasses
+import math
 from fractions import Fraction
 from typing import Any
 
@@ -49,6 +50,10 @@ def _parse_value(raw, field: str) -> Number:
     if isinstance(raw, int):
         return raw
     if isinstance(raw, float):
+        # Python's json reads Infinity, NaN and out-of-range literals such
+        # as 1e400 as non-finite floats.
+        if not math.isfinite(raw):
+            raise SpecError(field, f"numbers must be finite, got {raw!r}")
         return raw
     if isinstance(raw, str):
         try:

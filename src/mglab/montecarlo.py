@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .integration import RandomVariable
+from .integration import RandomVariable, weighted_sum
 from .measure import ProbabilityMeasure, SampleSpace, SizeLimitError
 from .numeric import Number, as_exact, as_number, format_number
 from .processes import (
@@ -140,19 +140,40 @@ def _report(samples: np.ndarray) -> EstimateReport:
     )
 
 
+def _walk_probability(horizon, p_heads) -> Fraction:
+    """Check a walk's horizon; return its heads probability, exact, in [0, 1]."""
+    if not isinstance(horizon, int) or isinstance(horizon, bool) or horizon < 1:
+        raise ValueError("the horizon must be a positive integer")
+    p = Fraction(as_exact(p_heads))
+    if not 0 <= p <= 1:
+        raise ValueError(f"heads probability must lie in [0, 1], got {p}")
+    return p
+
+
+def _doubling_probability(n_levels, p_up) -> Fraction:
+    """Check a doubling episode's level budget; return its up-move probability."""
+    if not isinstance(n_levels, int) or isinstance(n_levels, bool) or n_levels < 1:
+        raise ValueError("n_levels must be a positive integer")
+    if n_levels > MAX_DOUBLING_LEVELS:
+        raise ValueError(
+            f"n_levels past {MAX_DOUBLING_LEVELS} overflows 64-bit wealth; this strategy "
+            "is already ruinous well before that"
+        )
+    p = Fraction(as_exact(p_up))
+    if not 0 <= p <= 1:
+        raise ValueError(f"up-move probability must lie in [0, 1], got {p}")
+    return p
+
+
 def simulate_walk(N: int, p_heads, n_paths: int, seed: int) -> PathEnsemble:
     """Simulate the +-1 walk: i.i.d. steps, +1 with probability ``p_heads``.
 
     Column 0 is the starting value 0.  Unlike the exact builder this has no
     horizon cap; it exists exactly for the sizes enumeration cannot reach.
     """
-    if not isinstance(N, int) or isinstance(N, bool) or N < 1:
-        raise ValueError("the horizon must be a positive integer")
+    p = float(_walk_probability(N, p_heads))
     if n_paths < 1:
         raise ValueError("n_paths must be at least 1")
-    p = float(as_number(p_heads))
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"heads probability must lie in [0, 1], got {p}")
     u = _step_uniforms(seed, n_paths, N)
     steps = np.where(u < p, 1, -1).astype(np.int64)
     paths = np.zeros((n_paths, N + 1), dtype=np.int64)
@@ -185,18 +206,9 @@ def simulate_doubling_strategy(
     win frequency, since "wins almost always" and "makes nothing on
     average" are both true and only together describe the strategy.
     """
-    if not isinstance(n_levels, int) or isinstance(n_levels, bool) or n_levels < 1:
-        raise ValueError("n_levels must be a positive integer")
-    if n_levels > MAX_DOUBLING_LEVELS:
-        raise ValueError(
-            f"n_levels past {MAX_DOUBLING_LEVELS} overflows 64-bit wealth; this strategy "
-            "is already ruinous well before that"
-        )
+    p = float(_doubling_probability(n_levels, p_up))
     if n_paths < 1:
         raise ValueError("n_paths must be at least 1")
-    p = float(as_number(p_up))
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"up-move probability must lie in [0, 1], got {p}")
 
     u = _step_uniforms(seed, n_paths, n_levels)
     up = u < p
@@ -350,14 +362,7 @@ class WalkModel:
     p_heads: Fraction
 
     def __post_init__(self):
-        if not isinstance(self.horizon, int) or isinstance(self.horizon, bool) \
-                or self.horizon < 1:
-            raise ValueError("the horizon must be a positive integer")
-        object.__setattr__(self, "p_heads", Fraction(as_exact(self.p_heads)))
-        if not 0 <= self.p_heads <= 1:
-            raise ValueError(
-                f"heads probability must lie in [0, 1], got {self.p_heads}"
-            )
+        object.__setattr__(self, "p_heads", _walk_probability(self.horizon, self.p_heads))
 
 
 @dataclass(frozen=True)
@@ -369,16 +374,7 @@ class DoublingModel:
     entry_price: Number = 0
 
     def __post_init__(self):
-        if not isinstance(self.n_levels, int) or isinstance(self.n_levels, bool) \
-                or self.n_levels < 1:
-            raise ValueError("n_levels must be a positive integer")
-        if self.n_levels > MAX_DOUBLING_LEVELS:
-            raise ValueError(
-                f"n_levels capped at {MAX_DOUBLING_LEVELS} so stakes fit in int64"
-            )
-        object.__setattr__(self, "p_up", Fraction(as_exact(self.p_up)))
-        if not 0 <= self.p_up <= 1:
-            raise ValueError(f"up-move probability must lie in [0, 1], got {self.p_up}")
+        object.__setattr__(self, "p_up", _doubling_probability(self.n_levels, self.p_up))
         object.__setattr__(self, "entry_price", as_number(self.entry_price))
 
 
@@ -451,12 +447,8 @@ def exact_functional_value(model, functional: Functional) -> Number:
         _, P, _, _, _, process = exact_doubling_process(model.n_levels, model.p_up)
     else:
         raise TypeError(f"unknown model type {type(model).__name__}")
-    total = Fraction(0)
-    for i, w in enumerate(P.weights):
-        if not w:
-            continue
-        total += Fraction(functional.apply_to_path(process.path(i))) * w
-    return as_number(total)
+    values = [Fraction(functional.apply_to_path(process.path(i))) for i in range(P.space.size)]
+    return as_number(weighted_sum(values, P.weights))
 
 
 def _simulate_model(model, n_paths: int, seed: int) -> PathEnsemble:

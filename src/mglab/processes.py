@@ -20,8 +20,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Sequence
 
-from .conditioning import conditional_expectation
-from .integration import RandomVariable, constant_variable, expectation
+from .integration import RandomVariable, atom_sums, constant_variable, expectation, weighted_sum
 from .measure import (
     EventSet,
     ProbabilityMeasure,
@@ -360,9 +359,10 @@ def classify(
 ) -> MartingaleClassification:
     """Label X by its one-step conditional means.
 
-    For each step n the conditional expectation E[X_{n+1} | F_n] is computed
-    through the conditioning module and compared with X_n on every
-    positive-probability atom of stage n.  Exact inputs are compared
+    For each step n the conditional mean of X_{n+1} on every
+    positive-probability atom of stage n (its weighted sum over the atom's
+    mass, from :func:`~mglab.integration.atom_sums`) is compared with the
+    value of X_n there.  Exact inputs are compared
     exactly; ``tolerance`` applies only once floats are involved.  The
     strongest accurate label wins: all drifts zero gives ``martingale``,
     one-sided drifts give the super/sub labels (``strict-`` when every
@@ -376,18 +376,16 @@ def classify(
     witness: tuple[int, EventSet] | None = None
     for n in range(X.horizon):
         stage = X.filtration.stages[n]
-        cond = conditional_expectation(X.values[n + 1], stage, P, tolerance).result
-        x_now = X.values[n].values
-        for atom in stage.atoms:
-            members = atom.members
-            if all(weights[i] == 0 for i in members):
+        masses, totals = atom_sums(X.values[n + 1].values, stage, weights)
+        x_now = _atom_values(X.values[n].values, stage)
+        for k, mass in enumerate(masses):
+            if mass == 0:
                 continue
-            rep = members[0]
-            drift = cond.values[rep] - x_now[rep]
+            drift = as_number(totals[k] / mass) - x_now[k]
             sign = sign_with_tolerance(drift, tolerance)
             signs_seen.add(sign)
             if sign != 0 and witness is None:
-                witness = (n, atom)
+                witness = (n, stage.atoms[k])
     has_neg = -1 in signs_seen
     has_pos = 1 in signs_seen
     has_zero = 0 in signs_seen
@@ -541,26 +539,30 @@ def _step_identity_holds(
     weights = P.weights
     for n in range(1, X.horizon + 1):
         stage = X.filtration.stages[n - 1]
-        stake = C.values[n - 1].values
         dx = [a - b for a, b in zip(X.values[n].values, X.values[n - 1].values)]
         dy = [a - b for a, b in zip(Y.values[n].values, Y.values[n - 1].values)]
-        for atom in stage.atoms:
-            mass = Fraction(0)
-            lhs = 0
-            rhs = 0
-            for i in atom.members:
-                w = weights[i]
-                if w:
-                    mass += w
-                    lhs += dy[i] * w
-                    rhs += dx[i] * w
-            if mass == 0:
-                continue
-            # The stake is constant on this atom, so the conditional identity
-            # reduces to lhs = C_n * rhs before dividing by the mass.
-            if not numbers_equal(lhs, stake[atom.members[0]] * rhs, tolerance):
+        masses, lhs = atom_sums(dy, stage, weights)
+        _, rhs = atom_sums(dx, stage, weights)
+        stakes = _atom_values(C.values[n - 1].values, stage)
+        # The stake is constant on each atom, so the conditional identity
+        # reduces to lhs = C_n * rhs before dividing by the mass.
+        for mass, y, x, stake in zip(masses, lhs, rhs, stakes):
+            if mass and not numbers_equal(y, stake * x, tolerance):
                 return False
     return True
+
+
+def _atom_values(values: Sequence[Number], sigma: SigmaAlgebra) -> list[Number]:
+    """The value of a ``sigma``-measurable sequence on each atom, by label.
+
+    Read at each atom's least member; measurability (checked with ``!=`` when
+    the process or stakes were built) makes any member give the same value.
+    """
+    firsts: list[Number] = []
+    for lab, v in zip(sigma.labels, values):
+        if lab == len(firsts):
+            firsts.append(v)
+    return firsts
 
 
 # ---------------------------------------------------------------------------
@@ -651,9 +653,7 @@ def optional_stopping_report(
         raise ValueError("process and measure live on different sample spaces")
     label = classify(X, P, tolerance).label
     weights = P.weights
-    never_mass = sum(
-        (weights[i] for i, t in enumerate(tau.times) if t is None), start=Fraction(0)
-    )
+    never_mass = weighted_sum([t is None for t in tau.times], weights)
     tau_bounded = tau.bounded
     tau_max = max(tau.times) if tau_bounded else None
     tau_finite = never_mass == 0
@@ -674,14 +674,12 @@ def optional_stopping_report(
     ]
 
     if tau_finite:
-        expected_tau: Number | None = as_number(
-            sum(
-                (Fraction(t) * weights[i] for i, t in enumerate(tau.times) if weights[i]),
-                start=Fraction(0),
-            )
-        )
+        # NEVER falls on zero-weight outcomes only here; capping it at the
+        # horizon gives those outcomes a value that the sums skip.
+        caps = [X.horizon if t is None else t for t in tau.times]
+        expected_tau: Number | None = as_number(weighted_sum(caps, weights))
         value_at_stop: Number | None = as_number(
-            _sum_at_stop(X, tau.times, weights)
+            weighted_sum([X.values[t].values[i] for i, t in enumerate(caps)], weights)
         )
         if not tau_bounded:
             notes.append(
@@ -742,16 +740,6 @@ def optional_stopping_report(
         holds=holds,
         notes=tuple(notes),
     )
-
-
-def _sum_at_stop(X: AdaptedProcess, times, weights):
-    total = Fraction(0)
-    for i, t in enumerate(times):
-        w = weights[i]
-        if not w:
-            continue
-        total += X.values[t].values[i] * w
-    return total
 
 
 def _leq(a: Number, b: Number, tolerance: float) -> bool:
@@ -829,25 +817,16 @@ def stopping_tail_bound_check(
     witness: tuple[int, EventSet] | None = None
     for n in range(0, N - N_window + 1):
         deadline = n + N_window
-        step_ok = True
-        for atom in F.stages[n].atoms:
-            mass = 0
-            hit = 0
-            for i in atom.members:
-                w = int_weights[i]
-                if w:
-                    mass += w
-                    t = times[i]
-                    if t is not None and t <= deadline:
-                        hit += w
-            if mass == 0:
-                continue
-            if not eps.denominator * hit > eps.numerator * mass:
-                step_ok = False
-                if witness is None:
-                    witness = (n, atom)
-                break
-        hypothesis_by_step.append(step_ok)
+        stage = F.stages[n]
+        fired = [t is not None and t <= deadline for t in times]
+        masses, hits = atom_sums(fired, stage, int_weights)
+        failed = [
+            k for k, (mass, hit) in enumerate(zip(masses, hits))
+            if mass and not eps.denominator * hit > eps.numerator * mass
+        ]
+        hypothesis_by_step.append(not failed)
+        if failed and witness is None:
+            witness = (n, stage.atoms[failed[0]])
     hypothesis_ok = all(hypothesis_by_step)
 
     # Tail masses for every threshold in one pass.
@@ -991,23 +970,13 @@ def upcrossing_inequality_check(
     hypothesis_ok = label in SUPERMARTINGALE_FAMILY
 
     weights = P.weights
-    expected_up = Fraction(0)
-    for i in range(X.space.size):
-        w = weights[i]
-        if not w:
-            continue
-        n_up = count_upcrossings(X.path(i), a, b)
-        if n_up:
-            expected_up += w * n_up
-
-    last = X.values[-1].values
-    neg_part = 0
-    for i, w in enumerate(weights):
-        if not w:
-            continue
-        gap = a - last[i]
-        if gap > 0:
-            neg_part += gap * w
+    expected_up = weighted_sum(
+        [count_upcrossings(X.path(i), a, b) for i in range(X.space.size)], weights
+    )
+    # A gap that is not positive contributes an int 0, so a float tie at a
+    # does not turn an all-zero negative part into 0.0.
+    gaps = [a - v for v in X.values[-1].values]
+    neg_part = weighted_sum([g if g > 0 else 0 for g in gaps], weights)
 
     sup_abs_mean = max(
         expectation(rv.map(abs), P) for rv in X.values
@@ -1087,20 +1056,14 @@ def l2_pythagoras_check(
     hypothesis_ok = label == MARTINGALE
 
     N = M.horizon
-    weights = P.weights
-    size = M.space.size
     gram: list[list[Number]] = [[0] * (N + 1) for _ in range(N + 1)]
     for s in range(N + 1):
         vs = M.values[s].values
         for t in range(s, N + 1):
             vt = M.values[t].values
-            acc = Fraction(0)
-            for i in range(size):
-                w = weights[i]
-                if w:
-                    acc += vs[i] * vt[i] * w
-            gram[s][t] = acc
-            gram[t][s] = acc
+            gram[s][t] = gram[t][s] = weighted_sum(
+                [x * y for x, y in zip(vs, vt)], P.weights
+            )
 
     lhs = gram[N][N]
     rhs = gram[0][0]
@@ -1203,8 +1166,7 @@ def truncated_convergence_diagnostic(
     mean_abs = tuple(expectation(rv.map(abs), P) for rv in X.values)
     sup_abs = max(mean_abs)
 
-    weights = P.weights
-    paths = [X.path(i) if weights[i] else None for i in range(X.space.size)]
+    paths = [X.path(i) for i in range(X.space.size)]
     entries: list[ConvergenceEntry] = []
     for pair in grid:
         a, b = pair
@@ -1212,13 +1174,7 @@ def truncated_convergence_diagnostic(
         b = as_number(b)
         if not a < b:
             raise ValueError(f"grid interval needs a < b, got a = {a}, b = {b}")
-        eu = Fraction(0)
-        for i, path in enumerate(paths):
-            if path is None:
-                continue
-            n_up = count_upcrossings(path, a, b)
-            if n_up:
-                eu += weights[i] * n_up
+        eu = weighted_sum([count_upcrossings(path, a, b) for path in paths], P.weights)
         bound = as_number((abs(a) + sup_abs) / (b - a))
         if bound > 0:
             ratio = float(eu) / float(bound)

@@ -294,6 +294,34 @@ def test_bad_flags_exit_two(capsys, space_doc):
     assert code == 2
 
 
+# Python's json reads Infinity, NaN and 1e400 as non-finite floats.
+NON_FINITE_EDITS = {
+    "weight-infinity": ('"weights": ["1/4"', '"weights": [Infinity'),
+    "weight-1e400": ('"weights": ["1/4"', '"weights": [1e400'),
+    "epsilon-infinity": ('"epsilon": "1/3"', '"epsilon": Infinity'),
+    "process-nan": ('"process": [[0', '"process": [[NaN'),
+    "process-infinity": ('"process": [[0', '"process": [[-Infinity'),
+}
+
+
+@pytest.mark.parametrize("case", [*NON_FINITE_EDITS, "tolerance-inf"])
+def test_non_finite_numbers_are_input_errors(capsys, tmp_path, walk_doc, case):
+    text = open(walk_doc, encoding="utf-8").read()
+    flags = []
+    if case == "tolerance-inf":
+        flags = ["--tolerance", "inf"]
+    else:
+        old, new = NON_FINITE_EDITS[case]
+        assert old in text
+        text = text.replace(old, new, 1)
+    path = tmp_path / "nonfinite.json"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "verify", str(path), "tail-bound", *flags)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("input error:")
+
+
 def test_console_script_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "mglab.cli", "--help"],

@@ -1,4 +1,5 @@
 """Random variables, simple-function integrals, expectations, staircases."""
+import math
 import random
 from fractions import Fraction
 
@@ -7,7 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mglab import (
+    AdaptedProcess,
     EventSet,
+    Filtration,
     ProbabilityMeasure,
     RandomVariable,
     SampleSpace,
@@ -24,8 +27,10 @@ from mglab import (
     to_simple_form,
     trivial_sigma_algebra,
     uniform_measure,
+    upcrossing_inequality_check,
 )
-from support import rand_measure, rand_partition, rand_space, rand_variable
+from mglab.integration import atom_sums, weighted_sum
+from support import rand_fraction, rand_measure, rand_partition, rand_space, rand_variable
 
 ABCD = SampleSpace(["a", "b", "c", "d"])
 HALF_QUARTERS = ProbabilityMeasure(ABCD, ["1/2", "1/4", "1/8", "1/8"])
@@ -206,3 +211,77 @@ def test_indicator_preimages(pyr):
     assert pre_zero.members == A.complement(space).members
     sigma = generate_sigma_algebra(space, [A])
     assert is_measurable(one_A, sigma)
+
+
+def _atom_walk_sums(values, sigma, weights, start):
+    """Reference for the summation kernels: atom by atom, member by member."""
+    masses, totals = [], []
+    for atom in sigma.atoms:
+        mass, total = 0, start
+        for i in atom.members:
+            if weights[i]:
+                mass += weights[i]
+                total += values[i] * weights[i]
+        masses.append(mass)
+        totals.append(total)
+    return masses, totals
+
+
+def _mixed_values(rng, n):
+    """Ints, Fractions, floats and negative zeros, in random order."""
+    makers = (
+        lambda: rng.randint(-3, 3),
+        lambda: rand_fraction(rng),
+        lambda: float(rand_fraction(rng)),
+        lambda: -0.0,
+    )
+    return [rng.choice(makers)() for _ in range(n)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_summation_kernels_match_atom_walk(pyr):
+    """Same values, types and float bits as summing atom by atom (repr compares all three)."""
+    rng = random.Random(pyr.randint(0, 10**9))
+    space = rand_space(rng)
+    P = rand_measure(rng, space)
+    sigma = rand_partition(rng, space)
+    values = _mixed_values(rng, space.size)
+    assert repr(atom_sums(values, sigma, P.weights)) == repr(
+        _atom_walk_sums(values, sigma, P.weights, 0)
+    )
+    _, (whole,) = _atom_walk_sums(values, trivial_sigma_algebra(space), P.weights, Fraction(0))
+    assert repr(weighted_sum(values, P.weights)) == repr(whole)
+    # Integer weights over a common denominator keep integer sums integers.
+    denom = math.lcm(*(w.denominator for w in P.weights))
+    int_weights = [int(w * denom) for w in P.weights]
+    int_values = [rng.randint(-3, 3) for _ in range(space.size)]
+    masses, totals = atom_sums(int_values, sigma, int_weights)
+    assert (masses, totals) == _atom_walk_sums(int_values, sigma, int_weights, 0)
+    assert all(type(x) is int for x in masses + totals)
+
+
+def test_summation_kernels_pinned_types():
+    """Zero weights never enter a sum, and the two kernels start from Fraction(0) and int 0."""
+    weights = [Fraction(1, 2), 0, Fraction(1, 2)]
+    assert repr(weighted_sum([2, 7.5, 4], weights)) == "Fraction(3, 1)"
+    assert repr(weighted_sum([-0.0, 7.5, -0.0], weights)) == "0.0"
+    assert repr(weighted_sum([7.5], [0])) == "Fraction(0, 1)"
+    sigma = discrete_sigma_algebra(SampleSpace(["a", "b", "c"]))
+    assert repr(atom_sums([-0.0, 7.5, 4], sigma, weights)) == repr(
+        ([Fraction(1, 2), 0, Fraction(1, 2)], [0.0, 0, Fraction(2)])
+    )
+
+
+def test_negative_part_stays_int_on_a_float_tie():
+    """A float process that never ends below a has an int 0 negative part, not 0.0."""
+    space = SampleSpace(["up", "down", "null"])
+    F = Filtration(space, [trivial_sigma_algebra(space), discrete_sigma_algebra(space)])
+    X = AdaptedProcess(F, [
+        RandomVariable(space, [0.0, 0.0, 0.0]),
+        RandomVariable(space, [0.5, -0.5, -1.5]),
+    ])
+    P = ProbabilityMeasure(space, ["1/2", "1/2", 0])
+    rep = upcrossing_inequality_check(X, P, -0.5, 0.5)
+    assert rep.negative_part_mean == 0
+    assert type(rep.negative_part_mean) is int
