@@ -15,9 +15,10 @@ candidate, an interval, a window and epsilon, a stake bound).
 
 Numbers are accepted as JSON integers, JSON floats, or strings; strings
 parse exactly, so "0.3" means 3/10 and "1/3" means a third, while a bare
-JSON float stays a float and marks the value inexact.  On output, rationals
-print as "p/q" strings and floats with 17 significant digits; both
-directions round-trip.
+JSON float stays a float and marks the value inexact; a non-finite one
+(Infinity, NaN, or an overflowing literal such as 1e400) is rejected.  On
+output, rationals print as "p/q" strings and floats with 17 significant
+digits; both directions round-trip.
 
 Validation failures raise :class:`SpecError` carrying the path of the first
 offending field, which the CLI turns into an exit-2 message.

@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -306,7 +307,7 @@ NON_FINITE_EDITS = {
 
 @pytest.mark.parametrize("case", [*NON_FINITE_EDITS, "tolerance-inf"])
 def test_non_finite_numbers_are_input_errors(capsys, tmp_path, walk_doc, case):
-    text = open(walk_doc, encoding="utf-8").read()
+    text = Path(walk_doc).read_text(encoding="utf-8")
     flags = []
     if case == "tolerance-inf":
         flags = ["--tolerance", "inf"]

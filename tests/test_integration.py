@@ -1,4 +1,4 @@
-"""Random variables, simple-function integrals, expectations, staircases."""
+"""Random variables, simple-function integrals, expectations, staircases, summation kernels."""
 import math
 import random
 from fractions import Fraction
