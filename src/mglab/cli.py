@@ -13,6 +13,7 @@ Exit codes are part of the contract:
     3  hypotheses held but the conclusion failed, or an unexpected internal
        error occurred; either means a defect in this tool, never a
        counterexample to the mathematics, and the message says so
+  141  (shell status) stdout closed early: SIGPIPE ends ``mgl`` silently, as it ends ``cat``
 
 The enumeration limit can be set per call with ``--limit`` or globally with
 the ``MGL_ENUM_LIMIT`` environment variable.
@@ -23,6 +24,7 @@ import argparse
 import json
 import math
 import os
+import signal
 import sys
 from dataclasses import dataclass
 
@@ -169,25 +171,19 @@ def cmd_sigma(args) -> int:
 
 # ---------------------------------------------------------------------------
 # verify
-
-THEOREMS = (
-    "classify",
-    "transform",
-    "stopped",
-    "optional-stopping",
-    "upcrossing",
-    "pythagoras",
-    "tower",
-    "kolmogorov",
-    "tail-bound",
-)
+#
+# One runner per selector maps (spec, measure, tolerance) to (detail, reason,
+# passed, defect).  ``reason`` is None exactly when the hypotheses held, and
+# only then is ``defect``, the text of a failed conclusion, built.  Runners
+# look up the checks on `proc` and `cond` at call time.
 
 
-def _require(spec, field: str):
-    value = getattr(spec, field.replace("-", "_"))
-    if value is None:
-        raise SpecError(field, "required by this theorem selector but missing")
-    return value
+def _require(spec, *fields: str) -> list:
+    """The named spec fields, in order; the first missing one is an input error."""
+    for field in fields:
+        if getattr(spec, field) is None:
+            raise SpecError(field, "required by this theorem selector but missing")
+    return [getattr(spec, field) for field in fields]
 
 
 def _witness_obj(witness):
@@ -197,170 +193,153 @@ def _witness_obj(witness):
     return {"step": n, "atom": list(atom.members)}
 
 
+def _classify(spec, P, tol):
+    (X,) = _require(spec, "process")
+    verdict = proc.classify(X, P, tol)
+    return {"label": verdict.label, "witness": _witness_obj(verdict.witness)}, None, True, ""
+
+
+def _transform(spec, P, tol):
+    X, C = _require(spec, "process", "predictable")
+    bound = spec.bound
+    if bound is None:
+        bound = max((abs(v) for rv in C.values for v in rv.values), default=0)
+    rep = proc.verify_transform_preservation(C, X, P, bound, tol)
+    if not rep.hypothesis_ok:
+        return rep, rep.hypothesis_failure, False, ""
+    defect = (
+        "transform preservation failed with hypotheses satisfied: "
+        f"input {rep.input_label}, output {rep.output_label}, step identity "
+        f"{'held' if rep.step_identity_ok else 'failed'}"
+    )
+    return rep, None, bool(rep), defect
+
+
+def _stopped(spec, P, tol):
+    X, tau = _require(spec, "process", "stopping_time")
+    in_label = proc.classify(X, P, tol).label
+    stopped = proc.stopped_process(X, tau)
+    out_label = proc.classify(stopped, P, tol).label
+    start = expectation(X.values[0], P)
+    means = [expectation(rv, P) for rv in stopped.values]
+    detail = {
+        "input_label": in_label,
+        "stopped_label": out_label,
+        "start_mean": start,
+        "stopped_means_by_stage": means,
+    }
+    if in_label == proc.UNCLASSIFIED:
+        reason = (
+            "input classifies as none; stopping preserves martingale, supermartingale, "
+            "and submartingale structure only"
+        )
+        return detail, reason, False, ""
+    if in_label == proc.MARTINGALE:
+        passed = out_label == proc.MARTINGALE and all(
+            numbers_equal(m, start, tol) for m in means
+        )
+    elif in_label in proc.SUPERMARTINGALE_FAMILY:
+        passed = out_label in proc.SUPERMARTINGALE_FAMILY
+    else:
+        passed = out_label in proc.SUBMARTINGALE_FAMILY
+    return detail, None, passed, f"stopped process of a {in_label} classified as {out_label}"
+
+
+def _optional_stopping(spec, P, tol):
+    X, tau = _require(spec, "process", "stopping_time")
+    rep = proc.optional_stopping_report(X, tau, P, tol)
+    if rep.holds is None:
+        reason = "; ".join(
+            n for n in rep.notes if "not asserted" in n or "no claim" in n
+        ) or "no optional-stopping hypothesis applies"
+        return rep, reason, False, ""
+    defect = (
+        "optional stopping failed with hypotheses satisfied "
+        f"(E[X_tau] = {format_number(rep.value_at_stop)}, E[X_0] = "
+        f"{format_number(rep.value_at_start)})"
+    )
+    return rep, None, bool(rep), defect
+
+
+def _upcrossing(spec, P, tol):
+    X, (a, b) = _require(spec, "process", "interval")
+    rep = proc.upcrossing_inequality_check(X, P, a, b, tol)
+    if not rep.hypothesis_ok:
+        return rep, rep.notes[0] if rep.notes else "not a supermartingale", False, ""
+    return rep, None, bool(rep), "upcrossing inequality failed on a supermartingale"
+
+
+def _pythagoras(spec, P, tol):
+    (M,) = _require(spec, "process")
+    rep = proc.l2_pythagoras_check(M, P, tol)
+    if not rep.hypothesis_ok:
+        return rep, rep.notes[0] if rep.notes else "not a martingale", False, ""
+    defect = f"the L2 identity failed on a martingale (gap {format_number(rep.gap)})"
+    return rep, None, bool(rep), defect
+
+
+def _tower(spec, P, tol):
+    X, G, H = _require(spec, "variable", "conditioning", "conditioning_fine")
+    passed = cond.tower_check(X, G, H, P, tol)
+    base = cond.conditional_expectation(X, G, P, tol)
+    detail = {
+        "conditional_given_coarse": base.result,
+        "null_atoms": [list(a.members) for a in base.null_atoms],
+        "both_nestings_hold": passed,
+    }
+    return detail, None, passed, "a tower identity failed on nested sigma-algebras"
+
+
+def _kolmogorov(spec, P, tol):
+    X, G = _require(spec, "variable", "conditioning")
+    computed = cond.conditional_expectation(X, G, P, tol)
+    given = spec.candidate is not None
+    Y = spec.candidate if given else computed.result
+    passed = cond.verify_kolmogorov(X, G, P, Y, tol)
+    detail = {
+        "candidate_source": "given" if given else "computed",
+        "candidate": Y,
+        "conditional_expectation": computed.result,
+        "null_atoms": [list(a.members) for a in computed.null_atoms],
+        "identity_holds": passed,
+    }
+    if given and not passed:
+        reason = "the supplied candidate is not a version of the conditional expectation"
+        return detail, reason, False, ""
+    defect = "the computed conditional expectation failed its defining identity"
+    return detail, None, passed, defect
+
+
+def _tail_bound(spec, P, tol):
+    tau, F, window, epsilon = _require(spec, "stopping_time", "filtration", "window", "epsilon")
+    rep = proc.stopping_tail_bound_check(tau, F, P, window, epsilon)
+    if not rep.hypothesis_ok:
+        witness = _witness_obj(rep.hypothesis_witness)
+        reason = f"conditional firing probability fails the epsilon floor at {witness}"
+        return rep, reason, False, ""
+    return rep, None, bool(rep), "the geometric tail chain failed with its hypothesis satisfied"
+
+
+THEOREMS = {
+    "classify": _classify,
+    "transform": _transform,
+    "stopped": _stopped,
+    "optional-stopping": _optional_stopping,
+    "upcrossing": _upcrossing,
+    "pythagoras": _pythagoras,
+    "tower": _tower,
+    "kolmogorov": _kolmogorov,
+    "tail-bound": _tail_bound,
+}
+
+
 def cmd_verify(args) -> int:
     config = _config(args)
     spec = parse_process_spec(_load_json(args.spec))
-    theorem = args.theorem
-    tol = config.tolerance
-
     if spec.measure is None:
         raise SpecError("space.weights", "verification needs a probability measure")
-    P = spec.measure
-
-    # Each branch sets the verdict and, for the case where the hypotheses
-    # held but the conclusion failed, a description of that defect.
-    hypothesis_ok = True
-    reason: str | None = None
-    passed = True
-    defect = ""
-    detail: dict = {}
-
-    if theorem == "classify":
-        X = _require(spec, "process")
-        verdict = proc.classify(X, P, tol)
-        detail = {"label": verdict.label, "witness": _witness_obj(verdict.witness)}
-
-    elif theorem == "transform":
-        X = _require(spec, "process")
-        C = _require(spec, "predictable")
-        bound = spec.bound
-        if bound is None:
-            bound = max((abs(v) for rv in C.values for v in rv.values), default=0)
-        rep = proc.verify_transform_preservation(C, X, P, bound, tol)
-        hypothesis_ok = rep.hypothesis_ok
-        reason = rep.hypothesis_failure
-        passed = bool(rep)
-        defect = (
-            "transform preservation failed with hypotheses satisfied: "
-            f"input {rep.input_label}, output {rep.output_label}, step identity "
-            f"{'held' if rep.step_identity_ok else 'failed'}"
-        )
-        detail = dict(to_jsonable(rep))
-
-    elif theorem == "stopped":
-        X = _require(spec, "process")
-        tau = _require(spec, "stopping_time")
-        in_label = proc.classify(X, P, tol).label
-        stopped = proc.stopped_process(X, tau)
-        out_label = proc.classify(stopped, P, tol).label
-        start = expectation(X.values[0], P)
-        means = [expectation(rv, P) for rv in stopped.values]
-        detail = {
-            "input_label": in_label,
-            "stopped_label": out_label,
-            "start_mean": start,
-            "stopped_means_by_stage": means,
-        }
-        if in_label == proc.UNCLASSIFIED:
-            hypothesis_ok = False
-            reason = (
-                "input classifies as none; stopping preserves martingale, supermartingale, "
-                "and submartingale structure only"
-            )
-            passed = False
-        elif in_label == proc.MARTINGALE:
-            passed = out_label == proc.MARTINGALE and all(
-                numbers_equal(m, start, tol) for m in means
-            )
-        elif in_label in proc.SUPERMARTINGALE_FAMILY:
-            passed = out_label in proc.SUPERMARTINGALE_FAMILY
-        else:
-            passed = out_label in proc.SUBMARTINGALE_FAMILY
-        defect = f"stopped process of a {in_label} classified as {out_label}"
-
-    elif theorem == "optional-stopping":
-        X = _require(spec, "process")
-        tau = _require(spec, "stopping_time")
-        rep = proc.optional_stopping_report(X, tau, P, tol)
-        detail = dict(to_jsonable(rep))
-        passed = bool(rep.holds)
-        if rep.holds is None:
-            hypothesis_ok = False
-            reason = "; ".join(
-                n for n in rep.notes if "not asserted" in n or "no claim" in n
-            ) or "no optional-stopping hypothesis applies"
-        else:
-            defect = (
-                "optional stopping failed with hypotheses satisfied "
-                f"(E[X_tau] = {format_number(rep.value_at_stop)}, E[X_0] = "
-                f"{format_number(rep.value_at_start)})"
-            )
-
-    elif theorem == "upcrossing":
-        X = _require(spec, "process")
-        interval = _require(spec, "interval")
-        rep = proc.upcrossing_inequality_check(X, P, interval[0], interval[1], tol)
-        detail = dict(to_jsonable(rep))
-        hypothesis_ok = rep.hypothesis_ok
-        if not hypothesis_ok:
-            reason = rep.notes[0] if rep.notes else "not a supermartingale"
-        passed = hypothesis_ok and bool(rep.holds and rep.corollary_holds)
-        defect = "upcrossing inequality failed on a supermartingale"
-
-    elif theorem == "pythagoras":
-        M = _require(spec, "process")
-        rep = proc.l2_pythagoras_check(M, P, tol)
-        detail = dict(to_jsonable(rep))
-        hypothesis_ok = rep.hypothesis_ok
-        if not hypothesis_ok:
-            reason = rep.notes[0] if rep.notes else "not a martingale"
-        passed = hypothesis_ok and bool(rep.holds)
-        defect = f"the L2 identity failed on a martingale (gap {format_number(rep.gap)})"
-
-    elif theorem == "tower":
-        X = _require(spec, "variable")
-        G = _require(spec, "conditioning")
-        H = _require(spec, "conditioning_fine")
-        passed = cond.tower_check(X, G, H, P, tol)
-        base = cond.conditional_expectation(X, G, P, tol)
-        detail = {
-            "conditional_given_coarse": base.result,
-            "null_atoms": [list(a.members) for a in base.null_atoms],
-            "both_nestings_hold": passed,
-        }
-        defect = "a tower identity failed on nested sigma-algebras"
-
-    elif theorem == "kolmogorov":
-        X = _require(spec, "variable")
-        G = _require(spec, "conditioning")
-        computed = cond.conditional_expectation(X, G, P, tol)
-        if spec.candidate is not None:
-            Y = spec.candidate
-            candidate_source = "given"
-        else:
-            Y = computed.result
-            candidate_source = "computed"
-        passed = cond.verify_kolmogorov(X, G, P, Y, tol)
-        detail = {
-            "candidate_source": candidate_source,
-            "candidate": Y,
-            "conditional_expectation": computed.result,
-            "null_atoms": [list(a.members) for a in computed.null_atoms],
-            "identity_holds": passed,
-        }
-        if not passed and candidate_source == "given":
-            hypothesis_ok = False
-            reason = "the supplied candidate is not a version of the conditional expectation"
-        defect = "the computed conditional expectation failed its defining identity"
-
-    elif theorem == "tail-bound":
-        tau = _require(spec, "stopping_time")
-        F = _require(spec, "filtration")
-        window = _require(spec, "window")
-        epsilon = _require(spec, "epsilon")
-        rep = proc.stopping_tail_bound_check(tau, F, P, window, epsilon)
-        detail = dict(to_jsonable(rep))
-        hypothesis_ok = rep.hypothesis_ok
-        if not hypothesis_ok:
-            witness = _witness_obj(rep.hypothesis_witness)
-            reason = f"conditional firing probability fails the epsilon floor at {witness}"
-        passed = hypothesis_ok and rep.chain_ok and rep.expectation_ok
-        defect = "the geometric tail chain failed with its hypothesis satisfied"
-
-    else:
-        raise SpecError("theorem", f"unknown selector {theorem!r}")
-
-    if hypothesis_ok and not passed:
+    detail, reason, passed, defect = THEOREMS[args.theorem](spec, spec.measure, config.tolerance)
+    if reason is None and not passed:
         raise InternalCheckError(
             f"{defect}; this indicates a defect in this tool, not a counterexample "
             "to the theorem"
@@ -368,8 +347,8 @@ def cmd_verify(args) -> int:
     exit_code = 0 if passed else 1
     report = {
         "command": "verify",
-        "theorem": theorem,
-        "hypothesis_ok": hypothesis_ok,
+        "theorem": args.theorem,
+        "hypothesis_ok": reason is None,
         "reason": reason,
         "pass": passed,
         "exit_code": exit_code,
@@ -564,8 +543,10 @@ def main(argv=None) -> int:
 
 
 def entry_point() -> None:
+    if hasattr(signal, "SIGPIPE"):  # a closed stdout pipe ends the run as it ends `cat`
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(main())
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    entry_point()

@@ -16,9 +16,11 @@ candidate, an interval, a window and epsilon, a stake bound).
 Numbers are accepted as JSON integers, JSON floats, or strings; strings
 parse exactly, so "0.3" means 3/10 and "1/3" means a third, while a bare
 JSON float stays a float and marks the value inexact; a non-finite one
-(Infinity, NaN, or an overflowing literal such as 1e400) is rejected.  On
-output, rationals print as "p/q" strings and floats with 17 significant
-digits; both directions round-trip.
+(Infinity, NaN, or an overflowing literal such as 1e400) is rejected.
+Weights are exact rationals, so a JSON float weight is its exact binary
+value (0.1 is 3602879701896397/36028797018963968); a weight error on a
+document with float weights says so.  On output, rationals print as "p/q"
+strings and floats with 17 significant digits; both directions round-trip.
 
 Validation failures raise :class:`SpecError` carrying the path of the first
 offending field, which the CLI turns into an exit-2 message.
@@ -124,16 +126,19 @@ def parse_space(obj, field: str = "") -> tuple[SampleSpace, ProbabilityMeasure |
             raise SpecError(
                 f"{prefix}weights", f"got {len(raw_w)} weights for {space.size} outcomes"
             )
-        weights = []
-        for j, w in enumerate(raw_w):
-            value = _parse_value(w, f"{prefix}weights[{j}]")
-            if isinstance(value, float):
-                value = Fraction(value)
-            weights.append(Fraction(value))
+        weights = tuple(
+            Fraction(_parse_value(w, f"{prefix}weights[{j}]")) for j, w in enumerate(raw_w)
+        )
         try:
-            measure = ProbabilityMeasure(space, tuple(weights))
+            measure = ProbabilityMeasure(space, weights)
         except ValueError as exc:
-            raise SpecError(f"{prefix}weights", str(exc)) from None
+            message = str(exc)
+            if any(isinstance(w, float) for w in raw_w):
+                message += (
+                    "; JSON float weights are read as their exact binary values, while "
+                    'strings such as "0.1" or "1/10" are exact'
+                )
+            raise SpecError(f"{prefix}weights", message) from None
     return space, measure
 
 
@@ -302,10 +307,7 @@ def parse_process_spec(obj) -> ProcessSpec:
 
     epsilon = None
     if obj.get("epsilon") is not None:
-        value = _parse_value(obj["epsilon"], "epsilon")
-        if isinstance(value, float):
-            value = Fraction(value)
-        epsilon = Fraction(value)
+        epsilon = Fraction(_parse_value(obj["epsilon"], "epsilon"))
         if not 0 < epsilon < 1:
             raise SpecError("epsilon", f"must lie strictly between 0 and 1, got {epsilon}")
 

@@ -22,12 +22,11 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .integration import RandomVariable, weighted_sum
-from .measure import ProbabilityMeasure, SampleSpace, SizeLimitError
+from .measure import ProbabilityMeasure, SampleSpace
 from .numeric import Number, as_exact, as_number, format_number
 from .processes import (
     AdaptedProcess,
     Filtration,
-    MAX_COIN_WALK_HORIZON,
     PredictableSequence,
     count_upcrossings,
     make_coin_walk,
@@ -364,6 +363,14 @@ class WalkModel:
     def __post_init__(self):
         object.__setattr__(self, "p_heads", _walk_probability(self.horizon, self.p_heads))
 
+    def exact(self) -> tuple[ProbabilityMeasure, AdaptedProcess]:
+        """The measure and the walk on the exact engine (horizon cap applies)."""
+        _, P, _, walk = make_coin_walk(self.horizon, self.p_heads)
+        return P, walk
+
+    def simulate(self, n_paths: int, seed: int) -> PathEnsemble:
+        return simulate_walk(self.horizon, self.p_heads, n_paths, seed)
+
 
 @dataclass(frozen=True)
 class DoublingModel:
@@ -376,6 +383,17 @@ class DoublingModel:
     def __post_init__(self):
         object.__setattr__(self, "p_up", _doubling_probability(self.n_levels, self.p_up))
         object.__setattr__(self, "entry_price", as_number(self.entry_price))
+
+    def exact(self) -> tuple[ProbabilityMeasure, AdaptedProcess]:
+        """The measure and the wealth on the exact engine (the walk's horizon cap applies)."""
+        _, P, _, _, _, wealth = exact_doubling_process(self.n_levels, self.p_up)
+        return P, wealth
+
+    def simulate(self, n_paths: int, seed: int) -> PathEnsemble:
+        ensemble, _ = simulate_doubling_strategy(
+            self.entry_price, self.n_levels, self.p_up, n_paths, seed
+        )
+        return ensemble
 
 
 def exact_doubling_process(
@@ -431,35 +449,9 @@ class CrossValidationReport:
 
 def exact_functional_value(model, functional: Functional) -> Number:
     """Evaluate E[functional] by full enumeration on the exact engine."""
-    if isinstance(model, WalkModel):
-        if model.horizon > MAX_COIN_WALK_HORIZON:
-            raise SizeLimitError(
-                f"exact enumeration handles horizons up to {MAX_COIN_WALK_HORIZON}; "
-                f"reduce N (got {model.horizon}) or rely on simulation alone"
-            )
-        _, P, _, process = make_coin_walk(model.horizon, model.p_heads)
-    elif isinstance(model, DoublingModel):
-        if model.n_levels > MAX_COIN_WALK_HORIZON:
-            raise SizeLimitError(
-                f"exact enumeration handles level budgets up to {MAX_COIN_WALK_HORIZON}; "
-                f"reduce n_levels (got {model.n_levels}) or rely on simulation alone"
-            )
-        _, P, _, _, _, process = exact_doubling_process(model.n_levels, model.p_up)
-    else:
-        raise TypeError(f"unknown model type {type(model).__name__}")
+    P, process = model.exact()
     values = [Fraction(functional.apply_to_path(process.path(i))) for i in range(P.space.size)]
     return as_number(weighted_sum(values, P.weights))
-
-
-def _simulate_model(model, n_paths: int, seed: int) -> PathEnsemble:
-    if isinstance(model, WalkModel):
-        return simulate_walk(model.horizon, model.p_heads, n_paths, seed)
-    if isinstance(model, DoublingModel):
-        ensemble, _ = simulate_doubling_strategy(
-            model.entry_price, model.n_levels, model.p_up, n_paths, seed
-        )
-        return ensemble
-    raise TypeError(f"unknown model type {type(model).__name__}")
 
 
 def cross_validate(
@@ -472,13 +464,12 @@ def cross_validate(
     degenerate (zero-variance) estimate the gate becomes exact equality.
     """
     exact = exact_functional_value(model, functional)
-    ensemble = _simulate_model(model, n_paths, seed)
+    ensemble = model.simulate(n_paths, seed)
     est = estimate_functional(ensemble, functional)
     exact_float = float(exact)
     if est.std_error == 0.0:
-        matched = est.mean == exact_float
-        z = 0.0 if matched else math.inf
-        passed = matched
+        passed = est.mean == exact_float
+        z = 0.0 if passed else math.inf
     else:
         z = (est.mean - exact_float) / est.std_error
         passed = abs(z) <= 4.0

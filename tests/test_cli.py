@@ -1,6 +1,7 @@
 """End-to-end command tests: exit codes, JSON shape, determinism, errors."""
 import dataclasses
 import json
+import signal
 import subprocess
 import sys
 from fractions import Fraction
@@ -103,14 +104,42 @@ def test_verify_classify_detail(capsys, walk_doc):
     assert detail == {"label": "martingale", "witness": None}
 
 
-def test_verify_missing_field_is_input_error(capsys, tmp_path, walk_doc):
+# Each selector's required spec fields, in the order it asks for them.
+REQUIRED_FIELDS = {
+    "classify": ("process",),
+    "transform": ("process", "predictable"),
+    "stopped": ("process", "stopping_time"),
+    "optional-stopping": ("process", "stopping_time"),
+    "upcrossing": ("process", "interval"),
+    "pythagoras": ("process",),
+    "tower": ("variable", "conditioning", "conditioning_fine"),
+    "kolmogorov": ("variable", "conditioning"),
+    "tail-bound": ("stopping_time", "filtration", "window", "epsilon"),
+}
+
+
+# tail-bound's filtration cannot be the first missing field: the stopping
+# time it asks for first does not parse without one.
+@pytest.mark.parametrize("theorem,index", [
+    pytest.param(theorem, index, id=f"{theorem}-{field}")
+    for theorem, fields in REQUIRED_FIELDS.items()
+    for index, field in enumerate(fields)
+    if (theorem, field) != ("tail-bound", "filtration")
+])
+def test_verify_missing_field_is_input_error(capsys, tmp_path, walk_doc, theorem, index):
+    assert REQUIRED_FIELDS.keys() == cli.THEOREMS.keys()
+    fields = REQUIRED_FIELDS[theorem]
     doc = json.loads(open(walk_doc).read())
-    del doc["predictable"]
+    # Drop this field and every later one, so the first in order must be named;
+    # the filtration stays, since the process and stakes need it to parse.
+    for field in fields[index:]:
+        if field != "filtration":
+            del doc[field]
     path = tmp_path / "partial.json"
     path.write_text(json.dumps(doc))
-    code, _, err = run_cli(capsys, "verify", str(path), "transform")
-    assert code == 2
-    assert "predictable" in err
+    code, out, err = run_cli(capsys, "verify", str(path), theorem)
+    assert code == 2 and out == ""
+    assert err == f"input error: {fields[index]}: required by this theorem selector but missing\n"
 
 
 def test_verify_missing_weights_is_input_error(capsys, tmp_path):
@@ -200,18 +229,61 @@ def test_unexpected_exception_maps_to_exit_three(capsys, space_doc, monkeypatch,
     assert err == f"internal error: {type(exc).__name__}: {exc}\n"
 
 
-def test_failed_conclusion_with_hypothesis_held_exits_three(capsys, walk_doc, monkeypatch):
-    real = cli.proc.l2_pythagoras_check
+# selector -> (module, check, report fields forced to fail, or None for a check
+# that returns a bare bool, and the defect text the CLI must print).
+FAILED_CONCLUSIONS = {
+    "transform": (
+        "proc", "verify_transform_preservation", {"holds": False},
+        "transform preservation failed with hypotheses satisfied: input martingale, "
+        "output martingale, step identity held",
+    ),
+    "optional-stopping": (
+        "proc", "optional_stopping_report", {"holds": False},
+        "optional stopping failed with hypotheses satisfied (E[X_tau] = 0, E[X_0] = 0)",
+    ),
+    "upcrossing": (
+        "proc", "upcrossing_inequality_check", {"holds": False},
+        "upcrossing inequality failed on a supermartingale",
+    ),
+    "pythagoras": (
+        "proc", "l2_pythagoras_check", {"holds": False, "gap": Fraction(1, 7)},
+        "the L2 identity failed on a martingale (gap 1/7)",
+    ),
+    "tail-bound": (
+        "proc", "stopping_tail_bound_check", {"chain_ok": False},
+        "the geometric tail chain failed with its hypothesis satisfied",
+    ),
+    "tower": ("cond", "tower_check", None, "a tower identity failed on nested sigma-algebras"),
+    "kolmogorov": (
+        "cond", "verify_kolmogorov", None,
+        "the computed conditional expectation failed its defining identity",
+    ),
+}
+
+
+@pytest.mark.parametrize("theorem", list(FAILED_CONCLUSIONS))
+def test_failed_conclusion_with_hypothesis_held_exits_three(
+    capsys, walk_doc, monkeypatch, theorem
+):
+    module_name, check, forced, defect = FAILED_CONCLUSIONS[theorem]
+    module = getattr(cli, module_name)
+    real = getattr(module, check)
 
     def broken(*args, **kwargs):
-        rep = real(*args, **kwargs)
-        assert rep.hypothesis_ok
-        return dataclasses.replace(rep, holds=False, gap=Fraction(1, 7))
+        result = real(*args, **kwargs)
+        if forced is None:
+            assert result is True
+            return False
+        assert result
+        return dataclasses.replace(result, **forced)
 
-    monkeypatch.setattr(cli.proc, "l2_pythagoras_check", broken)
-    code, out, err = run_cli(capsys, "verify", walk_doc, "pythagoras")
+    monkeypatch.setattr(module, check, broken)
+    code, out, err = run_cli(capsys, "verify", walk_doc, theorem)
     assert code == 3 and out == ""
-    assert "internal invariant violation: the L2 identity failed on a martingale (gap 1/7)" in err
+    assert err == (
+        f"internal invariant violation: {defect}; this indicates a defect in this tool, "
+        "not a counterexample to the theorem\n"
+    )
 
 
 def test_simulate_walk_reports_estimate(capsys):
@@ -321,6 +393,20 @@ def test_non_finite_numbers_are_input_errors(capsys, tmp_path, walk_doc, case):
     assert code == 2
     assert out == ""
     assert err.startswith("input error:")
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE on this platform")
+def test_closed_stdout_pipe_ends_quietly_like_cat():
+    child = subprocess.Popen(
+        [sys.executable, "-m", "mglab.cli", "walk-spec", "--n", "12"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    assert child.stdout.read(20)
+    child.stdout.close()
+    err = child.stderr.read()
+    child.stderr.close()
+    assert child.wait(timeout=120) == -signal.SIGPIPE
+    assert err == b""
 
 
 def test_console_script_entry_point():

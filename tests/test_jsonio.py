@@ -87,6 +87,23 @@ def test_decimal_strings_are_exact_rationals():
     assert spec.process.values[2].values[0] == Fraction(3, 10)
 
 
+def test_float_weight_sum_error_says_floats_are_binary():
+    outcomes = [f"w{i}" for i in range(8)]
+    decimals = [0.1] * 6 + [0.2] * 2
+    with pytest.raises(SpecError) as err:
+        parse_space_descriptor({"outcomes": outcomes, "weights": decimals})
+    assert str(err.value) == (
+        "weights: weights sum to 18014398509481985/18014398509481984, not 1; JSON float "
+        'weights are read as their exact binary values, while strings such as "0.1" or '
+        '"1/10" are exact'
+    )
+    _, P, _ = parse_space_descriptor({"outcomes": outcomes, "weights": [str(w) for w in decimals]})
+    assert sum(P.weights) == 1
+    with pytest.raises(SpecError) as err:
+        parse_space_descriptor({"outcomes": outcomes, "weights": ["1/10"] * 8})
+    assert str(err.value) == "weights: weights sum to 4/5, not 1"
+
+
 def test_field_paths_in_errors():
     doc = spec_doc()
     doc["filtration"][2] = [[0], [1], [2]]

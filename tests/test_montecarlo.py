@@ -277,6 +277,16 @@ def test_exact_functional_value_respects_walk_cap():
         exact_functional_value(WalkModel(24, Fraction(1, 2)), Functional.terminal())
 
 
+def test_exact_side_respects_level_cap():
+    from mglab import SizeLimitError
+
+    model = DoublingModel(21, Fraction(1, 2))
+    with pytest.raises(SizeLimitError):
+        exact_functional_value(model, Functional.terminal())
+    with pytest.raises(SizeLimitError):
+        cross_validate(model, Functional.terminal(), n_paths=100, seed=1)
+
+
 def test_cross_validate_fair_walk():
     rep = cross_validate(WalkModel(6, Fraction(1, 2)), Functional.terminal(),
                          n_paths=20000, seed=4)
