@@ -265,7 +265,7 @@ def _upcrossing(spec, P, tol):
     X, (a, b) = _require(spec, "process", "interval")
     rep = proc.upcrossing_inequality_check(X, P, a, b, tol)
     if not rep.hypothesis_ok:
-        return rep, rep.notes[0] if rep.notes else "not a supermartingale", False, ""
+        return rep, rep.notes[0], False, ""
     return rep, None, bool(rep), "upcrossing inequality failed on a supermartingale"
 
 
@@ -273,7 +273,7 @@ def _pythagoras(spec, P, tol):
     (M,) = _require(spec, "process")
     rep = proc.l2_pythagoras_check(M, P, tol)
     if not rep.hypothesis_ok:
-        return rep, rep.notes[0] if rep.notes else "not a martingale", False, ""
+        return rep, rep.notes[0], False, ""
     defect = f"the L2 identity failed on a martingale (gap {format_number(rep.gap)})"
     return rep, None, bool(rep), defect
 
@@ -311,8 +311,8 @@ def _kolmogorov(spec, P, tol):
 
 
 def _tail_bound(spec, P, tol):
-    tau, F, window, epsilon = _require(spec, "stopping_time", "filtration", "window", "epsilon")
-    rep = proc.stopping_tail_bound_check(tau, F, P, window, epsilon)
+    tau, window, epsilon = _require(spec, "stopping_time", "window", "epsilon")
+    rep = proc.stopping_tail_bound_check(tau, tau.filtration, P, window, epsilon)
     if not rep.hypothesis_ok:
         witness = _witness_obj(rep.hypothesis_witness)
         reason = f"conditional firing probability fails the epsilon floor at {witness}"

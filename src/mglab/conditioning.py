@@ -55,7 +55,7 @@ def conditional_expectation(
     """
     if X.space != G.space or X.space != P.space:
         raise ValueError("variable, sigma-algebra, and measure must share one space")
-    masses, totals = atom_sums(X.values, G, P.weights)
+    masses, totals = atom_sums(X.values, G, P)
     averages: list[Number] = [0] * len(masses)
     null_atoms: list[EventSet] = []
     identity_ok = True
@@ -94,8 +94,8 @@ def verify_kolmogorov(
         raise ValueError("all arguments must share one sample space")
     if not is_measurable(Y, G):
         return False
-    _, lhs = atom_sums(X.values, G, P.weights)
-    _, rhs = atom_sums(Y.values, G, P.weights)
+    _, lhs = atom_sums(X.values, G, P)
+    _, rhs = atom_sums(Y.values, G, P)
     return all(numbers_equal(a, b, tolerance) for a, b in zip(lhs, rhs))
 
 

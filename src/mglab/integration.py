@@ -12,6 +12,14 @@ optional-stopping and upcrossing figures, the L2 Gram matrix, the exact
 side of cross-validation) and :func:`atom_sums` per atom of a partition
 (conditional expectation, classification, the transform identity, the
 tail-bound hypothesis).  :func:`integrate_simple` stays a separate route.
+
+Both kernels take the measure and sum fraction-free, in the sense of
+Bareiss (Math. Comp. 1968): the measure holds its weights as integers over
+their common denominator ``D``, an exact value stream is cleared by the lcm
+``L`` of its own denominators, the products are added as Python ints, and
+each sum (or each atom's sum) is divided by ``D * L`` once.  A stream that
+holds a float keeps the ordered loop over the Fraction weights, so float
+results keep their exact bits.
 """
 from __future__ import annotations
 
@@ -19,7 +27,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Sequence
+from operator import mul
+from typing import Sequence
 
 from .measure import EventSet, ProbabilityMeasure, SampleSpace, SigmaAlgebra, measure_of
 from .numeric import Number, all_exact, as_number
@@ -178,40 +187,77 @@ def expectation(X: RandomVariable, P: ProbabilityMeasure) -> Number:
     """
     if X.space != P.space:
         raise ValueError("variable and measure live on different spaces")
-    return as_number(weighted_sum(X.values, P.weights))
+    return as_number(weighted_sum(X.values, P))
 
 
-def weighted_sum(values: Iterable[Number], weights: Sequence) -> Number:
-    """Sum of v * w over the outcomes of non-zero weight, in outcome order.
+def weighted_sum(values: Sequence[Number], P: ProbabilityMeasure) -> Number:
+    """Sum of v * P({omega}) over the outcomes of non-zero weight, in outcome order.
 
-    Starts from ``Fraction(0)``, so exact terms give a Fraction and one
-    float term makes the result a float; zero-weight outcomes are skipped,
-    so their values never turn an exact sum into a float.
+    Exact values (ints, bools and Fractions) are summed as integers over the
+    common denominator ``D * L`` (see :func:`_cleared`) and divided once, so
+    the result is a Fraction.  A stream holding any other value, such as a
+    float, is summed term by term from ``Fraction(0)`` in outcome order,
+    which keeps a float result's exact bits; zero-weight outcomes are
+    skipped, so their values never turn an exact sum into a float.
     """
-    total: Number = Fraction(0)
-    for v, w in zip(values, weights):
-        if w:
-            total += v * w
-    return total
+    cleared = _cleared(values)
+    if cleared is None:
+        total: Number = Fraction(0)
+        for v, w in zip(values, P.weights):
+            if w:
+                total += v * w
+        return total
+    nums, L = cleared
+    return Fraction(sum(map(mul, nums, P.int_weights)), P.denominator * L)
 
 
 def atom_sums(
-    values: Iterable[Number], sigma: SigmaAlgebra, weights: Sequence
+    values: Sequence[Number], sigma: SigmaAlgebra, P: ProbabilityMeasure
 ) -> tuple[list, list]:
     """Per-atom ``(masses, totals)``, both indexed by the labels of ``sigma``.
 
     ``masses[k]`` is the weight of atom k and ``totals[k]`` the sum of v * w
-    over its outcomes of non-zero weight, in ascending outcome order, from
-    one pass over the label vector.  Both start at int 0, so a null atom
-    has mass 0 and integer weights give integer sums.
+    over its outcomes of non-zero weight, from one pass over the label
+    vector.  A null atom has mass and total int 0.  Exact values are summed
+    as integers and divided once per atom, so every other mass and total is
+    a Fraction; a stream holding a float is summed term by term in
+    ascending outcome order, as :func:`weighted_sum` does.
     """
     masses: list = [0] * sigma.atom_count
     totals: list = [0] * sigma.atom_count
-    for lab, v, w in zip(sigma.labels, values, weights):
+    cleared = _cleared(values)
+    nums, weights = (values, P.weights) if cleared is None else (cleared[0], P.int_weights)
+    for lab, v, w in zip(sigma.labels, nums, weights):
         if w:
             masses[lab] += w
             totals[lab] += v * w
-    return masses, totals
+    if cleared is None:
+        return masses, totals
+    D = P.denominator
+    DL = D * cleared[1]
+    return (
+        [Fraction(m, D) if m else 0 for m in masses],
+        [Fraction(t, DL) if m else 0 for m, t in zip(masses, totals)],
+    )
+
+
+_EXACT_TYPES = frozenset({int, bool, Fraction})
+
+
+def _cleared(values: Sequence[Number]) -> tuple[Sequence[int], int] | None:
+    """``(nums, L)`` with ``values[i] == nums[i] / L``, or None.
+
+    ``L`` is the lcm of the value denominators.  None means some value is
+    not an int, bool or Fraction (a float, say), so the stream has no exact
+    integer form.
+    """
+    types = set(map(type, values))
+    if not types <= _EXACT_TYPES:
+        return None
+    if Fraction not in types:
+        return values, 1
+    L = math.lcm(*{v.denominator for v in values})
+    return [v.numerator * (L // v.denominator) for v in values], L
 
 
 def pos_neg_split(X: RandomVariable) -> tuple[RandomVariable, RandomVariable]:

@@ -12,6 +12,7 @@ are exact equalities rather than tolerance games.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -330,10 +331,18 @@ class ProbabilityMeasure:
         like ``"1/6"``, and are stored as Fractions.  They must be
         non-negative and sum to exactly 1.  Zero weights are allowed: null
         outcomes are a feature, not an error.
+
+    Construction also puts the weights on one common denominator:
+    ``denominator`` is the lcm ``D`` of the weight denominators and
+    ``int_weights[i] == weights[i] * D``, so the integer weights sum to
+    ``D``.  The exact summation kernels in :mod:`mglab.integration` run on
+    these integers.
     """
 
     space: SampleSpace
     weights: tuple[Fraction, ...] = field()
+    denominator: int = field(init=False, repr=False, compare=False)
+    int_weights: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         weights = tuple(Fraction(as_exact(w)) for w in self.weights)
@@ -345,9 +354,13 @@ class ProbabilityMeasure:
         for i, w in enumerate(weights):
             if w < 0:
                 raise ValueError(f"weight of outcome {i} is negative: {w}")
-        total = sum(weights)
-        if total != 1:
-            raise ValueError(f"weights sum to {total}, not 1")
+        D = math.lcm(*{w.denominator for w in weights})
+        int_weights = tuple(w.numerator * (D // w.denominator) for w in weights)
+        total = sum(int_weights)
+        if total != D:
+            raise ValueError(f"weights sum to {Fraction(total, D)}, not 1")
+        object.__setattr__(self, "denominator", D)
+        object.__setattr__(self, "int_weights", int_weights)
 
     def weight_of(self, outcome: int) -> Fraction:
         return self.weights[outcome]

@@ -451,7 +451,7 @@ def exact_functional_value(model, functional: Functional) -> Number:
     """Evaluate E[functional] by full enumeration on the exact engine."""
     P, process = model.exact()
     values = [Fraction(functional.apply_to_path(process.path(i))) for i in range(P.space.size)]
-    return as_number(weighted_sum(values, P.weights))
+    return as_number(weighted_sum(values, P))
 
 
 def cross_validate(

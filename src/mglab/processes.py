@@ -14,7 +14,6 @@ underlying conditioning module reports it.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -311,7 +310,9 @@ def make_coin_walk(
     if N > MAX_COIN_WALK_HORIZON:
         raise SizeLimitError(
             f"a horizon of {N} means 2**{N} = {2 ** N} outcomes, over the exact-enumeration "
-            f"cap of {MAX_COIN_WALK_HORIZON}; use mglab.montecarlo.simulate_walk for long walks"
+            f"cap of {MAX_COIN_WALK_HORIZON}; use the Monte Carlo engine instead: "
+            "mglab.montecarlo.simulate_walk for long walks, "
+            "mglab.montecarlo.simulate_doubling_strategy for doubling episodes"
         )
     p = Fraction(as_exact(p_heads))
     if not 0 <= p <= 1:
@@ -371,12 +372,11 @@ def classify(
     """
     if P.space != X.space:
         raise ValueError("process and measure live on different sample spaces")
-    weights = P.weights
     signs_seen: set[int] = set()
     witness: tuple[int, EventSet] | None = None
     for n in range(X.horizon):
         stage = X.filtration.stages[n]
-        masses, totals = atom_sums(X.values[n + 1].values, stage, weights)
+        masses, totals = atom_sums(X.values[n + 1].values, stage, P)
         x_now = _atom_values(X.values[n].values, stage)
         for k, mass in enumerate(masses):
             if mass == 0:
@@ -536,13 +536,12 @@ def _step_identity_holds(
     P: ProbabilityMeasure,
     tolerance: float,
 ) -> bool:
-    weights = P.weights
     for n in range(1, X.horizon + 1):
         stage = X.filtration.stages[n - 1]
         dx = [a - b for a, b in zip(X.values[n].values, X.values[n - 1].values)]
         dy = [a - b for a, b in zip(Y.values[n].values, Y.values[n - 1].values)]
-        masses, lhs = atom_sums(dy, stage, weights)
-        _, rhs = atom_sums(dx, stage, weights)
+        masses, lhs = atom_sums(dy, stage, P)
+        _, rhs = atom_sums(dx, stage, P)
         stakes = _atom_values(C.values[n - 1].values, stage)
         # The stake is constant on each atom, so the conditional identity
         # reduces to lhs = C_n * rhs before dividing by the mass.
@@ -652,8 +651,7 @@ def optional_stopping_report(
     if P.space != X.space:
         raise ValueError("process and measure live on different sample spaces")
     label = classify(X, P, tolerance).label
-    weights = P.weights
-    never_mass = weighted_sum([t is None for t in tau.times], weights)
+    never_mass = weighted_sum([t is None for t in tau.times], P)
     tau_bounded = tau.bounded
     tau_max = max(tau.times) if tau_bounded else None
     tau_finite = never_mass == 0
@@ -677,9 +675,9 @@ def optional_stopping_report(
         # NEVER falls on zero-weight outcomes only here; capping it at the
         # horizon gives those outcomes a value that the sums skip.
         caps = [X.horizon if t is None else t for t in tau.times]
-        expected_tau: Number | None = as_number(weighted_sum(caps, weights))
+        expected_tau: Number | None = as_number(weighted_sum(caps, P))
         value_at_stop: Number | None = as_number(
-            weighted_sum([X.values[t].values[i] for i, t in enumerate(caps)], weights)
+            weighted_sum([X.values[t].values[i] for i, t in enumerate(caps)], P)
         )
         if not tau_bounded:
             notes.append(
@@ -808,21 +806,17 @@ def stopping_tail_bound_check(
     times = tau.times
     weights = P.weights
 
-    # Clearing denominators turns every conditional comparison into integer
-    # arithmetic: P(tau <= t | A) > eps  iff  eps.den * hit > eps.num * mass.
-    denom = math.lcm(*(w.denominator for w in weights)) if weights else 1
-    int_weights = [int(w * denom) for w in weights]
-
     hypothesis_by_step: list[bool] = []
     witness: tuple[int, EventSet] | None = None
     for n in range(0, N - N_window + 1):
         deadline = n + N_window
         stage = F.stages[n]
         fired = [t is not None and t <= deadline for t in times]
-        masses, hits = atom_sums(fired, stage, int_weights)
+        # P(tau <= deadline | A) > eps  iff  hit > eps * mass, on atoms of positive mass.
+        masses, hits = atom_sums(fired, stage, P)
         failed = [
             k for k, (mass, hit) in enumerate(zip(masses, hits))
-            if mass and not eps.denominator * hit > eps.numerator * mass
+            if mass and not hit > eps * mass
         ]
         hypothesis_by_step.append(not failed)
         if failed and witness is None:
@@ -969,14 +963,13 @@ def upcrossing_inequality_check(
     label = classify(X, P, tolerance).label
     hypothesis_ok = label in SUPERMARTINGALE_FAMILY
 
-    weights = P.weights
     expected_up = weighted_sum(
-        [count_upcrossings(X.path(i), a, b) for i in range(X.space.size)], weights
+        [count_upcrossings(X.path(i), a, b) for i in range(X.space.size)], P
     )
     # A gap that is not positive contributes an int 0, so a float tie at a
     # does not turn an all-zero negative part into 0.0.
     gaps = [a - v for v in X.values[-1].values]
-    neg_part = weighted_sum([g if g > 0 else 0 for g in gaps], weights)
+    neg_part = weighted_sum([g if g > 0 else 0 for g in gaps], P)
 
     sup_abs_mean = max(
         expectation(rv.map(abs), P) for rv in X.values
@@ -1062,7 +1055,7 @@ def l2_pythagoras_check(
         for t in range(s, N + 1):
             vt = M.values[t].values
             gram[s][t] = gram[t][s] = weighted_sum(
-                [x * y for x, y in zip(vs, vt)], P.weights
+                [x * y for x, y in zip(vs, vt)], P
             )
 
     lhs = gram[N][N]
@@ -1174,7 +1167,7 @@ def truncated_convergence_diagnostic(
         b = as_number(b)
         if not a < b:
             raise ValueError(f"grid interval needs a < b, got a = {a}, b = {b}")
-        eu = weighted_sum([count_upcrossings(path, a, b) for path in paths], P.weights)
+        eu = weighted_sum([count_upcrossings(path, a, b) for path in paths], P)
         bound = as_number((abs(a) + sup_abs) / (b - a))
         if bound > 0:
             ratio = float(eu) / float(bound)

@@ -252,3 +252,30 @@ def rand_stopping_time(
     if bounded:
         times = [filtration.horizon if t is None else t for t in times]
     return StoppingTime(filtration, times)
+
+
+def reference_weighted_sum(values, P: ProbabilityMeasure):
+    """The summation kernels before the integer path: one Fraction term at a time.
+
+    Sum of v * w over the outcomes of non-zero weight, in outcome order,
+    from ``Fraction(0)``; a drop-in for ``mglab.integration.weighted_sum``.
+    """
+    total = Fraction(0)
+    for v, w in zip(values, P.weights):
+        if w:
+            total += v * w
+    return total
+
+
+def reference_atom_sums(values, sigma: SigmaAlgebra, P: ProbabilityMeasure):
+    """Per-atom ``(masses, totals)`` from int 0, one Fraction term at a time.
+
+    A drop-in for ``mglab.integration.atom_sums``.
+    """
+    masses: list = [0] * sigma.atom_count
+    totals: list = [0] * sigma.atom_count
+    for lab, v, w in zip(sigma.labels, values, P.weights):
+        if w:
+            masses[lab] += w
+            totals[lab] += v * w
+    return masses, totals

@@ -114,27 +114,22 @@ REQUIRED_FIELDS = {
     "pythagoras": ("process",),
     "tower": ("variable", "conditioning", "conditioning_fine"),
     "kolmogorov": ("variable", "conditioning"),
-    "tail-bound": ("stopping_time", "filtration", "window", "epsilon"),
+    "tail-bound": ("stopping_time", "window", "epsilon"),
 }
 
 
-# tail-bound's filtration cannot be the first missing field: the stopping
-# time it asks for first does not parse without one.
 @pytest.mark.parametrize("theorem,index", [
     pytest.param(theorem, index, id=f"{theorem}-{field}")
     for theorem, fields in REQUIRED_FIELDS.items()
     for index, field in enumerate(fields)
-    if (theorem, field) != ("tail-bound", "filtration")
 ])
 def test_verify_missing_field_is_input_error(capsys, tmp_path, walk_doc, theorem, index):
     assert REQUIRED_FIELDS.keys() == cli.THEOREMS.keys()
     fields = REQUIRED_FIELDS[theorem]
     doc = json.loads(open(walk_doc).read())
-    # Drop this field and every later one, so the first in order must be named;
-    # the filtration stays, since the process and stakes need it to parse.
+    # Drop this field and every later one, so the first in order must be named.
     for field in fields[index:]:
-        if field != "filtration":
-            del doc[field]
+        del doc[field]
     path = tmp_path / "partial.json"
     path.write_text(json.dumps(doc))
     code, out, err = run_cli(capsys, "verify", str(path), theorem)

@@ -1,5 +1,4 @@
 """Random variables, simple-function integrals, expectations, staircases, summation kernels."""
-import math
 import random
 from fractions import Fraction
 
@@ -238,38 +237,94 @@ def _mixed_values(rng, n):
     return [rng.choice(makers)() for _ in range(n)]
 
 
+def _non_dyadic(rng):
+    return Fraction(rng.randint(-9, 9), rng.choice([3, 5, 6, 7, 9, 10]))
+
+
+# Value streams by kind.  The first four are exact and take the integer
+# path; "float" always holds a float and takes the ordered float loop.
+VALUE_MIXES = {
+    "int": lambda rng, n: [rng.randint(-3, 3) for _ in range(n)],
+    "fraction": lambda rng, n: [_non_dyadic(rng) for _ in range(n)],
+    "bool": lambda rng, n: [rng.random() < 0.5 for _ in range(n)],
+    "mixed-exact": lambda rng, n: [
+        rng.choice((rng.randint(-3, 3), _non_dyadic(rng), rng.random() < 0.5))
+        for _ in range(n)
+    ],
+    "float": lambda rng, n: _with_a_float(rng, _mixed_values(rng, n)),
+}
+
+
+def _with_a_float(rng, values):
+    values[rng.randrange(len(values))] = float(rand_fraction(rng))
+    return values
+
+
+def _measure_with_nulls(rng, space):
+    """Non-dyadic weights with at least one null outcome when there are two or more."""
+    n = space.size
+    weights = [rng.randint(1, 9) for _ in range(n)]
+    for i in rng.sample(range(n), rng.randint(1, n - 1) if n > 1 else 0):
+        weights[i] = 0
+    total = sum(weights)
+    return ProbabilityMeasure(space, [Fraction(w, total) for w in weights])
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.randoms(use_true_random=False))
 def test_summation_kernels_match_atom_walk(pyr):
     """Same values, types and float bits as summing atom by atom (repr compares all three)."""
     rng = random.Random(pyr.randint(0, 10**9))
     space = rand_space(rng)
-    P = rand_measure(rng, space)
+    P = _measure_with_nulls(rng, space) if rng.random() < 0.5 else rand_measure(rng, space)
     sigma = rand_partition(rng, space)
-    values = _mixed_values(rng, space.size)
-    assert repr(atom_sums(values, sigma, P.weights)) == repr(
-        _atom_walk_sums(values, sigma, P.weights, 0)
-    )
-    _, (whole,) = _atom_walk_sums(values, trivial_sigma_algebra(space), P.weights, Fraction(0))
-    assert repr(weighted_sum(values, P.weights)) == repr(whole)
-    # Integer weights over a common denominator keep integer sums integers.
-    denom = math.lcm(*(w.denominator for w in P.weights))
-    int_weights = [int(w * denom) for w in P.weights]
+    whole_space = trivial_sigma_algebra(space)
+    for make in VALUE_MIXES.values():
+        values = make(rng, space.size)
+        assert repr(atom_sums(values, sigma, P)) == repr(
+            _atom_walk_sums(values, sigma, P.weights, 0)
+        )
+        _, (whole,) = _atom_walk_sums(values, whole_space, P.weights, Fraction(0))
+        assert repr(weighted_sum(values, P)) == repr(whole)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_exact_kernel_sums_are_integer_weight_sums(pyr):
+    """On integer values the exact path is the integer-weight sum over D, divided once."""
+    rng = random.Random(pyr.randint(0, 10**9))
+    space = rand_space(rng)
+    P = _measure_with_nulls(rng, space)
+    D = P.denominator
+    assert sum(P.int_weights) == D
+    assert all(Fraction(iw, D) == w for iw, w in zip(P.int_weights, P.weights))
+    sigma = rand_partition(rng, space)
     int_values = [rng.randint(-3, 3) for _ in range(space.size)]
-    masses, totals = atom_sums(int_values, sigma, int_weights)
-    assert (masses, totals) == _atom_walk_sums(int_values, sigma, int_weights, 0)
-    assert all(type(x) is int for x in masses + totals)
+    int_masses, int_totals = _atom_walk_sums(int_values, sigma, P.int_weights, 0)
+    assert all(type(x) is int for x in int_masses + int_totals)
+    masses, totals = atom_sums(int_values, sigma, P)
+    assert masses == [Fraction(m, D) for m in int_masses]
+    assert totals == [Fraction(t, D) for t in int_totals]
+    assert weighted_sum(int_values, P) == Fraction(sum(int_totals), D)
 
 
 def test_summation_kernels_pinned_types():
-    """Zero weights never enter a sum, and the two kernels start from Fraction(0) and int 0."""
-    weights = [Fraction(1, 2), 0, Fraction(1, 2)]
-    assert repr(weighted_sum([2, 7.5, 4], weights)) == "Fraction(3, 1)"
-    assert repr(weighted_sum([-0.0, 7.5, -0.0], weights)) == "0.0"
-    assert repr(weighted_sum([7.5], [0])) == "Fraction(0, 1)"
+    """Zero weights never enter a sum; exact sums are Fractions; a null atom has mass int 0."""
+    P = ProbabilityMeasure(SampleSpace(["a", "b", "c"]), ["1/2", 0, "1/2"])
+    assert (P.denominator, P.int_weights) == (2, (1, 0, 1))
+    assert repr(weighted_sum([2, 7.5, 4], P)) == "Fraction(3, 1)"
+    assert repr(weighted_sum([-0.0, 7.5, -0.0], P)) == "0.0"
+    assert repr(weighted_sum([2, 7, 4], P)) == "Fraction(3, 1)"
+    assert repr(weighted_sum([True, True, False], P)) == "Fraction(1, 2)"
+    null_first = ProbabilityMeasure(SampleSpace(["a", "b"]), [0, 1])
+    assert repr(weighted_sum([7.5, 0], null_first)) == "Fraction(0, 1)"
+    assert repr(weighted_sum([7, 0], null_first)) == "Fraction(0, 1)"
     sigma = discrete_sigma_algebra(SampleSpace(["a", "b", "c"]))
-    assert repr(atom_sums([-0.0, 7.5, 4], sigma, weights)) == repr(
+    assert repr(atom_sums([-0.0, 7.5, 4], sigma, P)) == repr(
         ([Fraction(1, 2), 0, Fraction(1, 2)], [0.0, 0, Fraction(2)])
+    )
+    assert repr(atom_sums([Fraction(1, 3), 7, 4], sigma, P)) == repr(
+        ([Fraction(1, 2), 0, Fraction(1, 2)], [Fraction(1, 6), 0, Fraction(2)])
     )
 
 

@@ -281,9 +281,9 @@ def test_exact_side_respects_level_cap():
     from mglab import SizeLimitError
 
     model = DoublingModel(21, Fraction(1, 2))
-    with pytest.raises(SizeLimitError):
+    with pytest.raises(SizeLimitError, match="simulate_doubling_strategy"):
         exact_functional_value(model, Functional.terminal())
-    with pytest.raises(SizeLimitError):
+    with pytest.raises(SizeLimitError, match="simulate_doubling_strategy"):
         cross_validate(model, Functional.terminal(), n_paths=100, seed=1)
 
 
