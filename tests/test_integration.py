@@ -261,7 +261,7 @@ def _with_a_float(rng, values):
 
 
 def _measure_with_nulls(rng, space):
-    """Non-dyadic weights with at least one null outcome when there are two or more."""
+    """Random rational weights with at least one null outcome when there are two or more."""
     n = space.size
     weights = [rng.randint(1, 9) for _ in range(n)]
     for i in rng.sample(range(n), rng.randint(1, n - 1) if n > 1 else 0):
