@@ -8,10 +8,12 @@ against each other in tests instead of collapsing into one formula.
 
 Every other P-weighted sum in the exact engine goes through one of two
 kernels here: :func:`weighted_sum` over all outcomes (expectations, the
-optional-stopping and upcrossing figures, the L2 Gram matrix, the exact
-side of cross-validation) and :func:`atom_sums` per atom of a partition
-(conditional expectation, classification, the transform identity, the
-tail-bound hypothesis).  :func:`integrate_simple` stays a separate route.
+optional-stopping and upcrossing figures, the tail-bound chain and mean,
+the L2 Gram matrix, the exact side of cross-validation) and
+:func:`atom_sums` per atom of a partition (conditional expectation, the
+one-step drift table that classification and the transform identity
+read, the tail-bound hypothesis).  :func:`integrate_simple` stays a
+separate route.
 
 Both kernels take the measure and sum fraction-free, in the sense of
 Bareiss (Math. Comp. 1968): the measure holds its weights as integers over
@@ -199,6 +201,9 @@ def weighted_sum(values: Sequence[Number], P: ProbabilityMeasure) -> Number:
     float, is summed term by term from ``Fraction(0)`` in outcome order,
     which keeps a float result's exact bits; zero-weight outcomes are
     skipped, so their values never turn an exact sum into a float.
+
+    ``values`` must be a sequence, not an iterator: it is read twice, so a
+    generator is used up by the first read and sums to 0 with no error.
     """
     cleared = _cleared(values)
     if cleared is None:
@@ -222,6 +227,8 @@ def atom_sums(
     as integers and divided once per atom, so every other mass and total is
     a Fraction; a stream holding a float is summed term by term in
     ascending outcome order, as :func:`weighted_sum` does.
+
+    ``values`` must be a sequence; it is read twice, as in :func:`weighted_sum`.
     """
     masses: list = [0] * sigma.atom_count
     totals: list = [0] * sigma.atom_count

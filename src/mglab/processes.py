@@ -360,29 +360,43 @@ def classify(
 ) -> MartingaleClassification:
     """Label X by its one-step conditional means.
 
-    For each step n the conditional mean of X_{n+1} on every
-    positive-probability atom of stage n (its weighted sum over the atom's
-    mass, from :func:`~mglab.integration.atom_sums`) is compared with the
-    value of X_n there.  Exact inputs are compared
-    exactly; ``tolerance`` applies only once floats are involved.  The
+    For each step n the drift on every positive-probability atom of stage n
+    is the conditional mean of X_{n+1} - X_n there: its weighted sum over the
+    atom's mass, from :func:`~mglab.integration.atom_sums`.  Exact inputs are
+    compared exactly; ``tolerance`` applies only once floats are involved.  The
     strongest accurate label wins: all drifts zero gives ``martingale``,
     one-sided drifts give the super/sub labels (``strict-`` when every
     single step on every atom is strict), and genuinely mixed drift signs
     give ``none``.
     """
+    return _label(_drift_table(X, P), tolerance)
+
+
+def _drift_table(
+    X: AdaptedProcess, P: ProbabilityMeasure
+) -> list[tuple[SigmaAlgebra, list, list]]:
+    """Per step n: stage n, its atom masses, and the atom totals of X_{n+1} - X_n."""
     if P.space != X.space:
         raise ValueError("process and measure live on different sample spaces")
-    signs_seen: set[int] = set()
-    witness: tuple[int, EventSet] | None = None
+    table = []
     for n in range(X.horizon):
         stage = X.filtration.stages[n]
-        masses, totals = atom_sums(X.values[n + 1].values, stage, P)
-        x_now = _atom_values(X.values[n].values, stage)
+        steps = [a - b for a, b in zip(X.values[n + 1].values, X.values[n].values)]
+        table.append((stage, *atom_sums(steps, stage, P)))
+    return table
+
+
+def _label(
+    table: list[tuple[SigmaAlgebra, list, list]], tolerance: float
+) -> MartingaleClassification:
+    """The classification and first witness read off a :func:`_drift_table`."""
+    signs_seen: set[int] = set()
+    witness: tuple[int, EventSet] | None = None
+    for n, (stage, masses, totals) in enumerate(table):
         for k, mass in enumerate(masses):
             if mass == 0:
                 continue
-            drift = as_number(totals[k] / mass) - x_now[k]
-            sign = sign_with_tolerance(drift, tolerance)
+            sign = sign_with_tolerance(as_number(totals[k] / mass), tolerance)
             signs_seen.add(sign)
             if sign != 0 and witness is None:
                 witness = (n, stage.atoms[k])
@@ -470,10 +484,12 @@ def verify_transform_preservation(
     allowed range, or an input that is neither, are reported as hypothesis
     failures rather than theorem failures.  The per-step conditional
     identity from the proof is verified on every positive-probability atom
-    alongside the final classification.
+    alongside the final classification; both labels and the identity read
+    one drift table per process, so each increment is summed once.
     """
     bound = as_number(bound)
-    input_label = classify(X, P, tolerance).label
+    x_table = _drift_table(X, P)
+    input_label = _label(x_table, tolerance).label
     hypothesis_failure: str | None = None
     claimed: str | None = None
     if input_label == MARTINGALE:
@@ -506,9 +522,15 @@ def verify_transform_preservation(
             "martingales and supermartingales"
         )
 
-    Y = transform(C, X)
-    output_label = classify(Y, P, tolerance).label
-    identity_ok = _step_identity_holds(C, X, Y, P, tolerance)
+    y_table = _drift_table(transform(C, X), P)
+    output_label = _label(y_table, tolerance).label
+    # The stake is constant on each atom, so the conditional identity
+    # reduces to sum dY w = C_n * sum dX w before dividing by the mass.
+    identity_ok = all(
+        not mass or numbers_equal(y, stake * x, tolerance)
+        for (stage, masses, dx), (_, _, dy), rv in zip(x_table, y_table, C.values)
+        for mass, x, y, stake in zip(masses, dx, dy, _atom_values(rv.values, stage))
+    )
 
     if hypothesis_failure is not None:
         holds: bool | None = None
@@ -527,28 +549,6 @@ def verify_transform_preservation(
         step_identity_ok=identity_ok,
         holds=holds,
     )
-
-
-def _step_identity_holds(
-    C: PredictableSequence,
-    X: AdaptedProcess,
-    Y: AdaptedProcess,
-    P: ProbabilityMeasure,
-    tolerance: float,
-) -> bool:
-    for n in range(1, X.horizon + 1):
-        stage = X.filtration.stages[n - 1]
-        dx = [a - b for a, b in zip(X.values[n].values, X.values[n - 1].values)]
-        dy = [a - b for a, b in zip(Y.values[n].values, Y.values[n - 1].values)]
-        masses, lhs = atom_sums(dy, stage, P)
-        _, rhs = atom_sums(dx, stage, P)
-        stakes = _atom_values(C.values[n - 1].values, stage)
-        # The stake is constant on each atom, so the conditional identity
-        # reduces to lhs = C_n * rhs before dividing by the mass.
-        for mass, y, x, stake in zip(masses, lhs, rhs, stakes):
-            if mass and not numbers_equal(y, stake * x, tolerance):
-                return False
-    return True
 
 
 def _atom_values(values: Sequence[Number], sigma: SigmaAlgebra) -> list[Number]:
@@ -619,16 +619,8 @@ class OptionalStoppingReport:
     holds: bool | None
     notes: tuple[str, ...]
 
-    @property
-    def any_hypothesis(self) -> bool:
-        return (
-            self.hypothesis_bounded_time
-            or self.hypothesis_bounded_process
-            or self.hypothesis_bounded_increments
-        )
-
     def __bool__(self) -> bool:
-        return bool(self.any_hypothesis and self.holds)
+        return bool(self.holds)
 
 
 def optional_stopping_report(
@@ -804,7 +796,6 @@ def stopping_tail_bound_check(
 
     N = F.horizon
     times = tau.times
-    weights = P.weights
 
     hypothesis_by_step: list[bool] = []
     witness: tuple[int, EventSet] | None = None
@@ -823,39 +814,21 @@ def stopping_tail_bound_check(
             witness = (n, stage.atoms[failed[0]])
     hypothesis_ok = all(hypothesis_by_step)
 
-    # Tail masses for every threshold in one pass.
-    mass_at = [Fraction(0)] * (N + 1)
-    never_mass = Fraction(0)
-    for i, t in enumerate(times):
-        w = weights[i]
-        if not w:
-            continue
-        if t is None:
-            never_mass += w
-        else:
-            mass_at[t] += w
-    tails = [Fraction(0)] * (N + 1)  # tails[t] = P(tau > t)
-    running = never_mass
-    for t in range(N, -1, -1):
-        if t < N:
-            running += mass_at[t + 1]
-        tails[t] = running
-
+    # NEVER is later than every threshold t <= N of the chain.
+    late = [N + 1 if t is None else t for t in times]
     one_minus = 1 - eps
     tail_chain: list[tuple[int, Fraction, Fraction, bool]] = []
     chain_ok = True
     bound = Fraction(1)
     for k in range(0, N // N_window + 1):
         t = k * N_window
-        ok = tails[t] <= bound
-        tail_chain.append((k, tails[t], bound, ok))
+        tail = weighted_sum([s > t for s in late], P)  # P(tau > t)
+        ok = tail <= bound
+        tail_chain.append((k, tail, bound, ok))
         chain_ok = chain_ok and ok
         bound = bound * one_minus
 
-    truncated_expectation = never_mass * N
-    for t, m in enumerate(mass_at):
-        if m:
-            truncated_expectation += m * t
+    truncated_expectation = weighted_sum([N if t is None else t for t in times], P)
     expectation_bound = Fraction(N_window) / eps
     expectation_ok = truncated_expectation <= expectation_bound
 
@@ -972,7 +945,7 @@ def upcrossing_inequality_check(
     neg_part = weighted_sum([g if g > 0 else 0 for g in gaps], P)
 
     sup_abs_mean = max(
-        expectation(rv.map(abs), P) for rv in X.values
+        as_number(weighted_sum([abs(v) for v in rv.values], P)) for rv in X.values
     )
     scaled = as_number((b - a) * expected_up)
     corollary_bound = as_number(abs(a) + sup_abs_mean)
@@ -1156,7 +1129,9 @@ def truncated_convergence_diagnostic(
     label = classify(X, P, tolerance).label
     hypothesis_ok = label in SUPERMARTINGALE_FAMILY
 
-    mean_abs = tuple(expectation(rv.map(abs), P) for rv in X.values)
+    mean_abs = tuple(
+        as_number(weighted_sum([abs(v) for v in rv.values], P)) for rv in X.values
+    )
     sup_abs = max(mean_abs)
 
     paths = [X.path(i) for i in range(X.space.size)]
@@ -1201,8 +1176,8 @@ def truncated_convergence_diagnostic(
         label=label,
         hypothesis_ok=hypothesis_ok,
         horizon=X.horizon,
-        sup_abs_mean=as_number(sup_abs),
-        mean_abs_by_stage=tuple(as_number(v) for v in mean_abs),
+        sup_abs_mean=sup_abs,
+        mean_abs_by_stage=mean_abs,
         entries=tuple(entries),
         notes=tuple(notes),
     )

@@ -14,16 +14,27 @@ import random
 from fractions import Fraction
 
 from mglab import (
+    DEFAULT_TOLERANCE,
+    MARTINGALE,
+    STRICT_SUBMARTINGALE,
+    STRICT_SUPERMARTINGALE,
+    SUBMARTINGALE,
+    SUPERMARTINGALE,
+    UNCLASSIFIED,
     AdaptedProcess,
     EventSet,
     Filtration,
+    MartingaleClassification,
     PredictableSequence,
     ProbabilityMeasure,
     RandomVariable,
     SampleSpace,
     SigmaAlgebra,
     StoppingTime,
+    as_number,
+    numbers_equal,
 )
+from mglab.numeric import sign_with_tolerance
 
 
 def closure_oracle(n_outcomes: int, generators) -> frozenset[frozenset[int]]:
@@ -279,3 +290,104 @@ def reference_atom_sums(values, sigma: SigmaAlgebra, P: ProbabilityMeasure):
             masses[lab] += w
             totals[lab] += v * w
     return masses, totals
+
+
+def _atom_firsts(values, sigma: SigmaAlgebra) -> list:
+    """The value at each atom's least member, indexed by atom label."""
+    return [values[atom.members[0]] for atom in sigma.atoms]
+
+
+def reference_classify(
+    X: AdaptedProcess, P: ProbabilityMeasure, tolerance: float = DEFAULT_TOLERANCE
+) -> MartingaleClassification:
+    """Classification as it ran before the drift table.
+
+    Compares the conditional mean of X_{n+1} (not of the increment) with
+    X_n on every atom of positive mass.
+    """
+    signs_seen: set[int] = set()
+    witness = None
+    for n in range(X.horizon):
+        stage = X.filtration.stages[n]
+        masses, totals = reference_atom_sums(X.values[n + 1].values, stage, P)
+        x_now = _atom_firsts(X.values[n].values, stage)
+        for k, mass in enumerate(masses):
+            if mass == 0:
+                continue
+            sign = sign_with_tolerance(as_number(totals[k] / mass) - x_now[k], tolerance)
+            signs_seen.add(sign)
+            if sign != 0 and witness is None:
+                witness = (n, stage.atoms[k])
+    has_neg = -1 in signs_seen
+    has_pos = 1 in signs_seen
+    has_zero = 0 in signs_seen
+    if not has_neg and not has_pos:
+        return MartingaleClassification(MARTINGALE, None)
+    if has_neg and has_pos:
+        return MartingaleClassification(UNCLASSIFIED, witness)
+    if has_neg:
+        label = SUPERMARTINGALE if has_zero else STRICT_SUPERMARTINGALE
+    else:
+        label = SUBMARTINGALE if has_zero else STRICT_SUBMARTINGALE
+    return MartingaleClassification(label, witness)
+
+
+def reference_step_identity_holds(
+    C: PredictableSequence,
+    X: AdaptedProcess,
+    Y: AdaptedProcess,
+    P: ProbabilityMeasure,
+    tolerance: float = DEFAULT_TOLERANCE,
+) -> bool:
+    """E[dY_n | F_{n-1}] = C_n E[dX_n | F_{n-1}], with both sides summed afresh."""
+    for n in range(1, X.horizon + 1):
+        stage = X.filtration.stages[n - 1]
+        dx = [a - b for a, b in zip(X.values[n].values, X.values[n - 1].values)]
+        dy = [a - b for a, b in zip(Y.values[n].values, Y.values[n - 1].values)]
+        masses, lhs = reference_atom_sums(dy, stage, P)
+        _, rhs = reference_atom_sums(dx, stage, P)
+        stakes = _atom_firsts(C.values[n - 1].values, stage)
+        for mass, y, x, stake in zip(masses, lhs, rhs, stakes):
+            if mass and not numbers_equal(y, stake * x, tolerance):
+                return False
+    return True
+
+
+def reference_tail_figures(
+    tau: StoppingTime, P: ProbabilityMeasure, window: int, epsilon
+) -> tuple[tuple, Fraction]:
+    """``(tail_chain, truncated_expectation)`` of the tail-bound check.
+
+    Accumulates the mass of each stopping value and of NEVER in one
+    Fraction pass, then reads P(tau > t) off the running suffix sums.
+    """
+    N = tau.filtration.horizon
+    mass_at = [Fraction(0)] * (N + 1)
+    never_mass = Fraction(0)
+    for t, w in zip(tau.times, P.weights):
+        if not w:
+            continue
+        if t is None:
+            never_mass += w
+        else:
+            mass_at[t] += w
+    tails = [Fraction(0)] * (N + 1)  # tails[t] = P(tau > t)
+    running = never_mass
+    for t in range(N, -1, -1):
+        if t < N:
+            running += mass_at[t + 1]
+        tails[t] = running
+
+    one_minus = 1 - Fraction(epsilon)
+    chain = []
+    bound = Fraction(1)
+    for k in range(0, N // window + 1):
+        t = k * window
+        chain.append((k, tails[t], bound, tails[t] <= bound))
+        bound = bound * one_minus
+
+    truncated_expectation = never_mass * N
+    for t, m in enumerate(mass_at):
+        if m:
+            truncated_expectation += m * t
+    return tuple(chain), truncated_expectation

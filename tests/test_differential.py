@@ -1,10 +1,14 @@
-"""The integer summation kernels against the Fraction loops they replaced.
+"""The integer summation kernels and the drift table against the loops they replaced.
 
 Every check is run twice on one random model: once as shipped, and once
 with ``tests/support.py``'s reference kernels patched into every package
 module that binds ``weighted_sum`` or ``atom_sums``.  The ``repr`` of each
 report, witnesses and exact types included, must be the same, and so must
-any exception a check raises.
+any exception a check raises.  Swapping kernels cannot see how a check
+uses them, so the classification, the transform step identity and the
+tail-bound figures are also held against the reference functions in
+``tests/support.py``, which keep the loops those checks ran before they
+shared one drift table per process and summed the tails through the kernels.
 """
 import importlib
 import random
@@ -24,6 +28,7 @@ from mglab import (
     optional_stopping_report,
     stopping_tail_bound_check,
     tower_check,
+    transform,
     truncated_convergence_diagnostic,
     upcrossing_inequality_check,
     verify_kolmogorov,
@@ -41,6 +46,9 @@ from support import (
     rand_supermartingale,
     rand_variable,
     reference_atom_sums,
+    reference_classify,
+    reference_step_identity_holds,
+    reference_tail_figures,
     reference_weighted_sum,
 )
 
@@ -122,3 +130,26 @@ def test_every_check_matches_the_fraction_reference(pyr):
             mp.setattr(module, name, KERNELS[value])
         reference = [_outcome(*call) for call in calls]
     assert shipped == reference
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_drift_table_and_tail_sums_match_the_reference_loops(pyr):
+    rng = random.Random(pyr.randint(0, 10**9))
+    args = {check: rest for check, *rest in _model(rng)}
+
+    X, P = args[classify]
+    assert repr(classify(X, P)) == repr(reference_classify(X, P))
+
+    C, X, P, bound = args[verify_transform_preservation]
+    report = verify_transform_preservation(C, X, P, bound)
+    Y = transform(C, X)
+    assert report.input_label == reference_classify(X, P).label
+    assert report.output_label == reference_classify(Y, P).label
+    assert report.step_identity_ok == reference_step_identity_holds(C, X, Y, P)
+
+    tau, F, P, window, eps = args[stopping_tail_bound_check]
+    report = stopping_tail_bound_check(tau, F, P, window, eps)
+    assert repr((report.tail_chain, report.truncated_expectation)) == repr(
+        reference_tail_figures(tau, P, window, eps)
+    )

@@ -273,6 +273,23 @@ def test_transform_supermartingale_needs_nonnegative_stakes():
     assert rep.output_label in (SUPERMARTINGALE, STRICT_SUPERMARTINGALE, MARTINGALE)
 
 
+def test_transform_sums_each_increment_once(monkeypatch):
+    """One atom_sums pass per step for X and one for C·X: labels and identity share them."""
+    _, P, F, X = make_coin_walk(4, Fraction(1, 3))
+    C = PredictableSequence(F, [RandomVariable(X.space, [1] * X.space.size)] * X.horizon)
+    calls = []
+    kernel = mglab.processes.atom_sums
+
+    def counting(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(mglab.processes, "atom_sums", counting)
+    rep = verify_transform_preservation(C, X, P, bound=1)
+    assert rep.step_identity_ok and bool(rep)
+    assert len(calls) == 2 * X.horizon
+
+
 def test_transform_randomized_preservation():
     rng = random.Random(223)
     for _ in range(60):
