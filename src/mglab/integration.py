@@ -6,22 +6,27 @@ level sets, integrate the simple form, and check the positive/negative split
 agrees.  All three routes are implemented separately so they can be played
 against each other in tests instead of collapsing into one formula.
 
-Every other P-weighted sum in the exact engine goes through one of two
+Every other P-weighted sum in the exact engine goes through one of three
 kernels here: :func:`weighted_sum` over all outcomes (expectations, the
 optional-stopping and upcrossing figures, the tail-bound chain and mean,
-the L2 Gram matrix, the exact side of cross-validation) and
-:func:`atom_sums` per atom of a partition (conditional expectation, the
-one-step drift table that classification and the transform identity
-read, the tail-bound hypothesis).  :func:`integrate_simple` stays a
+the L2 Gram matrix of a float process, the exact side of
+cross-validation), :func:`atom_sums` per atom of a partition (conditional
+expectation, the one-step drift table of a float process) and
+:func:`raw_atom_sums`, the per-atom loop itself, which :func:`atom_sums`
+divides and which the exact checks read undivided (the drift table that
+classification and the transform identity read, the tail-bound
+hypothesis).  The exact L2 Gram matrix is a sum of integer products over
+the process's scaled stage values.  :func:`integrate_simple` stays a
 separate route.
 
-Both kernels take the measure and sum fraction-free, in the sense of
-Bareiss (Math. Comp. 1968): the measure holds its weights as integers over
-their common denominator ``D``, an exact value stream is cleared by the lcm
-``L`` of its own denominators, the products are added as Python ints, and
-each sum (or each atom's sum) is divided by ``D * L`` once.  A stream that
-holds a float keeps the ordered loop over the Fraction weights, so float
-results keep their exact bits.
+The kernels sum fraction-free, in the sense of Bareiss (Math. Comp. 1968):
+the measure holds its weights as integers over their common denominator
+``D``, an exact value stream is cleared by the lcm ``L`` of its own
+denominators (:func:`clear_denominators`), the products are added as
+Python ints, and each sum (or each atom's sum) is divided by ``D * L``
+once, or not at all where only its sign or an integer identity is needed.
+A stream that holds a float keeps the ordered loop over the Fraction
+weights, so float results keep their exact bits.
 """
 from __future__ import annotations
 
@@ -196,23 +201,24 @@ def weighted_sum(values: Sequence[Number], P: ProbabilityMeasure) -> Number:
     """Sum of v * P({omega}) over the outcomes of non-zero weight, in outcome order.
 
     Exact values (ints, bools and Fractions) are summed as integers over the
-    common denominator ``D * L`` (see :func:`_cleared`) and divided once, so
-    the result is a Fraction.  A stream holding any other value, such as a
-    float, is summed term by term from ``Fraction(0)`` in outcome order,
-    which keeps a float result's exact bits; zero-weight outcomes are
-    skipped, so their values never turn an exact sum into a float.
+    common denominator ``D * L`` (see :func:`clear_denominators`) and
+    divided once, so the result is a Fraction.  A stream holding any other
+    value, such as a float, is summed term by term from ``Fraction(0)`` in
+    outcome order, which keeps a float result's exact bits; zero-weight
+    outcomes are skipped, so their values never turn an exact sum into a
+    float.
 
     ``values`` must be a sequence, not an iterator: it is read twice, so a
     generator is used up by the first read and sums to 0 with no error.
     """
-    cleared = _cleared(values)
+    cleared = clear_denominators(values)
     if cleared is None:
         total: Number = Fraction(0)
         for v, w in zip(values, P.weights):
             if w:
                 total += v * w
         return total
-    nums, L = cleared
+    (nums,), L = cleared
     return Fraction(sum(map(mul, nums, P.int_weights)), P.denominator * L)
 
 
@@ -222,49 +228,72 @@ def atom_sums(
     """Per-atom ``(masses, totals)``, both indexed by the labels of ``sigma``.
 
     ``masses[k]`` is the weight of atom k and ``totals[k]`` the sum of v * w
-    over its outcomes of non-zero weight, from one pass over the label
-    vector.  A null atom has mass and total int 0.  Exact values are summed
-    as integers and divided once per atom, so every other mass and total is
-    a Fraction; a stream holding a float is summed term by term in
-    ascending outcome order, as :func:`weighted_sum` does.
+    over its outcomes of non-zero weight: :func:`raw_atom_sums` of the
+    stream.  A null atom has mass and total int 0.  Exact values are summed
+    as integers over ``P.int_weights`` and divided once per atom, so every
+    other mass and total is a Fraction; a stream holding a float is summed
+    over the Fraction weights in ascending outcome order, as
+    :func:`weighted_sum` does.
 
     ``values`` must be a sequence; it is read twice, as in :func:`weighted_sum`.
     """
-    masses: list = [0] * sigma.atom_count
-    totals: list = [0] * sigma.atom_count
-    cleared = _cleared(values)
-    nums, weights = (values, P.weights) if cleared is None else (cleared[0], P.int_weights)
-    for lab, v, w in zip(sigma.labels, nums, weights):
-        if w:
-            masses[lab] += w
-            totals[lab] += v * w
+    cleared = clear_denominators(values)
     if cleared is None:
-        return masses, totals
+        return raw_atom_sums(values, sigma, P.weights)
+    (nums,), L = cleared
+    masses, totals = raw_atom_sums(nums, sigma, P.int_weights)
     D = P.denominator
-    DL = D * cleared[1]
+    DL = D * L
     return (
         [Fraction(m, D) if m else 0 for m in masses],
         [Fraction(t, DL) if m else 0 for m, t in zip(masses, totals)],
     )
 
 
+def raw_atom_sums(
+    values: Sequence[Number], sigma: SigmaAlgebra, weights: Sequence[Number]
+) -> tuple[list, list]:
+    """Undivided per-atom ``(masses, totals)``: the one per-atom summation loop.
+
+    ``masses[k]`` is the sum of w and ``totals[k]`` the sum of v * w over
+    the outcomes of atom k with non-zero weight, from int 0 in ascending
+    outcome order.  On an integer stream over ``L`` with
+    ``weights = P.int_weights`` every entry is a Python int: ``masses[k]``
+    is ``D`` times the atom's mass and ``totals[k]`` is ``D * L`` times its
+    total, so a drift sign is the sign of an int and no Fraction is built.
+    """
+    masses: list = [0] * sigma.atom_count
+    totals: list = [0] * sigma.atom_count
+    for lab, v, w in zip(sigma.labels, values, weights):
+        if w:
+            masses[lab] += w
+            totals[lab] += v * w
+    return masses, totals
+
+
 _EXACT_TYPES = frozenset({int, bool, Fraction})
 
 
-def _cleared(values: Sequence[Number]) -> tuple[Sequence[int], int] | None:
-    """``(nums, L)`` with ``values[i] == nums[i] / L``, or None.
+def clear_denominators(
+    *streams: Sequence[Number],
+) -> tuple[tuple[Sequence[int], ...], int] | None:
+    """``(nums, L)`` with ``streams[j][i] == nums[j][i] / L``, or None.
 
-    ``L`` is the lcm of the value denominators.  None means some value is
-    not an int, bool or Fraction (a float, say), so the stream has no exact
-    integer form.
+    ``L`` is the lcm of the denominators of every value in every stream.
+    Streams of ints and bools are handed back as they are, with ``L = 1``,
+    so clearing them copies nothing.  None means some value is not an int,
+    bool or Fraction (a float, say), so the streams have no exact integer
+    form.
     """
-    types = set(map(type, values))
+    types: set[type] = set()
+    for values in streams:
+        types.update(map(type, values))
     if not types <= _EXACT_TYPES:
         return None
     if Fraction not in types:
-        return values, 1
-    L = math.lcm(*{v.denominator for v in values})
-    return [v.numerator * (L // v.denominator) for v in values], L
+        return streams, 1
+    L = math.lcm(*{v.denominator for values in streams for v in values})
+    return tuple([v.numerator * (L // v.denominator) for v in values] for values in streams), L
 
 
 def pos_neg_split(X: RandomVariable) -> tuple[RandomVariable, RandomVariable]:

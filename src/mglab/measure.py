@@ -137,11 +137,13 @@ class SigmaAlgebra:
     The member sets of the sigma-algebra are exactly the 2**k unions of
     atoms; use :func:`enumerate_sets` to list them and :func:`contains` to
     test one without listing them all.  :meth:`from_atoms` builds one from
-    a list of cells.
+    a list of cells.  ``atom_count`` is the number of atoms, counted once
+    while the labels are renumbered.
     """
 
     space: SampleSpace
     labels: tuple[int, ...]
+    atom_count: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         labels = tuple(self.labels)
@@ -154,6 +156,7 @@ class SigmaAlgebra:
         renumbered: dict[int, int] = {}
         labels = tuple(renumbered.setdefault(lab, len(renumbered)) for lab in labels)
         object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "atom_count", len(renumbered))
 
     @classmethod
     def from_atoms(cls, space: SampleSpace, atoms: Iterable[EventSet]) -> "SigmaAlgebra":
@@ -188,10 +191,6 @@ class SigmaAlgebra:
         for i, lab in enumerate(self.labels):
             groups[lab].append(i)
         return tuple(EventSet(tuple(g)) for g in groups)
-
-    @property
-    def atom_count(self) -> int:
-        return max(self.labels) + 1
 
     def atom_containing(self, outcome: int) -> EventSet:
         if not 0 <= outcome < self.space.size:

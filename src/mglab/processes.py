@@ -16,10 +16,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
+from operator import mul, sub
 from typing import Sequence
 
-from .integration import RandomVariable, atom_sums, constant_variable, expectation, weighted_sum
+from .integration import (
+    RandomVariable,
+    atom_sums,
+    clear_denominators,
+    constant_variable,
+    expectation,
+    raw_atom_sums,
+    weighted_sum,
+)
 from .measure import (
     EventSet,
     ProbabilityMeasure,
@@ -30,6 +40,7 @@ from .measure import (
 from .numeric import (
     DEFAULT_TOLERANCE,
     Number,
+    all_exact,
     as_exact,
     as_number,
     numbers_equal,
@@ -114,6 +125,10 @@ class AdaptedProcess:
     construction, so any AdaptedProcess in hand is genuinely adapted; the
     error message names the first stage and atom that a non-adapted value
     splits.
+
+    An exact process also has a scaled form, :attr:`scaled`: its stage
+    values as Python ints over one common denominator, which the drift
+    table and the L2 Gram matrix sum in integers.
     """
 
     filtration: Filtration
@@ -152,6 +167,17 @@ class AdaptedProcess:
     @property
     def exact(self) -> bool:
         return all(rv.exact for rv in self.values)
+
+    @cached_property
+    def scaled(self) -> tuple[tuple[Sequence[int], ...], int] | None:
+        """``(nums, L)`` with ``values[n].values[i] == nums[n][i] / L``, or None.
+
+        ``L`` is the lcm of the denominators of every stage value; None means
+        some value is a float.  Filled on first use and kept, as
+        ``ProbabilityMeasure.int_weights`` is; an all-int process hands back
+        its own value tuples with ``L = 1``, so nothing is copied.
+        """
+        return clear_denominators(*(rv.values for rv in self.values))
 
 
 @dataclass(frozen=True)
@@ -362,8 +388,12 @@ def classify(
 
     For each step n the drift on every positive-probability atom of stage n
     is the conditional mean of X_{n+1} - X_n there: its weighted sum over the
-    atom's mass, from :func:`~mglab.integration.atom_sums`.  Exact inputs are
-    compared exactly; ``tolerance`` applies only once floats are involved.  The
+    atom's mass.  On an exact process the increments are summed as integers
+    over :attr:`AdaptedProcess.scaled` by
+    :func:`~mglab.integration.raw_atom_sums`, and a drift sign is the sign
+    of that integer sum; no Fraction is built.  A float process is summed by
+    :func:`~mglab.integration.atom_sums` and its mean compared with
+    ``tolerance``, which applies only once floats are involved.  The
     strongest accurate label wins: all drifts zero gives ``martingale``,
     one-sided drifts give the super/sub labels (``strict-`` when every
     single step on every atom is strict), and genuinely mixed drift signs
@@ -375,14 +405,26 @@ def classify(
 def _drift_table(
     X: AdaptedProcess, P: ProbabilityMeasure
 ) -> list[tuple[SigmaAlgebra, list, list]]:
-    """Per step n: stage n, its atom masses, and the atom totals of X_{n+1} - X_n."""
+    """Per step n: stage n, its atom masses, and the atom totals of X_{n+1} - X_n.
+
+    On an exact process the masses and totals are the ints of
+    :func:`~mglab.integration.raw_atom_sums`, over ``D`` and ``D * L`` for
+    ``(_, L) = X.scaled``; on a float process they are those of
+    :func:`~mglab.integration.atom_sums`.
+    """
     if P.space != X.space:
         raise ValueError("process and measure live on different sample spaces")
+    scaled = X.scaled
     table = []
     for n in range(X.horizon):
         stage = X.filtration.stages[n]
-        steps = [a - b for a, b in zip(X.values[n + 1].values, X.values[n].values)]
-        table.append((stage, *atom_sums(steps, stage, P)))
+        if scaled is None:
+            steps = [a - b for a, b in zip(X.values[n + 1].values, X.values[n].values)]
+            table.append((stage, *atom_sums(steps, stage, P)))
+        else:
+            nums = scaled[0]
+            steps = list(map(sub, nums[n + 1], nums[n]))
+            table.append((stage, *raw_atom_sums(steps, stage, P.int_weights)))
     return table
 
 
@@ -393,10 +435,13 @@ def _label(
     signs_seen: set[int] = set()
     witness: tuple[int, EventSet] | None = None
     for n, (stage, masses, totals) in enumerate(table):
-        for k, mass in enumerate(masses):
+        for k, (mass, total) in enumerate(zip(masses, totals)):
             if mass == 0:
                 continue
-            sign = sign_with_tolerance(as_number(totals[k] / mass), tolerance)
+            # An int total (an exact table) has the sign of the drift; the
+            # mean of a float table is taken so the tolerance applies to it.
+            drift = total if isinstance(total, int) else as_number(total / mass)
+            sign = sign_with_tolerance(drift, tolerance)
             signs_seen.add(sign)
             if sign != 0 and witness is None:
                 witness = (n, stage.atoms[k])
@@ -522,12 +567,26 @@ def verify_transform_preservation(
             "martingales and supermartingales"
         )
 
-    y_table = _drift_table(transform(C, X), P)
+    Y = transform(C, X)
+    y_table = _drift_table(Y, P)
     output_label = _label(y_table, tolerance).label
     # The stake is constant on each atom, so the conditional identity
     # reduces to sum dY w = C_n * sum dX w before dividing by the mass.
+    # Integer tables hold those sums over D * L_X and D * L_Y, so the
+    # identity is compared as y * L_X * den(c) == num(c) * x * L_Y.  Y is
+    # exact only when X and C are; an exact X under float stakes gives a
+    # float Y, and the int X totals are put back over D * L_X.
+    xs, ys = X.scaled, Y.scaled
+
+    def holds_on_atom(x, y, c):
+        if xs is None:
+            return numbers_equal(y, c * x, tolerance)
+        if ys is None:
+            return numbers_equal(y, c * Fraction(x, P.denominator * xs[1]), tolerance)
+        return y * xs[1] * c.denominator == c.numerator * x * ys[1]
+
     identity_ok = all(
-        not mass or numbers_equal(y, stake * x, tolerance)
+        not mass or holds_on_atom(x, y, stake)
         for (stage, masses, dx), (_, _, dy), rv in zip(x_table, y_table, C.values)
         for mass, x, y, stake in zip(masses, dx, dy, _atom_values(rv.values, stage))
     )
@@ -803,11 +862,12 @@ def stopping_tail_bound_check(
         deadline = n + N_window
         stage = F.stages[n]
         fired = [t is not None and t <= deadline for t in times]
-        # P(tau <= deadline | A) > eps  iff  hit > eps * mass, on atoms of positive mass.
-        masses, hits = atom_sums(fired, stage, P)
+        # P(tau <= deadline | A) > eps  iff  hit > eps * mass, on atoms of
+        # positive mass; both sums are ints over D, so the test is in ints.
+        masses, hits = raw_atom_sums(fired, stage, P.int_weights)
         failed = [
             k for k, (mass, hit) in enumerate(zip(masses, hits))
-            if mass and not hit > eps * mass
+            if mass and not hit * eps.denominator > eps.numerator * mass
         ]
         hypothesis_by_step.append(not failed)
         if failed and witness is None:
@@ -1015,6 +1075,11 @@ def l2_pythagoras_check(
     Both reduce to entries of the Gram matrix G[s][t] = E[M_s M_t], which is
     computed once; each orthogonality product is then four lookups:
     E[(M_t - M_s)(M_v - M_u)] = G[t][v] - G[t][u] - G[s][v] + G[s][u].
+    On an exact process the matrix holds Python ints, ``D * L**2`` times
+    the moments, from :attr:`AdaptedProcess.scaled` and the integer
+    weights: orthogonality is ``int == 0``, and only ``lhs``, ``rhs`` and
+    ``gap`` are divided.  A float process sums each entry with
+    :func:`~mglab.integration.weighted_sum`.
     """
     if P.space != M.space:
         raise ValueError("process and measure live on different sample spaces")
@@ -1022,14 +1087,21 @@ def l2_pythagoras_check(
     hypothesis_ok = label == MARTINGALE
 
     N = M.horizon
+    scaled = M.scaled
     gram: list[list[Number]] = [[0] * (N + 1) for _ in range(N + 1)]
     for s in range(N + 1):
-        vs = M.values[s].values
-        for t in range(s, N + 1):
-            vt = M.values[t].values
-            gram[s][t] = gram[t][s] = weighted_sum(
-                [x * y for x, y in zip(vs, vt)], P
-            )
+        if scaled is None:
+            vs = M.values[s].values
+            for t in range(s, N + 1):
+                vt = M.values[t].values
+                gram[s][t] = gram[t][s] = weighted_sum(
+                    [x * y for x, y in zip(vs, vt)], P
+                )
+        else:
+            nums = scaled[0]
+            ws = list(map(mul, nums[s], P.int_weights))
+            for t in range(s, N + 1):
+                gram[s][t] = gram[t][s] = sum(map(mul, ws, nums[t]))
 
     lhs = gram[N][N]
     rhs = gram[0][0]
@@ -1062,6 +1134,9 @@ def l2_pythagoras_check(
             "informational and the identity is not asserted"
         )
 
+    if scaled is not None:
+        scale = P.denominator * scaled[1] ** 2
+        lhs, rhs, gap = Fraction(lhs, scale), Fraction(rhs, scale), Fraction(gap, scale)
     return PythagorasReport(
         label=label,
         hypothesis_ok=hypothesis_ok,
@@ -1143,7 +1218,10 @@ def truncated_convergence_diagnostic(
         if not a < b:
             raise ValueError(f"grid interval needs a < b, got a = {a}, b = {b}")
         eu = weighted_sum([count_upcrossings(path, a, b) for path in paths], P)
-        bound = as_number((abs(a) + sup_abs) / (b - a))
+        if all_exact((a, b, sup_abs)):
+            bound = as_number(Fraction(abs(a) + sup_abs, b - a))
+        else:
+            bound = as_number((abs(a) + sup_abs) / (b - a))
         if bound > 0:
             ratio = float(eu) / float(bound)
             flagged = ratio >= 0.9

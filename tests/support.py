@@ -391,3 +391,60 @@ def reference_tail_figures(
         if m:
             truncated_expectation += m * t
     return tuple(chain), truncated_expectation
+
+
+def reference_pythagoras(M: AdaptedProcess, P: ProbabilityMeasure, tolerance=DEFAULT_TOLERANCE):
+    """``(lhs, rhs, gap, identity_holds, orthogonality_ok, witness)`` of the L2 check.
+
+    The Gram matrix G[s][t] = E[M_s M_t] as it was summed before the integer
+    path: one ``reference_weighted_sum`` of Fraction products per entry.
+    """
+    N = M.horizon
+    gram = [[0] * (N + 1) for _ in range(N + 1)]
+    for s in range(N + 1):
+        for t in range(s, N + 1):
+            products = [x * y for x, y in zip(M.values[s].values, M.values[t].values)]
+            gram[s][t] = gram[t][s] = reference_weighted_sum(products, P)
+    lhs = gram[N][N]
+    rhs = gram[0][0]
+    for k in range(1, N + 1):
+        rhs += gram[k][k] - 2 * gram[k - 1][k] + gram[k - 1][k - 1]
+    witness = None
+    for s in range(N + 1):
+        for t in range(s + 1, N + 1):
+            for u in range(t, N + 1):
+                for v in range(u + 1, N + 1):
+                    prod = gram[t][v] - gram[t][u] - gram[s][v] + gram[s][u]
+                    if witness is None and not numbers_equal(prod, 0, tolerance):
+                        witness = (s, t, u, v)
+    return (
+        as_number(lhs),
+        as_number(rhs),
+        as_number(lhs - rhs),
+        numbers_equal(lhs, rhs, tolerance),
+        witness is None,
+        witness,
+    )
+
+
+def reference_tail_hypothesis(
+    tau: StoppingTime, P: ProbabilityMeasure, window: int, epsilon
+) -> tuple[tuple[bool, ...], tuple | None]:
+    """``(hypothesis_by_step, witness)`` of the tail-bound check.
+
+    Tests ``hit > eps * mass`` on the Fraction sums of ``reference_atom_sums``
+    at every stage n with a full window before the horizon.
+    """
+    F = tau.filtration
+    eps = Fraction(epsilon)
+    by_step = []
+    witness = None
+    for n in range(0, F.horizon - window + 1):
+        stage = F.stages[n]
+        fired = [t is not None and t <= n + window for t in tau.times]
+        masses, hits = reference_atom_sums(fired, stage, P)
+        failed = [k for k, (m, h) in enumerate(zip(masses, hits)) if m and not h > eps * m]
+        by_step.append(not failed)
+        if failed and witness is None:
+            witness = (n, stage.atoms[failed[0]])
+    return tuple(by_step), witness

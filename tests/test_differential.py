@@ -5,10 +5,12 @@ with ``tests/support.py``'s reference kernels patched into every package
 module that binds ``weighted_sum`` or ``atom_sums``.  The ``repr`` of each
 report, witnesses and exact types included, must be the same, and so must
 any exception a check raises.  Swapping kernels cannot see how a check
-uses them, so the classification, the transform step identity and the
-tail-bound figures are also held against the reference functions in
-``tests/support.py``, which keep the loops those checks ran before they
-shared one drift table per process and summed the tails through the kernels.
+uses them, nor reach the checks that sum an exact process in integers
+without them (the drift table, the transform step identity, the L2 Gram
+matrix and the tail-bound hypothesis).  So the classification, the step
+identity, the L2 figures and the tail-bound hypothesis and figures are also
+held against the reference functions in ``tests/support.py``, which keep
+the Fraction loops those checks ran before.
 """
 import importlib
 import random
@@ -21,6 +23,7 @@ from hypothesis import strategies as st
 import mglab
 from mglab import (
     AdaptedProcess,
+    PredictableSequence,
     RandomVariable,
     classify,
     conditional_expectation,
@@ -47,8 +50,10 @@ from support import (
     rand_variable,
     reference_atom_sums,
     reference_classify,
+    reference_pythagoras,
     reference_step_identity_holds,
     reference_tail_figures,
+    reference_tail_hypothesis,
     reference_weighted_sum,
 )
 
@@ -94,6 +99,9 @@ def _model(rng):
     if rng.random() < 0.3:
         X = _floats(X)
     C = rand_predictable(rng, F, nonnegative=rng.random() < 0.5)
+    if rng.random() < 0.25:
+        # Float stakes on an exact process: the mixed step-identity path.
+        C = PredictableSequence(F, [rv.map(float) for rv in C.values])
     tau = rand_stopping_time(rng, F, bounded=rng.random() < 0.7)
     a = rand_fraction(rng)
     b = a + abs(rand_fraction(rng, 1, 4))
@@ -148,8 +156,17 @@ def test_drift_table_and_tail_sums_match_the_reference_loops(pyr):
     assert report.output_label == reference_classify(Y, P).label
     assert report.step_identity_ok == reference_step_identity_holds(C, X, Y, P)
 
+    X, P = args[l2_pythagoras_check]
+    report = l2_pythagoras_check(X, P)
+    shipped = (report.lhs, report.rhs, report.gap, report.identity_holds,
+               report.orthogonality_ok, report.orthogonality_witness)
+    assert repr(shipped) == repr(reference_pythagoras(X, P))
+
     tau, F, P, window, eps = args[stopping_tail_bound_check]
     report = stopping_tail_bound_check(tau, F, P, window, eps)
     assert repr((report.tail_chain, report.truncated_expectation)) == repr(
         reference_tail_figures(tau, P, window, eps)
+    )
+    assert repr((report.hypothesis_by_step, report.hypothesis_witness)) == repr(
+        reference_tail_hypothesis(tau, P, window, eps)
     )

@@ -273,18 +273,30 @@ def test_transform_supermartingale_needs_nonnegative_stakes():
     assert rep.output_label in (SUPERMARTINGALE, STRICT_SUPERMARTINGALE, MARTINGALE)
 
 
+def test_scaled_stage_values():
+    """Ints over one lcm; an all-int process keeps its own tuples; a float means None."""
+    _, P, F, X = make_coin_walk(3, Fraction(1, 3))
+    nums, L = X.scaled
+    assert L == 1 and all(n is rv.values for n, rv in zip(nums, X.values))
+    assert X.scaled is X.scaled
+    halves = AdaptedProcess(F, [rv.scale(Fraction(1, 2)) for rv in X.values])
+    nums, L = halves.scaled
+    assert L == 2 and nums[1] == list(X.values[1].values)
+    assert AdaptedProcess(F, [rv.map(float) for rv in X.values]).scaled is None
+
+
 def test_transform_sums_each_increment_once(monkeypatch):
-    """One atom_sums pass per step for X and one for C·X: labels and identity share them."""
+    """One raw_atom_sums pass per step for X and one for C·X: labels and identity share them."""
     _, P, F, X = make_coin_walk(4, Fraction(1, 3))
     C = PredictableSequence(F, [RandomVariable(X.space, [1] * X.space.size)] * X.horizon)
     calls = []
-    kernel = mglab.processes.atom_sums
+    kernel = mglab.processes.raw_atom_sums
 
     def counting(*args):
         calls.append(args)
         return kernel(*args)
 
-    monkeypatch.setattr(mglab.processes, "atom_sums", counting)
+    monkeypatch.setattr(mglab.processes, "raw_atom_sums", counting)
     rep = verify_transform_preservation(C, X, P, bound=1)
     assert rep.step_identity_ok and bool(rep)
     assert len(calls) == 2 * X.horizon
@@ -555,6 +567,17 @@ def test_convergence_diagnostic_structure():
     for entry in diag.entries:
         assert entry.expected_upcrossings <= entry.corollary_bound
     assert any("no convergence statement is asserted" in n for n in diag.notes)
+
+
+def test_convergence_diagnostic_bound_stays_exact_on_exact_inputs():
+    _, P, _, X = make_coin_walk(2, Fraction(1, 2))
+    diag = truncated_convergence_diagnostic(X, P, [(-1, 1), (0, 2)])
+    assert diag.sup_abs_mean == 1
+    assert [repr(e.corollary_bound) for e in diag.entries] == ["1", "Fraction(1, 2)"]
+    assert [e.ratio for e in diag.entries] == [0.0, 0.5]
+    # One float end point keeps the float division.
+    diag = truncated_convergence_diagnostic(X, P, [(-1.0, 1)])
+    assert repr(diag.entries[0].corollary_bound) == "1.0"
 
 
 @settings(max_examples=40, deadline=None)
