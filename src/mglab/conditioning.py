@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .integration import RandomVariable, atom_sums, is_measurable
-from .measure import EventSet, ProbabilityMeasure, SigmaAlgebra
+from .measure import EventSet, ProbabilityMeasure, SigmaAlgebra, _trusted
 from .numeric import DEFAULT_TOLERANCE, Number, as_number, numbers_equal
 
 
@@ -70,7 +70,9 @@ def conditional_expectation(
         # for float inputs it guards against accumulation error.
         if not numbers_equal(weighted, avg * mass, tolerance):
             identity_ok = False
-    result = RandomVariable(X.space, tuple(averages[lab] for lab in G.labels))
+    # Every average has been through as_number, and 0 is the null-atom value.
+    values = tuple(averages[lab] for lab in G.labels)
+    result = _trusted(RandomVariable, space=X.space, values=values)
     return ConditionalReport(result, identity_ok, tuple(null_atoms))
 
 
@@ -129,15 +131,15 @@ def tower_check(
             f"not nested: H-atom {list(atom.members)} straddles more than one G-atom"
         )
     base = conditional_expectation(X, G, P, tolerance).result
-    via_fine = conditional_expectation(
-        conditional_expectation(X, H, P, tolerance).result, G, P, tolerance
-    ).result
+    fine = conditional_expectation(X, H, P, tolerance)
+    via_fine = conditional_expectation(fine.result, G, P, tolerance).result
     refined = conditional_expectation(base, H, P, tolerance).result
-    for i in range(X.space.size):
-        if P.weights[i] == 0:
-            continue
-        if not numbers_equal(via_fine.values[i], base.values[i], tolerance):
-            return False
-        if not numbers_equal(refined.values[i], base.values[i], tolerance):
-            return False
-    return True
+    # All three are constant on H-atoms, so one member of each H-atom of
+    # positive mass stands for every outcome of positive weight in it.
+    null = {atom.members[0] for atom in fine.null_atoms}
+    return all(
+        numbers_equal(via_fine.values[i], base.values[i], tolerance)
+        and numbers_equal(refined.values[i], base.values[i], tolerance)
+        for i in H.least_members
+        if i not in null
+    )

@@ -13,11 +13,11 @@ the L2 Gram matrix of a float process, the exact side of
 cross-validation), :func:`atom_sums` per atom of a partition (conditional
 expectation, the one-step drift table of a float process) and
 :func:`raw_atom_sums`, the per-atom loop itself, which :func:`atom_sums`
-divides and which the exact checks read undivided (the drift table that
-classification and the transform identity read, the tail-bound
-hypothesis).  The exact L2 Gram matrix is a sum of integer products over
-the process's scaled stage values.  :func:`integrate_simple` stays a
-separate route.
+divides and which the tail-bound hypothesis reads undivided.  Two exact
+checks sum the process's scaled stage values in integers without these
+kernels: the drift table of an exact process, which sums atoms rather
+than outcomes (see ``mglab.processes``), and the L2 Gram matrix.
+:func:`integrate_simple` stays a separate route.
 
 The kernels sum fraction-free, in the sense of Bareiss (Math. Comp. 1968):
 the measure holds its weights as integers over their common denominator
@@ -37,7 +37,14 @@ from functools import cached_property
 from operator import mul
 from typing import Sequence
 
-from .measure import EventSet, ProbabilityMeasure, SampleSpace, SigmaAlgebra, measure_of
+from .measure import (
+    EventSet,
+    ProbabilityMeasure,
+    SampleSpace,
+    SigmaAlgebra,
+    _trusted,
+    measure_of,
+)
 from .numeric import Number, all_exact, as_number
 
 
@@ -60,15 +67,13 @@ class RandomVariable:
     values: tuple[Number, ...]
 
     def __post_init__(self):
+        # as_number refuses non-finite floats, so every stored value is finite.
         values = tuple(as_number(v) for v in self.values)
         object.__setattr__(self, "values", values)
         if len(values) != self.space.size:
             raise ValueError(
                 f"got {len(values)} values for a space of {self.space.size} outcomes"
             )
-        for i, v in enumerate(values):
-            if isinstance(v, float) and not math.isfinite(v):
-                raise ValueError(f"value at outcome {i} is not finite: {v!r}")
 
     @cached_property
     def exact(self) -> bool:
@@ -98,8 +103,7 @@ class RandomVariable:
 
 
 def constant_variable(space: SampleSpace, value) -> RandomVariable:
-    value = as_number(value)
-    return RandomVariable(space, tuple(value for _ in range(space.size)))
+    return _trusted(RandomVariable, space=space, values=(as_number(value),) * space.size)
 
 
 @dataclass(frozen=True)
@@ -260,7 +264,7 @@ def raw_atom_sums(
     outcome order.  On an integer stream over ``L`` with
     ``weights = P.int_weights`` every entry is a Python int: ``masses[k]``
     is ``D`` times the atom's mass and ``totals[k]`` is ``D * L`` times its
-    total, so a drift sign is the sign of an int and no Fraction is built.
+    total, so a sign or a comparison is one on ints and no Fraction is built.
     """
     masses: list = [0] * sigma.atom_count
     totals: list = [0] * sigma.atom_count

@@ -25,6 +25,18 @@ from .numeric import as_exact
 DEFAULT_ENUMERATION_LIMIT = 2 ** 20
 
 
+def _trusted(cls, **fields):
+    """An instance of the frozen dataclass ``cls`` with ``fields`` set as given.
+
+    ``__post_init__`` does not run, so nothing is checked or normalized:
+    call it only where every check of the public constructor already holds
+    by construction.  Cached properties may be passed as fields too.
+    """
+    obj = object.__new__(cls)
+    vars(obj).update(fields)
+    return obj
+
+
 class SizeLimitError(ValueError):
     """Raised when an exact enumeration would exceed the configured limit.
 
@@ -190,7 +202,17 @@ class SigmaAlgebra:
         groups: list[list[int]] = [[] for _ in range(self.atom_count)]
         for i, lab in enumerate(self.labels):
             groups[lab].append(i)
-        return tuple(EventSet(tuple(g)) for g in groups)
+        # Each group is ascending, distinct and in range: a valid EventSet.
+        return tuple(_trusted(EventSet, members=tuple(g)) for g in groups)
+
+    @cached_property
+    def least_members(self) -> tuple[int, ...]:
+        """The least outcome of each atom, by label."""
+        firsts: list[int] = []
+        for i, lab in enumerate(self.labels):
+            if lab == len(firsts):
+                firsts.append(i)
+        return tuple(firsts)
 
     def atom_containing(self, outcome: int) -> EventSet:
         if not 0 <= outcome < self.space.size:

@@ -450,7 +450,8 @@ class CrossValidationReport:
 def exact_functional_value(model, functional: Functional) -> Number:
     """Evaluate E[functional] by full enumeration on the exact engine."""
     P, process = model.exact()
-    values = [Fraction(functional.apply_to_path(process.path(i))) for i in range(P.space.size)]
+    paths = zip(*(rv.values for rv in process.values))
+    values = [Fraction(functional.apply_to_path(path)) for path in paths]
     return as_number(weighted_sum(values, P))
 
 

@@ -17,8 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import product
-from operator import mul, sub
+from itertools import chain, product, repeat
+from operator import add, mul, sub
 from typing import Sequence
 
 from .integration import (
@@ -36,6 +36,7 @@ from .measure import (
     SampleSpace,
     SigmaAlgebra,
     SizeLimitError,
+    _trusted,
 )
 from .numeric import (
     DEFAULT_TOLERANCE,
@@ -350,30 +351,54 @@ def make_coin_walk(
     space = SampleSpace(labels)
 
     # Outcome index i encodes the flips in binary, most significant bit
-    # first, with 0 = heads; its weight is p^heads * q^tails.
-    p_pow = [Fraction(1)] * (N + 1)
-    q_pow = [Fraction(1)] * (N + 1)
-    for k in range(1, N + 1):
-        p_pow[k] = p_pow[k - 1] * p
-        q_pow[k] = q_pow[k - 1] * q
-    weights = tuple(p_pow[N - i.bit_count()] * q_pow[i.bit_count()] for i in range(size))
-    measure = ProbabilityMeasure(space, weights)
+    # first, with 0 = heads; its weight is p^heads * q^tails.  For p = a/b
+    # in lowest terms that is a^heads (b-a)^tails / b^N, whose lowest-terms
+    # denominator is b^N (or 1 when b = 1), and those integers sum to b^N by
+    # the binomial theorem: the measure's checks hold and its D is b^N.
+    a, b = p.numerator, p.denominator
+    tails = [i.bit_count() for i in range(size)]
+    weight_by_tails = [p ** (N - t) * q ** t for t in range(N + 1)]
+    int_by_tails = [a ** (N - t) * (b - a) ** t for t in range(N + 1)]
+    measure = _trusted(
+        ProbabilityMeasure,
+        space=space,
+        weights=tuple(map(weight_by_tails.__getitem__, tails)),
+        denominator=b ** N,
+        int_weights=tuple(map(int_by_tails.__getitem__, tails)),
+    )
 
     # Stage n's atoms are the prefix classes: outcomes agreeing on their
-    # first n flips, i.e. on the top n bits of the index.
+    # first n flips, i.e. on the top n bits of the index.  Atom k is the
+    # block of 2^(N-n) outcomes from k * 2^(N-n), so the labels are already
+    # numbered by least member (one int object per block), each stage
+    # refines the one before, and X_n is an int function of the first n
+    # flips: the stages, the filtration and the process skip the checks.
     stages = tuple(
-        SigmaAlgebra(space, tuple(i >> (N - n) for i in range(size))) for n in range(N + 1)
+        _trusted(
+            SigmaAlgebra,
+            space=space,
+            labels=tuple(chain.from_iterable(repeat(k, 1 << (N - n)) for k in range(1 << n))),
+            atom_count=1 << n,
+            least_members=tuple(range(0, size, 1 << (N - n))),
+        )
+        for n in range(N + 1)
     )
-    filtration = Filtration(space, stages)
+    filtration = _trusted(Filtration, space=space, stages=stages)
 
-    values = [constant_variable(space, 0)]
-    prev = values[0].values
+    prev = (0,) * size
+    values = [_trusted(RandomVariable, space=space, values=prev, exact=True)]
     for n in range(1, N + 1):
-        shift = N - n
-        cur = tuple(prev[i] + (1 if ((i >> shift) & 1) == 0 else -1) for i in range(size))
-        values.append(RandomVariable(space, cur))
-        prev = cur
-    walk = AdaptedProcess(filtration, tuple(values))
+        # Flip n is bit N - n of the index: blocks of +1 (heads) then -1.
+        block = 1 << (N - n)
+        step = ((1,) * block + (-1,) * block) * (1 << (n - 1))
+        prev = tuple(map(add, prev, step))
+        values.append(_trusted(RandomVariable, space=space, values=prev, exact=True))
+    walk = _trusted(
+        AdaptedProcess,
+        filtration=filtration,
+        values=tuple(values),
+        scaled=(tuple(rv.values for rv in values), 1),
+    )
     return space, measure, filtration, walk
 
 
@@ -389,9 +414,9 @@ def classify(
     For each step n the drift on every positive-probability atom of stage n
     is the conditional mean of X_{n+1} - X_n there: its weighted sum over the
     atom's mass.  On an exact process the increments are summed as integers
-    over :attr:`AdaptedProcess.scaled` by
-    :func:`~mglab.integration.raw_atom_sums`, and a drift sign is the sign
-    of that integer sum; no Fraction is built.  A float process is summed by
+    over :attr:`AdaptedProcess.scaled`, atom by atom up the filtration (see
+    :func:`_drift_table`), and a drift sign is the sign of that integer sum;
+    no Fraction is built.  A float process is summed by
     :func:`~mglab.integration.atom_sums` and its mean compared with
     ``tolerance``, which applies only once floats are involved.  The
     strongest accurate label wins: all drifts zero gives ``martingale``,
@@ -407,24 +432,53 @@ def _drift_table(
 ) -> list[tuple[SigmaAlgebra, list, list]]:
     """Per step n: stage n, its atom masses, and the atom totals of X_{n+1} - X_n.
 
-    On an exact process the masses and totals are the ints of
-    :func:`~mglab.integration.raw_atom_sums`, over ``D`` and ``D * L`` for
-    ``(_, L) = X.scaled``; on a float process they are those of
-    :func:`~mglab.integration.atom_sums`.
+    On an exact process the masses and totals are ints over ``D`` and
+    ``D * L`` for ``(_, L) = X.scaled``, summed over atoms, not outcomes.
+    By the tower rule the total of X_{n+1} over a stage-n atom A is the
+    sum of x_{n+1}(B) m(B) over the stage-(n+1) atoms B inside A, so
+
+        totals[n][A] = sum over B in A of x_{n+1}(B) m(B)  -  x_n(A) m(A),
+
+    with each x read at its atom's least member (the process is adapted)
+    and each mass m(A) the sum of its children's.  Only the last stage's
+    masses are summed over outcomes: the work is one pass over the
+    outcomes plus one per atom of every stage, not one per outcome per
+    step.  Integer addition is exact in any order, so these are the ints
+    that :func:`~mglab.integration.raw_atom_sums` of the scaled increments
+    would give.  On a float process the masses and totals are those of
+    :func:`~mglab.integration.atom_sums`, summed in outcome order.
     """
     if P.space != X.space:
         raise ValueError("process and measure live on different sample spaces")
+    stages = X.filtration.stages
     scaled = X.scaled
+    if scaled is None:
+        return [
+            (stage, *atom_sums([a - b for a, b in zip(after.values, before.values)], stage, P))
+            for stage, before, after in zip(stages, X.values, X.values[1:])
+        ]
+    nums = scaled[0]
+    # Stage-N atom masses in one pass over the outcomes; every earlier
+    # stage's masses are sums over its child atoms, the atoms of the next
+    # stage, each of which lies in the stage atom of its least member.
+    masses = [0] * stages[-1].atom_count
+    for lab, w in zip(stages[-1].labels, P.int_weights):
+        masses[lab] += w
     table = []
-    for n in range(X.horizon):
-        stage = X.filtration.stages[n]
-        if scaled is None:
-            steps = [a - b for a, b in zip(X.values[n + 1].values, X.values[n].values)]
-            table.append((stage, *atom_sums(steps, stage, P)))
-        else:
-            nums = scaled[0]
-            steps = list(map(sub, nums[n + 1], nums[n]))
-            table.append((stage, *raw_atom_sums(steps, stage, P.int_weights)))
+    for n in range(X.horizon - 1, -1, -1):
+        stage, child_masses = stages[n], masses
+        labels, after = stage.labels, nums[n + 1]
+        masses = [0] * stage.atom_count
+        totals = [0] * stage.atom_count
+        for i, m in zip(stages[n + 1].least_members, child_masses):
+            if m:
+                masses[labels[i]] += m
+                totals[labels[i]] += after[i] * m
+        before = nums[n]
+        for k, i in enumerate(stage.least_members):
+            totals[k] -= before[i] * masses[k]
+        table.append((stage, masses, totals))
+    table.reverse()
     return table
 
 
@@ -474,16 +528,18 @@ def transform(C: PredictableSequence, X: AdaptedProcess) -> AdaptedProcess:
     space = X.space
     values = [constant_variable(space, 0)]
     prev = values[0].values
-    for k in range(1, X.horizon + 1):
-        stake = C.values[k - 1].values
-        now = X.values[k].values
-        before = X.values[k - 1].values
-        cur = tuple(
-            prev[i] + stake[i] * (now[i] - before[i]) for i in range(space.size)
-        )
-        values.append(RandomVariable(space, cur))
+    for stake, before, now in zip(C.values, X.values, X.values[1:]):
+        cur = tuple(map(add, prev, map(mul, stake.values, map(sub, now.values, before.values))))
+        # A stage of ints is already normalized.  Any other stage goes
+        # through the public checks, which turn a whole Fraction into an
+        # int and refuse a float that overflowed.
+        if set(map(type, cur)) == {int}:
+            values.append(_trusted(RandomVariable, space=space, values=cur, exact=True))
+        else:
+            values.append(RandomVariable(space, cur))
         prev = cur
-    return AdaptedProcess(X.filtration, tuple(values))
+    # Adapted by construction: C_k is stage k-1 and X_k stage k measurable.
+    return _trusted(AdaptedProcess, filtration=X.filtration, values=tuple(values))
 
 
 @dataclass(frozen=True)
@@ -616,11 +672,7 @@ def _atom_values(values: Sequence[Number], sigma: SigmaAlgebra) -> list[Number]:
     Read at each atom's least member; measurability (checked with ``!=`` when
     the process or stakes were built) makes any member give the same value.
     """
-    firsts: list[Number] = []
-    for lab, v in zip(sigma.labels, values):
-        if lab == len(firsts):
-            firsts.append(v)
-    return firsts
+    return [values[i] for i in sigma.least_members]
 
 
 # ---------------------------------------------------------------------------
@@ -636,14 +688,16 @@ def stopped_process(X: AdaptedProcess, tau: StoppingTime) -> AdaptedProcess:
     """
     if tau.filtration != X.filtration:
         raise ValueError("stopping time and process must share one filtration")
-    N = X.horizon
-    size = X.space.size
-    caps = tuple(N if t is None else t for t in tau.times)
-    values = []
-    for n in range(N + 1):
-        stage_values = tuple(X.values[min(caps[i], n)].values[i] for i in range(size))
-        values.append(RandomVariable(X.space, stage_values))
-    return AdaptedProcess(X.filtration, tuple(values))
+    caps = [X.horizon if t is None else t for t in tau.times]
+    # Stage n takes X_n where tau >= n and keeps stage n-1 elsewhere.  Every
+    # value is one of X's own, and the stage is adapted because each
+    # {tau = k} is a stage-k event, so no check would refuse it.
+    values = [X.values[0]]
+    prev = X.values[0].values
+    for n, rv in enumerate(X.values[1:], 1):
+        prev = tuple(x if cap >= n else p for x, p, cap in zip(rv.values, prev, caps))
+        values.append(_trusted(RandomVariable, space=X.space, values=prev))
+    return _trusted(AdaptedProcess, filtration=X.filtration, values=tuple(values))
 
 
 @dataclass(frozen=True)
@@ -707,14 +761,11 @@ def optional_stopping_report(
     tau_max = max(tau.times) if tau_bounded else None
     tau_finite = never_mass == 0
 
-    all_values = [v for rv in X.values for v in rv.values]
-    process_bound = max(abs(v) for v in all_values)
-    increment_bound = 0
-    for n in range(1, X.horizon + 1):
-        for a, b in zip(X.values[n].values, X.values[n - 1].values):
-            d = abs(a - b)
-            if d > increment_bound:
-                increment_bound = d
+    # max keeps the first of equal maxima, and the leading int 0 stands
+    # for all-zero increments (float zeros included).
+    process_bound = max(map(abs, chain.from_iterable(rv.values for rv in X.values)))
+    steps = (map(sub, after.values, before.values) for before, after in zip(X.values, X.values[1:]))
+    increment_bound = max(chain((0,), map(abs, chain.from_iterable(steps))))
 
     notes = [
         "hypothesis (ii) is applied as: process uniformly bounded and the stopping rule "
@@ -997,7 +1048,7 @@ def upcrossing_inequality_check(
     hypothesis_ok = label in SUPERMARTINGALE_FAMILY
 
     expected_up = weighted_sum(
-        [count_upcrossings(X.path(i), a, b) for i in range(X.space.size)], P
+        [count_upcrossings(path, a, b) for path in zip(*(rv.values for rv in X.values))], P
     )
     # A gap that is not positive contributes an int 0, so a float tie at a
     # does not turn an all-zero negative part into 0.0.
@@ -1209,7 +1260,7 @@ def truncated_convergence_diagnostic(
     )
     sup_abs = max(mean_abs)
 
-    paths = [X.path(i) for i in range(X.space.size)]
+    paths = list(zip(*(rv.values for rv in X.values)))
     entries: list[ConvergenceEntry] = []
     for pair in grid:
         a, b = pair

@@ -448,3 +448,62 @@ def reference_tail_hypothesis(
         if failed and witness is None:
             witness = (n, stage.atoms[failed[0]])
     return tuple(by_step), witness
+
+
+def reference_coin_walk(N: int, p_heads):
+    """``make_coin_walk`` built term by term through the public constructors."""
+    p = Fraction(p_heads)
+    q = 1 - p
+    size = 1 << N
+    labels = ["".join("HT"[(i >> (N - 1 - k)) & 1] for k in range(N)) for i in range(size)]
+    space = SampleSpace(labels)
+    weights = [p ** (N - i.bit_count()) * q ** i.bit_count() for i in range(size)]
+    measure = ProbabilityMeasure(space, weights)
+    stages = [SigmaAlgebra(space, [i >> (N - n) for i in range(size)]) for n in range(N + 1)]
+    filtration = Filtration(space, stages)
+    values = [RandomVariable(space, [0] * size)]
+    for n in range(1, N + 1):
+        flips = [1 if (i >> (N - n)) & 1 == 0 else -1 for i in range(size)]
+        values.append(RandomVariable(space, [x + d for x, d in zip(values[-1].values, flips)]))
+    return space, measure, filtration, AdaptedProcess(filtration, values)
+
+
+def reference_transform(C: PredictableSequence, X: AdaptedProcess) -> AdaptedProcess:
+    """C·X summed outcome by outcome, every stage through the public constructors."""
+    size = X.space.size
+    values = [RandomVariable(X.space, [0] * size)]
+    running = [0] * size
+    for k in range(1, X.horizon + 1):
+        stake, now, before = C.values[k - 1].values, X.values[k].values, X.values[k - 1].values
+        running = [running[i] + stake[i] * (now[i] - before[i]) for i in range(size)]
+        values.append(RandomVariable(X.space, running))
+    return AdaptedProcess(X.filtration, values)
+
+
+def reference_stopped_process(X: AdaptedProcess, tau: StoppingTime) -> AdaptedProcess:
+    """X_{min(tau, n)} read outcome by outcome, through the public constructors."""
+    caps = [X.horizon if t is None else t for t in tau.times]
+    return AdaptedProcess(X.filtration, [
+        RandomVariable(X.space, [X.values[min(c, n)].values[i] for i, c in enumerate(caps)])
+        for n in range(X.horizon + 1)
+    ])
+
+
+def reference_drift_table(X: AdaptedProcess, P: ProbabilityMeasure) -> list:
+    """The exact drift table summed over outcomes, as it was before the atom sums.
+
+    Per step n: stage n and the int ``(masses, totals)`` of the scaled
+    increment over ``P.int_weights``, from int 0 in outcome order.
+    """
+    nums, _ = X.scaled
+    table = []
+    for n in range(X.horizon):
+        stage = X.filtration.stages[n]
+        masses = [0] * stage.atom_count
+        totals = [0] * stage.atom_count
+        for lab, a, b, w in zip(stage.labels, nums[n + 1], nums[n], P.int_weights):
+            if w:
+                masses[lab] += w
+                totals[lab] += (a - b) * w
+        table.append((stage, masses, totals))
+    return table

@@ -1,0 +1,81 @@
+"""Each public constructor refuses bad input with one exact message.
+
+Code that derives objects from checked ones may skip these checks; the
+public constructors, and the JSON readers built on them, keep every one.
+"""
+from fractions import Fraction
+
+import pytest
+
+from mglab import (
+    AdaptedProcess,
+    Filtration,
+    RandomVariable,
+    SampleSpace,
+    SigmaAlgebra,
+    discrete_sigma_algebra,
+    trivial_sigma_algebra,
+)
+
+S2 = SampleSpace(["a", "b"])
+S3 = SampleSpace(["x", "y", "z"])
+OTHER3 = SampleSpace(["u", "v", "w"])
+F3 = Filtration(S3, [trivial_sigma_algebra(S3), SigmaAlgebra(S3, [0, 0, 1])])
+
+
+def _rv(values, space=S3):
+    return RandomVariable(space, values)
+
+
+CASES = {
+    "variable length": (
+        lambda: _rv([1, 2], S3), ValueError, "got 2 values for a space of 3 outcomes"),
+    "variable bool": (
+        lambda: _rv([True, 0], S2), TypeError, "booleans are not valid numeric values"),
+    "variable inf": (
+        lambda: _rv([0, float("inf")], S2), ValueError, "numeric values must be finite, got inf"),
+    "variable nan": (
+        lambda: _rv([float("nan"), 0], S2), ValueError, "numeric values must be finite, got nan"),
+    "variable type": (
+        lambda: _rv([None, 0], S2), TypeError,
+        "expected int, Fraction, float, or numeric string, got NoneType"),
+    "variable string": (
+        lambda: _rv(["1/x", 0], S2), ValueError, "cannot parse '1/x' as a number"),
+    "sigma length": (
+        lambda: SigmaAlgebra(S3, [0, 1]), ValueError,
+        "got 2 atom labels for a space of 3 outcomes"),
+    "sigma negative label": (
+        lambda: SigmaAlgebra(S3, [0, -1, 0]), ValueError,
+        "atom labels must be non-negative integers"),
+    "sigma bool label": (
+        lambda: SigmaAlgebra(S2, [0, True]), ValueError,
+        "atom labels must be non-negative integers"),
+    "filtration empty": (
+        lambda: Filtration(S3, []), ValueError, "a filtration needs at least one stage"),
+    "filtration foreign space": (
+        lambda: Filtration(S3, [trivial_sigma_algebra(S3), discrete_sigma_algebra(OTHER3)]),
+        ValueError, "stage 1 lives on a different sample space"),
+    "filtration not refining": (
+        lambda: Filtration(S3, [discrete_sigma_algebra(S3), SigmaAlgebra(S3, [0, 1, 1])]),
+        ValueError, "stage 1 does not refine stage 0: atom [1, 2] straddles two earlier atoms"),
+    "process count": (
+        lambda: AdaptedProcess(F3, [_rv([0, 0, 0])]), ValueError,
+        "got 1 stage values for a filtration with 2 stages"),
+    "process foreign space": (
+        lambda: AdaptedProcess(F3, [_rv([0, 0, 0]), _rv([1, 1, 2], OTHER3)]), ValueError,
+        "X_1 lives on a different sample space"),
+    "process not adapted": (
+        lambda: AdaptedProcess(F3, [_rv([0, 0, 0]), _rv([1, Fraction(1, 2), 2])]), ValueError,
+        "not adapted: X_1 is not measurable at stage 1; it splits atom [0, 1]"),
+    "process not adapted at stage 0": (
+        lambda: AdaptedProcess(F3, [_rv([0, 0, 1]), _rv([1, 1, 2])]), ValueError,
+        "not adapted: X_0 is not measurable at stage 0; it splits atom [0, 1, 2]"),
+}
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_constructor_refuses_with_its_message(case):
+    build, error, message = CASES[case]
+    with pytest.raises(error) as err:
+        build()
+    assert str(err.value) == message

@@ -11,6 +11,11 @@ matrix and the tail-bound hypothesis).  So the classification, the step
 identity, the L2 figures and the tail-bound hypothesis and figures are also
 held against the reference functions in ``tests/support.py``, which keep
 the Fraction loops those checks ran before.
+
+The processes that the package derives without running the public
+constructors' checks (the coin walk, transforms, stopped processes) are
+held against rebuilds through those constructors, value types included,
+and the atom-level drift table against the outcome-level one.
 """
 import importlib
 import random
@@ -37,7 +42,9 @@ from mglab import (
     verify_kolmogorov,
     verify_transform_preservation,
 )
-from mglab import integration
+from mglab import integration, make_coin_walk, stopped_process
+from mglab.integration import clear_denominators
+from mglab.processes import _drift_table
 from support import (
     rand_filtration,
     rand_fraction,
@@ -50,10 +57,14 @@ from support import (
     rand_variable,
     reference_atom_sums,
     reference_classify,
+    reference_coin_walk,
+    reference_drift_table,
     reference_pythagoras,
     reference_step_identity_holds,
+    reference_stopped_process,
     reference_tail_figures,
     reference_tail_hypothesis,
+    reference_transform,
     reference_weighted_sum,
 )
 
@@ -170,3 +181,96 @@ def test_drift_table_and_tail_sums_match_the_reference_loops(pyr):
     assert repr((report.hypothesis_by_step, report.hypothesis_witness)) == repr(
         reference_tail_hypothesis(tau, P, window, eps)
     )
+
+
+def _trusted_parts(X: AdaptedProcess) -> tuple:
+    """The cached fields a trusted build may fill, next to the values they derive from."""
+    return (
+        [(s.atom_count, s.least_members) for s in X.filtration.stages],
+        [rv.exact for rv in X.values],
+        X.scaled,
+    )
+
+
+def _recomputed_parts(X: AdaptedProcess) -> tuple:
+    stages = X.filtration.stages
+    return (
+        [(len(set(s.labels)), tuple(s.labels.index(k) for k in range(len(set(s.labels)))))
+         for s in stages],
+        [all(not isinstance(v, float) for v in rv.values) for rv in X.values],
+        clear_denominators(*(rv.values for rv in X.values)),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_derived_processes_match_a_rebuild_through_the_public_constructors(pyr):
+    rng = random.Random(pyr.randint(0, 10**9))
+    args = {check: rest for check, *rest in _model(rng)}
+    C, X, _, _ = args[verify_transform_preservation]
+    X, tau, _ = args[optional_stopping_report]
+    pairs = [
+        (transform, reference_transform, C, X),
+        (stopped_process, reference_stopped_process, X, tau),
+    ]
+    for derive, rebuild, *inputs in pairs:
+        assert _outcome(derive, *inputs) == _outcome(rebuild, *inputs)
+        try:
+            derived = derive(*inputs)
+        except ValueError:
+            continue
+        assert _trusted_parts(derived) == _recomputed_parts(derived)
+
+
+@pytest.mark.parametrize("N", range(1, 9))
+@pytest.mark.parametrize("p", [0, 1, Fraction(1, 2), Fraction(1, 3), Fraction(2, 7), "3/4", 0.25])
+def test_coin_walk_matches_a_rebuild_through_the_public_constructors(N, p):
+    built = make_coin_walk(N, p)
+    rebuilt = reference_coin_walk(N, Fraction(p))
+    assert repr(built) == repr(rebuilt)
+    P, Q = built[1], rebuilt[1]
+    assert (P.denominator, P.int_weights) == (Q.denominator, Q.int_weights)
+    assert _trusted_parts(built[3]) == _recomputed_parts(built[3])
+
+
+def test_transform_overflow_is_refused_by_the_public_check():
+    space, _, F, X = make_coin_walk(2, Fraction(1, 2))
+    C = PredictableSequence(F, [RandomVariable(space, [1e308] * space.size)] * 2)
+    with pytest.raises(ValueError) as err:
+        transform(C, X)
+    assert str(err.value) == "numeric values must be finite, got inf"
+
+
+def test_transform_normalizes_whole_fractions_to_ints():
+    space, _, F, X = make_coin_walk(4, Fraction(1, 3))
+    half = RandomVariable(space, [Fraction(1, 2)] * space.size)
+    C = PredictableSequence(F, [half] * X.horizon)
+    doubled = AdaptedProcess(F, [rv.scale(2) for rv in X.values])
+    Y = transform(C, doubled)
+    assert repr(Y) == repr(X)
+    assert {type(v) for rv in Y.values for v in rv.values} == {int}
+    halved = transform(C, X)
+    for rv in halved.values:
+        for v in rv.values:
+            assert type(v) is int if v == int(v) else type(v) is Fraction
+
+
+def test_atom_level_drift_table_matches_the_outcome_loop():
+    """Coarse last stages and null atoms included; the float table is unchanged."""
+    rng = random.Random(8)
+    coarse_last = null_atoms = 0
+    for _ in range(300):
+        space = rand_space(rng, max_size=8)
+        P = rand_measure(rng, space)
+        F = rand_filtration(rng, space, rng.randint(1, 4))
+        X = rng.choice((rand_martingale, rand_supermartingale))(rng, F, P)
+        C = rand_predictable(rng, F, nonnegative=rng.random() < 0.5)
+        assert _drift_table(X, P) == reference_drift_table(X, P)
+        assert repr(classify(X, P)) == repr(reference_classify(X, P))
+        report = verify_transform_preservation(C, X, P, 3)
+        assert report.step_identity_ok == reference_step_identity_holds(C, X, transform(C, X), P)
+        floats = _floats(X)
+        assert repr(classify(floats, P)) == repr(reference_classify(floats, P))
+        coarse_last += F.stages[-1].atom_count < space.size
+        null_atoms += any(not m for _, masses, _ in _drift_table(X, P) for m in masses)
+    assert coarse_last > 20 and null_atoms > 20

@@ -286,20 +286,29 @@ def test_scaled_stage_values():
 
 
 def test_transform_sums_each_increment_once(monkeypatch):
-    """One raw_atom_sums pass per step for X and one for C·X: labels and identity share them."""
+    """One drift table for X and one for C·X: labels and identity share them.
+
+    The exact table sums atoms, not outcomes, so no per-outcome
+    raw_atom_sums pass runs at all.
+    """
     _, P, F, X = make_coin_walk(4, Fraction(1, 3))
     C = PredictableSequence(F, [RandomVariable(X.space, [1] * X.space.size)] * X.horizon)
     calls = []
-    kernel = mglab.processes.raw_atom_sums
 
-    def counting(*args):
-        calls.append(args)
-        return kernel(*args)
+    def counting(name):
+        kernel = getattr(mglab.processes, name)
 
-    monkeypatch.setattr(mglab.processes, "raw_atom_sums", counting)
+        def count(*args):
+            calls.append(name)
+            return kernel(*args)
+
+        monkeypatch.setattr(mglab.processes, name, count)
+
+    counting("_drift_table")
+    counting("raw_atom_sums")
     rep = verify_transform_preservation(C, X, P, bound=1)
     assert rep.step_identity_ok and bool(rep)
-    assert len(calls) == 2 * X.horizon
+    assert calls == ["_drift_table", "_drift_table"]
 
 
 def test_transform_randomized_preservation():
