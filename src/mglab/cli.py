@@ -429,12 +429,10 @@ def cmd_walk_spec(args) -> int:
     }
     if args.stop_hit is not None:
         level = args.stop_hit
-        times = []
-        for i in range(space.size):
-            path = walk.path(i)
-            hit = next((n for n, v in enumerate(path) if v == level), None)
-            times.append(hit)
-        spec["stopping_time"] = times
+        paths = zip(*(rv.values for rv in walk.values))
+        spec["stopping_time"] = [
+            next((n for n, v in enumerate(path) if v == level), None) for path in paths
+        ]
     if args.interval is not None:
         a = parse_number(args.interval[0])
         b = parse_number(args.interval[1])

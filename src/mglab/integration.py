@@ -37,14 +37,7 @@ from functools import cached_property
 from operator import mul
 from typing import Sequence
 
-from .measure import (
-    EventSet,
-    ProbabilityMeasure,
-    SampleSpace,
-    SigmaAlgebra,
-    _trusted,
-    measure_of,
-)
+from .measure import EventSet, ProbabilityMeasure, SampleSpace, SigmaAlgebra, _trusted, measure_of
 from .numeric import Number, all_exact, as_number
 
 

@@ -33,7 +33,8 @@ def _trusted(cls, **fields):
     by construction.  Cached properties may be passed as fields too.
     """
     obj = object.__new__(cls)
-    vars(obj).update(fields)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
     return obj
 
 

@@ -393,12 +393,8 @@ def make_coin_walk(
         step = ((1,) * block + (-1,) * block) * (1 << (n - 1))
         prev = tuple(map(add, prev, step))
         values.append(_trusted(RandomVariable, space=space, values=prev, exact=True))
-    walk = _trusted(
-        AdaptedProcess,
-        filtration=filtration,
-        values=tuple(values),
-        scaled=(tuple(rv.values for rv in values), 1),
-    )
+    nums = tuple(rv.values for rv in values)
+    walk = _trusted(AdaptedProcess, filtration=filtration, values=tuple(values), scaled=(nums, 1))
     return space, measure, filtration, walk
 
 
@@ -433,20 +429,15 @@ def _drift_table(
     """Per step n: stage n, its atom masses, and the atom totals of X_{n+1} - X_n.
 
     On an exact process the masses and totals are ints over ``D`` and
-    ``D * L`` for ``(_, L) = X.scaled``, summed over atoms, not outcomes.
-    By the tower rule the total of X_{n+1} over a stage-n atom A is the
-    sum of x_{n+1}(B) m(B) over the stage-(n+1) atoms B inside A, so
-
-        totals[n][A] = sum over B in A of x_{n+1}(B) m(B)  -  x_n(A) m(A),
-
-    with each x read at its atom's least member (the process is adapted)
-    and each mass m(A) the sum of its children's.  Only the last stage's
-    masses are summed over outcomes: the work is one pass over the
-    outcomes plus one per atom of every stage, not one per outcome per
-    step.  Integer addition is exact in any order, so these are the ints
-    that :func:`~mglab.integration.raw_atom_sums` of the scaled increments
-    would give.  On a float process the masses and totals are those of
-    :func:`~mglab.integration.atom_sums`, summed in outcome order.
+    ``D * L`` for ``(_, L) = X.scaled``, summed over atoms: the total on a
+    stage-n atom A is the sum of x_{n+1}(B) m(B) over the stage-(n+1) atoms
+    B inside A, minus x_n(A) m(A), each x read at its atom's least member
+    (X is adapted) and each m(A) the sum of its children's.  Only the last
+    stage's masses are summed over outcomes, so the work is one pass over
+    the outcomes plus one per atom.  Integer addition is exact in any
+    order: these are the ints of :func:`~mglab.integration.raw_atom_sums`
+    over the scaled increments.  On a float process the masses and totals
+    are those of :func:`~mglab.integration.atom_sums`, in outcome order.
     """
     if P.space != X.space:
         raise ValueError("process and measure live on different sample spaces")
@@ -458,9 +449,6 @@ def _drift_table(
             for stage, before, after in zip(stages, X.values, X.values[1:])
         ]
     nums = scaled[0]
-    # Stage-N atom masses in one pass over the outcomes; every earlier
-    # stage's masses are sums over its child atoms, the atoms of the next
-    # stage, each of which lies in the stage atom of its least member.
     masses = [0] * stages[-1].atom_count
     for lab, w in zip(stages[-1].labels, P.int_weights):
         masses[lab] += w
@@ -641,10 +629,11 @@ def verify_transform_preservation(
             return numbers_equal(y, c * Fraction(x, P.denominator * xs[1]), tolerance)
         return y * xs[1] * c.denominator == c.numerator * x * ys[1]
 
+    # The stake on an atom is its value at the atom's least member.
     identity_ok = all(
-        not mass or holds_on_atom(x, y, stake)
+        not mass or holds_on_atom(x, y, rv.values[i])
         for (stage, masses, dx), (_, _, dy), rv in zip(x_table, y_table, C.values)
-        for mass, x, y, stake in zip(masses, dx, dy, _atom_values(rv.values, stage))
+        for mass, x, y, i in zip(masses, dx, dy, stage.least_members)
     )
 
     if hypothesis_failure is not None:
@@ -664,15 +653,6 @@ def verify_transform_preservation(
         step_identity_ok=identity_ok,
         holds=holds,
     )
-
-
-def _atom_values(values: Sequence[Number], sigma: SigmaAlgebra) -> list[Number]:
-    """The value of a ``sigma``-measurable sequence on each atom, by label.
-
-    Read at each atom's least member; measurability (checked with ``!=`` when
-    the process or stakes were built) makes any member give the same value.
-    """
-    return [values[i] for i in sigma.least_members]
 
 
 # ---------------------------------------------------------------------------

@@ -208,7 +208,7 @@ def test_derived_processes_match_a_rebuild_through_the_public_constructors(pyr):
     rng = random.Random(pyr.randint(0, 10**9))
     args = {check: rest for check, *rest in _model(rng)}
     C, X, _, _ = args[verify_transform_preservation]
-    X, tau, _ = args[optional_stopping_report]
+    _, tau, _ = args[optional_stopping_report]
     pairs = [
         (transform, reference_transform, C, X),
         (stopped_process, reference_stopped_process, X, tau),

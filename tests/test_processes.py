@@ -416,6 +416,16 @@ def test_optional_stopping_never_on_null_outcomes_is_fine():
     assert rep.holds
 
 
+def test_optional_stopping_bounds_keep_the_first_maximum_and_int_zero():
+    """Of equal maxima the first in outcome order comes back; no increment at all reads int 0."""
+    tau = StoppingTime(TWO_STAGE, [2, 2, 2, 2])
+    mixed = optional_stopping_report(
+        _proc([0, 0, 0, 0], [3, 3, -3.0, -3.0], [0.0, 3.0, -3, -3.0]), tau, UNIFORM)
+    assert repr((mixed.process_bound, mixed.increment_bound)) == "(3, 3)"
+    flat = optional_stopping_report(_proc(*[[0.0] * 4] * 3), tau, UNIFORM)
+    assert repr((flat.process_bound, flat.increment_bound)) == "(0.0, 0)"
+
+
 def test_optional_stopping_randomized_martingales():
     rng = random.Random(233)
     for _ in range(60):
