@@ -249,9 +249,7 @@ def _optional_stopping(spec, P, tol):
     X, tau = _require(spec, "process", "stopping_time")
     rep = proc.optional_stopping_report(X, tau, P, tol)
     if rep.holds is None:
-        reason = "; ".join(
-            n for n in rep.notes if "not asserted" in n or "no claim" in n
-        ) or "no optional-stopping hypothesis applies"
+        reason = "; ".join(n for n in rep.notes if "not asserted" in n or "no claim" in n)
         return rep, reason, False, ""
     defect = (
         "optional stopping failed with hypotheses satisfied "

@@ -120,22 +120,17 @@ class DoublingProfitReport(EstimateReport):
     loss_on_exhaustion: int
 
 
-def _estimate(samples: np.ndarray) -> tuple[float, float]:
+def _report(samples: np.ndarray) -> EstimateReport:
     n = samples.shape[0]
     mean = float(np.mean(samples))
-    if n < 2:
-        return mean, 0.0
-    std = float(np.std(samples, ddof=1))
-    return mean, std / math.sqrt(n)
-
-
-def _report(samples: np.ndarray) -> EstimateReport:
-    mean, se = _estimate(samples)
+    se = 0.0
+    if n > 1:
+        se = float(np.std(samples, ddof=1)) / math.sqrt(n)
     return EstimateReport(
         mean=mean,
         std_error=se,
         ci95=(mean - 1.96 * se, mean + 1.96 * se),
-        n_paths=int(samples.shape[0]),
+        n_paths=n,
     )
 
 
@@ -230,17 +225,11 @@ def simulate_doubling_strategy(
         paths=paths,
     )
 
-    terminal = paths[:, -1].astype(np.float64)
-    mean, se = _estimate(terminal)
-    wins = (paths[:, -1] > 0).astype(np.float64)
-    win_mean, win_se = _estimate(wins)
+    wins = _report((paths[:, -1] > 0).astype(np.float64))
     report = DoublingProfitReport(
-        mean=mean,
-        std_error=se,
-        ci95=(mean - 1.96 * se, mean + 1.96 * se),
-        n_paths=n_paths,
-        win_frequency=win_mean,
-        win_frequency_std_error=win_se,
+        **vars(_report(paths[:, -1].astype(np.float64))),
+        win_frequency=wins.mean,
+        win_frequency_std_error=wins.std_error,
         profit_on_win=1,
         loss_on_exhaustion=2 ** n_levels - 1,
     )
@@ -253,27 +242,34 @@ def simulate_doubling_strategy(
 
 @dataclass(frozen=True)
 class Functional:
-    """A named pathwise map evaluated identically by both engines.
+    """A named pathwise map, described once for both engines.
 
-    Use the factory classmethods.  Stopping rules receive the path prefix
-    (values up to and including the current time) and nothing else, so a
-    rule cannot peek at the future by construction; it must return True to
-    stop.  A rule that never fires is censored at the horizon.
+    ``apply_to_path`` evaluates one trajectory exactly: ints and Fractions
+    in, an exact value out.  ``apply_to_paths`` maps an int64 array
+    of shape (n_paths, horizon + 1) to one float64 sample per row.  The
+    factory classmethods build both from one definition.  ``kind`` names
+    the family, for tracing and as the fallback label.
+
+    Stopping rules receive the path prefix (values up to and including the
+    current time) and nothing else, so a rule cannot peek at the future by
+    construction; it must return True to stop.  A rule that never fires is
+    censored at the horizon.
     """
 
     kind: str
-    a: Number | None = None
-    b: Number | None = None
-    rule: Callable[[tuple], bool] | None = None
-    label: str = ""
+    label: str
+    apply_to_path: Callable[[Sequence], Number]
+    apply_to_paths: Callable[[np.ndarray], np.ndarray]
 
     @classmethod
     def terminal(cls) -> "Functional":
-        return cls(kind="terminal", label="terminal value")
+        return cls("terminal", "terminal value", lambda path: path[-1],
+                   lambda paths: paths[:, -1].astype(np.float64))
 
     @classmethod
     def terminal_square(cls) -> "Functional":
-        return cls(kind="terminal-square", label="terminal square")
+        return cls("terminal-square", "terminal square", lambda path: path[-1] * path[-1],
+                   lambda paths: paths[:, -1].astype(np.float64) ** 2)
 
     @classmethod
     def stopped(cls, rule: Callable[[tuple], bool], label: str = "stopped value") -> "Functional":
@@ -282,7 +278,22 @@ class Functional:
                 "a stopping rule must be a callable taking the path prefix; anything else "
                 "cannot respect the stopping-time definition"
             )
-        return cls(kind="stopped", rule=rule, label=label)
+
+        def on_path(path: Sequence) -> Number:
+            prefix: tuple = ()
+            for v in path:
+                prefix = prefix + (v,)
+                if rule(prefix):
+                    return v
+            return path[-1]
+
+        # The rule is arbitrary prefix-measurable code, so it runs path by
+        # path, on Python ints.
+        def on_paths(paths: np.ndarray) -> np.ndarray:
+            return np.fromiter((float(on_path(tuple(row.tolist()))) for row in paths),
+                               dtype=np.float64, count=paths.shape[0])
+
+        return cls("stopped", label, on_path, on_paths)
 
     @classmethod
     def upcrossings(cls, a, b) -> "Functional":
@@ -290,24 +301,9 @@ class Functional:
         b = as_number(b)
         if not a < b:
             raise ValueError(f"need a < b, got a = {a}, b = {b}")
-        return cls(kind="upcrossings", a=a, b=b, label=f"upcrossings of [{a}, {b}]")
-
-    def apply_to_path(self, path: Sequence) -> Number:
-        """Evaluate on one trajectory, exact-arithmetic friendly."""
-        if self.kind == "terminal":
-            return path[-1]
-        if self.kind == "terminal-square":
-            return path[-1] * path[-1]
-        if self.kind == "upcrossings":
-            return count_upcrossings(path, self.a, self.b)
-        if self.kind == "stopped":
-            prefix: tuple = ()
-            for v in path:
-                prefix = prefix + (v,)
-                if self.rule(prefix):
-                    return v
-            return path[-1]
-        raise ValueError(f"unknown functional kind {self.kind!r}")
+        return cls("upcrossings", f"upcrossings of [{a}, {b}]",
+                   lambda path: count_upcrossings(path, a, b),
+                   lambda paths: _upcrossings_vectorized(paths, a, b).astype(np.float64))
 
 
 def _upcrossings_vectorized(paths: np.ndarray, a, b) -> np.ndarray:
@@ -326,27 +322,8 @@ def _upcrossings_vectorized(paths: np.ndarray, a, b) -> np.ndarray:
 
 
 def estimate_functional(ensemble: PathEnsemble, functional: Functional) -> EstimateReport:
-    """Sample statistics of a pathwise functional over the ensemble.
-
-    Terminal, terminal-square, and upcrossing functionals are evaluated
-    vectorized; stopping rules run path by path since the rule is arbitrary
-    prefix-measurable code.
-    """
-    paths = ensemble.paths
-    if functional.kind == "terminal":
-        samples = paths[:, -1].astype(np.float64)
-    elif functional.kind == "terminal-square":
-        samples = paths[:, -1].astype(np.float64) ** 2
-    elif functional.kind == "upcrossings":
-        samples = _upcrossings_vectorized(paths, functional.a, functional.b).astype(np.float64)
-    elif functional.kind == "stopped":
-        values = np.empty(ensemble.n_paths, dtype=np.float64)
-        for i in range(ensemble.n_paths):
-            values[i] = float(functional.apply_to_path(tuple(int(v) for v in paths[i])))
-        samples = values
-    else:
-        raise ValueError(f"unknown functional kind {functional.kind!r}")
-    return _report(samples)
+    """Sample statistics of ``functional.apply_to_paths`` over the ensemble."""
+    return _report(functional.apply_to_paths(ensemble.paths))
 
 
 # ---------------------------------------------------------------------------
@@ -409,18 +386,14 @@ def exact_doubling_process(
     exactly, outcome for outcome.
     """
     space, P, F, price = make_coin_walk(n_levels, p_up)
-    N = n_levels
     size = space.size
+    # Stake j is live while the first j-1 flips were all tails: the top j-1
+    # bits of the index are all 1, which is the last block of
+    # 2**(n_levels-j+1) outcomes.
     stakes = []
-    for j in range(1, N + 1):
-        # All of the first j-1 flips were tails: the top j-1 bits are all 1.
-        prefix_bits = j - 1
-        stake_j = []
-        for i in range(size):
-            top = i >> (N - prefix_bits) if prefix_bits else 0
-            all_tails = top == (1 << prefix_bits) - 1
-            stake_j.append(2 ** (j - 1) if all_tails else 0)
-        stakes.append(RandomVariable(space, tuple(stake_j)))
+    for j in range(1, n_levels + 1):
+        block = size >> (j - 1)
+        stakes.append(RandomVariable(space, (0,) * (size - block) + (2 ** (j - 1),) * block))
     C = PredictableSequence(F, tuple(stakes))
     wealth = transform(C, price)
     return space, P, F, price, C, wealth

@@ -559,6 +559,19 @@ class TransformPreservationReport:
         return bool(self.hypothesis_ok and self.step_identity_ok and self.holds)
 
 
+def _first_stake_outside(C: PredictableSequence, lo, hi) -> tuple[int, int, Number] | None:
+    """(k, i, v) for the first stake C_{k+1}(i) = v outside [lo, hi], in
+    stage order and then outcome order; None when every stake is inside."""
+    for k, rv in enumerate(C.values):
+        values = rv.values
+        if lo <= min(values) and max(values) <= hi:
+            continue
+        for i, v in enumerate(values):
+            if v < lo or v > hi:
+                return k, i, v
+    return None
+
+
 def verify_transform_preservation(
     C: PredictableSequence,
     X: AdaptedProcess,
@@ -583,27 +596,19 @@ def verify_transform_preservation(
     claimed: str | None = None
     if input_label == MARTINGALE:
         claimed = MARTINGALE
-        for k, rv in enumerate(C.values):
-            for i, v in enumerate(rv.values):
-                if abs(v) > bound:
-                    hypothesis_failure = (
-                        f"|C_{k + 1}| = {abs(v)} exceeds the bound {bound} at outcome {i}"
-                    )
-                    break
-            if hypothesis_failure:
-                break
+        offender = _first_stake_outside(C, -bound, bound)
+        if offender:
+            k, i, v = offender
+            hypothesis_failure = f"|C_{k + 1}| = {abs(v)} exceeds the bound {bound} at outcome {i}"
     elif input_label in (SUPERMARTINGALE, STRICT_SUPERMARTINGALE):
         claimed = SUPERMARTINGALE
-        for k, rv in enumerate(C.values):
-            for i, v in enumerate(rv.values):
-                if v < 0 or v > bound:
-                    hypothesis_failure = (
-                        f"C_{k + 1} = {v} at outcome {i} is outside [0, {bound}], which the "
-                        "supermartingale case requires"
-                    )
-                    break
-            if hypothesis_failure:
-                break
+        offender = _first_stake_outside(C, 0, bound)
+        if offender:
+            k, i, v = offender
+            hypothesis_failure = (
+                f"C_{k + 1} = {v} at outcome {i} is outside [0, {bound}], which the "
+                "supermartingale case requires"
+            )
     else:
         claimed = None
         hypothesis_failure = (
@@ -773,33 +778,21 @@ def optional_stopping_report(
     value_at_start = expectation(X.values[0], P)
 
     if label == UNCLASSIFIED:
-        conclusion = "not asserted"
         notes.append(
             "the process is not a martingale, supermartingale, or submartingale; optional "
             "stopping makes no claim for it"
         )
-    elif value_at_stop is None:
+    holds: bool | None = None
+    if label == UNCLASSIFIED or value_at_stop is None:
         conclusion = "not asserted"
     elif label == MARTINGALE:
         conclusion = "E[X_tau] = E[X_0]"
-    elif label in (SUPERMARTINGALE, STRICT_SUPERMARTINGALE):
-        conclusion = "E[X_tau] <= E[X_0]"
-    else:
-        conclusion = "E[X_tau] >= E[X_0]"
-
-    hyp_time = tau_bounded
-    hyp_process = tau_finite
-    hyp_increments = tau_finite
-    holds: bool | None
-    if value_at_stop is None or conclusion == "not asserted" or not (
-        hyp_time or hyp_process or hyp_increments
-    ):
-        holds = None
-    elif label == MARTINGALE:
         holds = numbers_equal(value_at_stop, value_at_start, tolerance)
     elif label in (SUPERMARTINGALE, STRICT_SUPERMARTINGALE):
+        conclusion = "E[X_tau] <= E[X_0]"
         holds = _leq(value_at_stop, value_at_start, tolerance)
     else:
+        conclusion = "E[X_tau] >= E[X_0]"
         holds = _leq(value_at_start, value_at_stop, tolerance)
 
     return OptionalStoppingReport(
@@ -811,9 +804,9 @@ def optional_stopping_report(
         expected_tau=expected_tau,
         process_bound=process_bound,
         increment_bound=increment_bound,
-        hypothesis_bounded_time=hyp_time,
-        hypothesis_bounded_process=hyp_process,
-        hypothesis_bounded_increments=hyp_increments,
+        hypothesis_bounded_time=tau_bounded,
+        hypothesis_bounded_process=tau_finite,
+        hypothesis_bounded_increments=tau_finite,
         value_at_stop=value_at_stop,
         value_at_start=value_at_start,
         conclusion=conclusion,

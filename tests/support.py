@@ -468,6 +468,17 @@ def reference_coin_walk(N: int, p_heads):
     return space, measure, filtration, AdaptedProcess(filtration, values)
 
 
+def reference_doubling_stakes(N: int) -> list[tuple]:
+    """Doubling stake values per stage, outcome by outcome: 2**(j-1) on the
+    outcomes whose top j-1 bits are all 1 (every earlier flip a tail), else 0."""
+    stakes = []
+    for j in range(1, N + 1):
+        tails = j - 1
+        top = [i >> (N - tails) if tails else 0 for i in range(1 << N)]
+        stakes.append(tuple(2 ** tails if t == (1 << tails) - 1 else 0 for t in top))
+    return stakes
+
+
 def reference_transform(C: PredictableSequence, X: AdaptedProcess) -> AdaptedProcess:
     """C·X summed outcome by outcome, every stage through the public constructors."""
     size = X.space.size

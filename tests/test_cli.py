@@ -160,6 +160,30 @@ def test_verify_hypothesis_failure_exits_one(capsys, tmp_path, walk_doc):
     assert report["reason"]
 
 
+NO_CLAIM = (
+    "the process is not a martingale, supermartingale, or submartingale; optional stopping "
+    "makes no claim for it"
+)
+
+
+@pytest.mark.parametrize("stopping_time, reason", [
+    ([1, 1, 2, 2], NO_CLAIM),
+    ([1, 1, None, None], "tau unbounded at horizon; conclusion not asserted; " + NO_CLAIM),
+], ids=["bounded", "unbounded"])
+def test_optional_stopping_reason_for_unclassified_process(
+    capsys, tmp_path, walk_doc, stopping_time, reason
+):
+    doc = json.loads(open(walk_doc).read())
+    doc["process"] = [[0, 0, 0, 0], [1, 1, -1, -1], [5, 0, 0, -4]]
+    doc["stopping_time"] = stopping_time
+    path = tmp_path / "unclassified.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run_cli(capsys, "verify", str(path), "optional-stopping")
+    assert code == 1
+    report = json.loads(out)
+    assert report["reason"] == reason and report["detail"]["conclusion"] == "not asserted"
+
+
 def test_verify_bad_kolmogorov_candidate_exits_one(capsys, tmp_path, walk_doc):
     doc = json.loads(open(walk_doc).read())
     doc["candidate"] = [5, 5, 5, 5]

@@ -24,6 +24,7 @@ from mglab import (
     transform,
 )
 from mglab.montecarlo import MAX_DOUBLING_LEVELS, _uniforms
+from support import reference_doubling_stakes
 
 
 # ---------------------------------------------------------------------------
@@ -209,6 +210,20 @@ def test_functional_interval_validation():
         Functional.upcrossings(2, 1)
 
 
+def test_path_and_paths_descriptions_agree_on_every_path():
+    _, walk = WalkModel(6, Fraction(1, 3)).exact()
+    paths = list(zip(*(rv.values for rv in walk.values)))
+    array = np.array(paths, dtype=np.int64)
+    assert array.shape == (64, 7)
+    for functional in (Functional.terminal(), Functional.terminal_square(),
+                       Functional.upcrossings(-1, 1),
+                       Functional.stopped(lambda prefix: prefix[-1] == 2, "first hit of 2")):
+        samples = functional.apply_to_paths(array)
+        assert samples.dtype == np.float64 and samples.shape == (64,)
+        for r, path in enumerate(paths):
+            assert samples[r] == float(functional.apply_to_path(path)), (functional.kind, r)
+
+
 def test_estimate_single_path_has_zero_se():
     ens = simulate_walk(3, Fraction(1, 2), n_paths=1, seed=31)
     est = estimate_functional(ens, Functional.terminal())
@@ -238,6 +253,12 @@ def test_exact_doubling_wealth_is_transform_of_price():
     again = transform(C, price)
     for n in range(L + 1):
         assert again.values[n].values == wealth.values[n].values
+
+
+def test_exact_doubling_stakes_match_the_bit_rule():
+    for L in range(1, 11):
+        _, _, _, _, C, _ = exact_doubling_process(L, Fraction(1, 2))
+        assert [rv.values for rv in C.values] == reference_doubling_stakes(L)
 
 
 def test_exact_doubling_is_martingale_when_fair():

@@ -256,6 +256,24 @@ def test_transform_hypothesis_failure_on_unbounded_stake():
     assert "bound" in rep.hypothesis_failure
 
 
+def test_transform_bound_message_names_first_offender_by_stage_then_outcome():
+    space, P, F, X = make_coin_walk(3, Fraction(1, 2))
+    zeros = RandomVariable(space, [0] * 8)
+
+    def failure(c2, c3):
+        C = PredictableSequence(F, [zeros, RandomVariable(space, c2), RandomVariable(space, c3)])
+        return verify_transform_preservation(C, X, P, bound=2).hypothesis_failure
+
+    # C_3 has the larger stake and the lower outcome; C_2 still comes first.
+    assert failure([0] * 4 + [-3] * 4, [9, 9, 5, 5, 1, 1, 7, 7]) == (
+        "|C_2| = 3 exceeds the bound 2 at outcome 4"
+    )
+    assert failure([0] * 8, [1, 1, 5, 5, -1, -1, 9, 9]) == (
+        "|C_3| = 5 exceeds the bound 2 at outcome 2"
+    )
+    assert failure([0] * 4 + [-2] * 4, [2, 2, 1, 1, -1, -1, 0, 0]) is None
+
+
 def test_transform_supermartingale_needs_nonnegative_stakes():
     S = _proc([0, 0, 0, 0], [0, 0, -2, -2], [0, -2, -2, -4])
     C_neg = PredictableSequence(
