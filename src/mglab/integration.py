@@ -8,15 +8,16 @@ against each other in tests instead of collapsing into one formula.
 
 Every other P-weighted sum in the exact engine goes through one of three
 kernels here: :func:`weighted_sum` over all outcomes (expectations, the
-optional-stopping and upcrossing figures, the tail-bound chain and mean,
-the L2 Gram matrix of a float process, the exact side of
-cross-validation), :func:`atom_sums` per atom of a partition (conditional
-expectation, the one-step drift table of a float process) and
-:func:`raw_atom_sums`, the per-atom loop itself, which :func:`atom_sums`
-divides and which the tail-bound hypothesis reads undivided.  Two exact
-checks sum the process's scaled stage values in integers without these
-kernels: the drift table of an exact process, which sums atoms rather
-than outcomes (see ``mglab.processes``), and the L2 Gram matrix.
+optional-stopping figures, the upcrossing negative part, the tail-bound
+mean, E|X_m| and the L2 Gram matrix of a float process, the exact side
+of cross-validation), :func:`atom_sums` per atom of a partition
+(conditional expectation, the one-step drift table of a float process)
+and :func:`raw_atom_sums`, the per-atom loop itself, which
+:func:`atom_sums` divides.  The exact checks that read stage-measurable
+quantities sum atoms rather than outcomes, in integers over the stage
+masses, without these kernels (see ``mglab.processes``): the drift table,
+the L2 Gram matrix, E|X_m|, the upcrossing count and the tail-bound
+hypothesis and chain.
 :func:`integrate_simple` stays a separate route.
 
 The kernels sum fraction-free, in the sense of Bareiss (Math. Comp. 1968):

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, product, repeat
+from itertools import chain, compress, product, repeat
 from operator import add, mul, sub
 from typing import Sequence
 
@@ -27,7 +27,6 @@ from .integration import (
     clear_denominators,
     constant_variable,
     expectation,
-    raw_atom_sums,
     weighted_sum,
 )
 from .measure import (
@@ -420,23 +419,41 @@ def classify(
     single step on every atom is strict), and genuinely mixed drift signs
     give ``none``.
     """
-    return _label(_drift_table(X, P), tolerance)
+    return _label(X, _drift_table(X, P), tolerance)
+
+
+def _sum_up(values: Sequence, members: Sequence[int], coarse: SigmaAlgebra) -> list:
+    """Per atom of ``coarse``, the sum from int 0 of the ``values[j]`` whose
+    outcome ``members[j]`` lies in it (one member per atom of a refinement)."""
+    labels = coarse.labels
+    sums = [0] * coarse.atom_count
+    for i, v in zip(members, values):
+        sums[labels[i]] += v
+    return sums
+
+
+def _stage_masses(F: Filtration, P: ProbabilityMeasure) -> list[list[int]]:
+    """The int atom masses over ``D`` of every stage, by stage and label: one pass
+    over the outcomes for the last stage, then each stage adds up its children's."""
+    table = [_sum_up(P.int_weights, range(F.space.size), F.stages[-1])]
+    for n in range(F.horizon - 1, -1, -1):
+        table.insert(0, _sum_up(table[0], F.stages[n + 1].least_members, F.stages[n]))
+    return table
 
 
 def _drift_table(
-    X: AdaptedProcess, P: ProbabilityMeasure
+    X: AdaptedProcess, P: ProbabilityMeasure, masses: list[list[int]] | None = None
 ) -> list[tuple[SigmaAlgebra, list, list]]:
     """Per step n: stage n, its atom masses, and the atom totals of X_{n+1} - X_n.
 
-    On an exact process the masses and totals are ints over ``D`` and
-    ``D * L`` for ``(_, L) = X.scaled``, summed over atoms: the total on a
-    stage-n atom A is the sum of x_{n+1}(B) m(B) over the stage-(n+1) atoms
-    B inside A, minus x_n(A) m(A), each x read at its atom's least member
-    (X is adapted) and each m(A) the sum of its children's.  Only the last
-    stage's masses are summed over outcomes, so the work is one pass over
-    the outcomes plus one per atom.  Integer addition is exact in any
-    order: these are the ints of :func:`~mglab.integration.raw_atom_sums`
-    over the scaled increments.  On a float process the masses and totals
+    On an exact process the masses are ``masses`` (:func:`_stage_masses`,
+    built here when not given) and the totals are ints over ``D * L`` for
+    ``(_, L) = X.scaled``, summed over atoms: the total on a stage-n atom A
+    is the sum of x_{n+1}(B) m(B) over the stage-(n+1) atoms B inside A,
+    minus x_n(A) m(A), each x read at its atom's least member (X is
+    adapted).  Integer addition is exact in any order: these are the ints
+    of :func:`~mglab.integration.raw_atom_sums` over the scaled increments
+    (a null atom's total is 0).  On a float process the masses and totals
     are those of :func:`~mglab.integration.atom_sums`, in outcome order.
     """
     if P.space != X.space:
@@ -449,41 +466,41 @@ def _drift_table(
             for stage, before, after in zip(stages, X.values, X.values[1:])
         ]
     nums = scaled[0]
-    masses = [0] * stages[-1].atom_count
-    for lab, w in zip(stages[-1].labels, P.int_weights):
-        masses[lab] += w
+    if masses is None:
+        masses = _stage_masses(X.filtration, P)
     table = []
-    for n in range(X.horizon - 1, -1, -1):
-        stage, child_masses = stages[n], masses
-        labels, after = stage.labels, nums[n + 1]
-        masses = [0] * stage.atom_count
-        totals = [0] * stage.atom_count
-        for i, m in zip(stages[n + 1].least_members, child_masses):
-            if m:
-                masses[labels[i]] += m
-                totals[labels[i]] += after[i] * m
-        before = nums[n]
-        for k, i in enumerate(stage.least_members):
-            totals[k] -= before[i] * masses[k]
-        table.append((stage, masses, totals))
-    table.reverse()
+    for n, (stage, fine) in enumerate(zip(stages, stages[1:])):
+        after, before, least = nums[n + 1], nums[n], fine.least_members
+        totals = _sum_up([after[i] * m for i, m in zip(least, masses[n + 1])], least, stage)
+        for k, (i, m) in enumerate(zip(stage.least_members, masses[n])):
+            totals[k] -= before[i] * m
+        table.append((stage, masses[n], totals))
     return table
 
 
 def _label(
-    table: list[tuple[SigmaAlgebra, list, list]], tolerance: float
+    X: AdaptedProcess, table: list[tuple[SigmaAlgebra, list, list]], tolerance: float
 ) -> MartingaleClassification:
-    """The classification and first witness read off a :func:`_drift_table`."""
+    """The classification and first witness read off X's :func:`_drift_table`."""
     signs_seen: set[int] = set()
     witness: tuple[int, EventSet] | None = None
+    exact = X.scaled is not None
     for n, (stage, masses, totals) in enumerate(table):
+        if exact:
+            # An int total has the sign of the drift and a null atom's is 0:
+            # the min and max positive-mass totals give every sign the label
+            # reads, and the first nonzero total is the witness.
+            live = list(compress(totals, masses))
+            lo, hi = min(live), max(live)
+            signs_seen.update(((lo > 0) - (lo < 0), (hi > 0) - (hi < 0)))
+            if witness is None and (lo or hi):
+                witness = (n, stage.atoms[next(k for k, t in enumerate(totals) if t)])
+            continue
         for k, (mass, total) in enumerate(zip(masses, totals)):
             if mass == 0:
                 continue
-            # An int total (an exact table) has the sign of the drift; the
-            # mean of a float table is taken so the tolerance applies to it.
-            drift = total if isinstance(total, int) else as_number(total / mass)
-            sign = sign_with_tolerance(drift, tolerance)
+            # The mean is taken so the tolerance applies to it.
+            sign = sign_with_tolerance(as_number(total / mass), tolerance)
             signs_seen.add(sign)
             if sign != 0 and witness is None:
                 witness = (n, stage.atoms[k])
@@ -590,8 +607,9 @@ def verify_transform_preservation(
     one drift table per process, so each increment is summed once.
     """
     bound = as_number(bound)
-    x_table = _drift_table(X, P)
-    input_label = _label(x_table, tolerance).label
+    masses = _stage_masses(X.filtration, P)
+    x_table = _drift_table(X, P, masses)
+    input_label = _label(X, x_table, tolerance).label
     hypothesis_failure: str | None = None
     claimed: str | None = None
     if input_label == MARTINGALE:
@@ -617,8 +635,8 @@ def verify_transform_preservation(
         )
 
     Y = transform(C, X)
-    y_table = _drift_table(Y, P)
-    output_label = _label(y_table, tolerance).label
+    y_table = _drift_table(Y, P, masses)
+    output_label = _label(Y, y_table, tolerance).label
     # The stake is constant on each atom, so the conditional identity
     # reduces to sum dY w = C_n * sum dX w before dividing by the mass.
     # Integer tables hold those sums over D * L_X and D * L_Y, so the
@@ -746,11 +764,14 @@ def optional_stopping_report(
     tau_max = max(tau.times) if tau_bounded else None
     tau_finite = never_mass == 0
 
-    # max keeps the first of equal maxima, and the leading int 0 stands
+    # max keeps the first of equal maxima, type included: X_n and X_n - X_{n-1} are
+    # stage-n measurable, so it sits at a least member.  The leading int 0 stands
     # for all-zero increments (float zeros included).
-    process_bound = max(map(abs, chain.from_iterable(rv.values for rv in X.values)))
-    steps = (map(sub, after.values, before.values) for before, after in zip(X.values, X.values[1:]))
-    increment_bound = max(chain((0,), map(abs, chain.from_iterable(steps))))
+    stages = X.filtration.stages
+    process_bound = max(abs(x.values[i]) for x, s in zip(X.values, stages) for i in s.least_members)
+    increment_bound = max(chain((0,), (
+        abs(x.values[i] - y.values[i])
+        for y, x, s in zip(X.values, X.values[1:], stages[1:]) for i in s.least_members)))
 
     notes = [
         "hypothesis (ii) is applied as: process uniformly bounded and the stopping rule "
@@ -879,23 +900,26 @@ def stopping_tail_bound_check(
 
     N = F.horizon
     times = tau.times
+    stages = F.stages
+    masses = _stage_masses(F, P)
 
     hypothesis_by_step: list[bool] = []
     witness: tuple[int, EventSet] | None = None
     for n in range(0, N - N_window + 1):
         deadline = n + N_window
-        stage = F.stages[n]
-        fired = [t is not None and t <= deadline for t in times]
-        # P(tau <= deadline | A) > eps  iff  hit > eps * mass, on atoms of
-        # positive mass; both sums are ints over D, so the test is in ints.
-        masses, hits = raw_atom_sums(fired, stage, P.int_weights)
+        # {tau <= deadline} is a union of stage-deadline atoms: their masses
+        # add up to hit in each stage-n atom A, and P(tau <= deadline | A) >
+        # eps iff hit > eps * mass, a test in ints over D on positive masses.
+        least = stages[deadline].least_members
+        hits = _sum_up([m if times[i] is not None and times[i] <= deadline else 0
+                        for i, m in zip(least, masses[deadline])], least, stages[n])
         failed = [
-            k for k, (mass, hit) in enumerate(zip(masses, hits))
+            k for k, (mass, hit) in enumerate(zip(masses[n], hits))
             if mass and not hit * eps.denominator > eps.numerator * mass
         ]
         hypothesis_by_step.append(not failed)
         if failed and witness is None:
-            witness = (n, stage.atoms[failed[0]])
+            witness = (n, stages[n].atoms[failed[0]])
     hypothesis_ok = all(hypothesis_by_step)
 
     # NEVER is later than every threshold t <= N of the chain.
@@ -906,7 +930,9 @@ def stopping_tail_bound_check(
     bound = Fraction(1)
     for k in range(0, N // N_window + 1):
         t = k * N_window
-        tail = weighted_sum([s > t for s in late], P)  # P(tau > t)
+        # P(tau > t), summed over the stage-t atoms that make up {tau > t}.
+        tail = Fraction(sum(m for i, m in zip(stages[t].least_members, masses[t]) if late[i] > t),
+                        P.denominator)
         ok = tail <= bound
         tail_chain.append((k, tail, bound, ok))
         chain_ok = chain_ok and ok
@@ -972,6 +998,37 @@ def count_upcrossings(path_values: Sequence, a, b) -> int:
     return count
 
 
+def _expected_upcrossings(X: AdaptedProcess, P: ProbabilityMeasure, masses, a, b) -> Fraction:
+    """E[U_N[a, b]] over the atoms, with ``masses`` from :func:`_stage_masses`.  The
+    paths through a stage-n atom agree on X_0..X_n, so the atom holds their (count,
+    armed) state of :func:`count_upcrossings`: its parent's stepped on its value."""
+    stages = X.filtration.stages
+    states = [(0, X.values[0].values[i] <= a) for i in stages[0].least_members]
+    for coarse, fine, rv in zip(stages, stages[1:], X.values[1:]):
+        labels, values = coarse.labels, rv.values
+        stepped = []
+        for i in fine.least_members:
+            count, armed = states[labels[i]]
+            v = values[i]
+            if armed and v >= b:
+                count, armed = count + 1, False
+            elif not armed and v <= a:
+                armed = True
+            stepped.append((count, armed))
+        states = stepped
+    return Fraction(sum(c * m for (c, _), m in zip(states, masses[-1])), P.denominator)
+
+
+def _mean_abs_by_stage(X: AdaptedProcess, P: ProbabilityMeasure, masses) -> tuple:
+    """E|X_m| per stage m: over the atoms of stage m in ints over ``D * L`` on an
+    exact process, over the outcomes in order (:func:`weighted_sum`) on a float one."""
+    if X.scaled is None:
+        return tuple(as_number(weighted_sum([abs(v) for v in rv.values], P)) for rv in X.values)
+    nums, DL = X.scaled[0], P.denominator * X.scaled[1]
+    return tuple(as_number(Fraction(sum(abs(x[i]) * m for i, m in zip(s.least_members, ms)), DL))
+                 for x, s, ms in zip(nums, X.filtration.stages, masses))
+
+
 @dataclass(frozen=True)
 class UpcrossingReport:
     """Exact check of the upcrossing inequality on one interval.
@@ -1006,10 +1063,11 @@ def upcrossing_inequality_check(
     b,
     tolerance: float = DEFAULT_TOLERANCE,
 ) -> UpcrossingReport:
-    """Verify (b - a) E[U_N] <= E[(X_N - a)^-] by full enumeration.
+    """Verify (b - a) E[U_N] <= E[(X_N - a)^-] exactly.
 
-    E[U_N] is computed by counting upcrossings on every positive-probability
-    path; martingales count as supermartingales for the hypothesis.
+    E[U_N] counts upcrossings atom by atom down the filtration, once for all
+    the paths through an atom; martingales count as supermartingales for
+    the hypothesis.
     """
     a = as_number(a)
     b = as_number(b)
@@ -1017,20 +1075,17 @@ def upcrossing_inequality_check(
         raise ValueError(f"need a < b, got a = {a}, b = {b}")
     if P.space != X.space:
         raise ValueError("process and measure live on different sample spaces")
-    label = classify(X, P, tolerance).label
+    masses = _stage_masses(X.filtration, P)
+    label = _label(X, _drift_table(X, P, masses), tolerance).label
     hypothesis_ok = label in SUPERMARTINGALE_FAMILY
 
-    expected_up = weighted_sum(
-        [count_upcrossings(path, a, b) for path in zip(*(rv.values for rv in X.values))], P
-    )
+    expected_up = _expected_upcrossings(X, P, masses, a, b)
     # A gap that is not positive contributes an int 0, so a float tie at a
     # does not turn an all-zero negative part into 0.0.
     gaps = [a - v for v in X.values[-1].values]
     neg_part = weighted_sum([g if g > 0 else 0 for g in gaps], P)
 
-    sup_abs_mean = max(
-        as_number(weighted_sum([abs(v) for v in rv.values], P)) for rv in X.values
-    )
+    sup_abs_mean = max(_mean_abs_by_stage(X, P, masses))
     scaled = as_number((b - a) * expected_up)
     corollary_bound = as_number(abs(a) + sup_abs_mean)
     if hypothesis_ok:
@@ -1100,32 +1155,37 @@ def l2_pythagoras_check(
     computed once; each orthogonality product is then four lookups:
     E[(M_t - M_s)(M_v - M_u)] = G[t][v] - G[t][u] - G[s][v] + G[s][u].
     On an exact process the matrix holds Python ints, ``D * L**2`` times
-    the moments, from :attr:`AdaptedProcess.scaled` and the integer
-    weights: orthogonality is ``int == 0``, and only ``lhs``, ``rhs`` and
-    ``gap`` are divided.  A float process sums each entry with
+    the moments, summed over atoms: for s <= t, G[s][t] is the sum of
+    x_s(A) W(A) over the stage-s atoms A, W(A) the sum of x_t m_t over the
+    stage-t atoms inside A, added up the filtration one level at a time.
+    Orthogonality is ``int == 0``, and only ``lhs``, ``rhs`` and ``gap``
+    are divided.  A float process sums each entry over the outcomes with
     :func:`~mglab.integration.weighted_sum`.
     """
     if P.space != M.space:
         raise ValueError("process and measure live on different sample spaces")
-    label = classify(M, P, tolerance).label
+    masses = _stage_masses(M.filtration, P)
+    label = _label(M, _drift_table(M, P, masses), tolerance).label
     hypothesis_ok = label == MARTINGALE
 
     N = M.horizon
     scaled = M.scaled
     gram: list[list[Number]] = [[0] * (N + 1) for _ in range(N + 1)]
-    for s in range(N + 1):
-        if scaled is None:
+    if scaled is None:
+        for s in range(N + 1):
             vs = M.values[s].values
             for t in range(s, N + 1):
                 vt = M.values[t].values
-                gram[s][t] = gram[t][s] = weighted_sum(
-                    [x * y for x, y in zip(vs, vt)], P
-                )
-        else:
-            nums = scaled[0]
-            ws = list(map(mul, nums[s], P.int_weights))
-            for t in range(s, N + 1):
-                gram[s][t] = gram[t][s] = sum(map(mul, ws, nums[t]))
+                gram[s][t] = gram[t][s] = weighted_sum([x * y for x, y in zip(vs, vt)], P)
+    else:
+        stages = M.filtration.stages
+        firsts = [list(map(x.__getitem__, st.least_members)) for x, st in zip(scaled[0], stages)]
+        for t in range(N + 1):
+            w = list(map(mul, firsts[t], masses[t]))
+            for s in range(t, -1, -1):
+                if s < t:
+                    w = _sum_up(w, stages[s + 1].least_members, stages[s])
+                gram[s][t] = gram[t][s] = sum(map(mul, firsts[s], w))
 
     lhs = gram[N][N]
     rhs = gram[0][0]
@@ -1225,15 +1285,13 @@ def truncated_convergence_diagnostic(
     """
     if P.space != X.space:
         raise ValueError("process and measure live on different sample spaces")
-    label = classify(X, P, tolerance).label
+    masses = _stage_masses(X.filtration, P)
+    label = _label(X, _drift_table(X, P, masses), tolerance).label
     hypothesis_ok = label in SUPERMARTINGALE_FAMILY
 
-    mean_abs = tuple(
-        as_number(weighted_sum([abs(v) for v in rv.values], P)) for rv in X.values
-    )
+    mean_abs = _mean_abs_by_stage(X, P, masses)
     sup_abs = max(mean_abs)
 
-    paths = list(zip(*(rv.values for rv in X.values)))
     entries: list[ConvergenceEntry] = []
     for pair in grid:
         a, b = pair
@@ -1241,7 +1299,7 @@ def truncated_convergence_diagnostic(
         b = as_number(b)
         if not a < b:
             raise ValueError(f"grid interval needs a < b, got a = {a}, b = {b}")
-        eu = weighted_sum([count_upcrossings(path, a, b) for path in paths], P)
+        eu = _expected_upcrossings(X, P, masses, a, b)
         if all_exact((a, b, sup_abs)):
             bound = as_number(Fraction(abs(a) + sup_abs, b - a))
         else:

@@ -32,6 +32,7 @@ from mglab import (
     SigmaAlgebra,
     StoppingTime,
     as_number,
+    count_upcrossings,
     numbers_equal,
 )
 from mglab.numeric import sign_with_tolerance
@@ -518,3 +519,31 @@ def reference_drift_table(X: AdaptedProcess, P: ProbabilityMeasure) -> list:
                 totals[lab] += (a - b) * w
         table.append((stage, masses, totals))
     return table
+
+
+def reference_upcrossing_figures(X: AdaptedProcess, P: ProbabilityMeasure, a, b) -> tuple:
+    """``(E[U_N[a, b]], E|X_m| per stage)`` summed over outcomes, as before the atom path.
+
+    Upcrossings are counted path by path with ``count_upcrossings`` and
+    every sum is a ``reference_weighted_sum``.
+    """
+    paths = zip(*(rv.values for rv in X.values))
+    counts = [count_upcrossings(path, a, b) for path in paths]
+    mean_abs = tuple(
+        as_number(reference_weighted_sum([abs(v) for v in rv.values], P)) for rv in X.values
+    )
+    return as_number(reference_weighted_sum(counts, P)), mean_abs
+
+
+def reference_stopping_bounds(X: AdaptedProcess) -> tuple:
+    """``(process_bound, increment_bound)`` as the max over every outcome of every stage.
+
+    ``max`` keeps the first of equal maxima; the leading int 0 stands for
+    all-zero increments.
+    """
+    values = [abs(v) for rv in X.values for v in rv.values]
+    steps = [
+        abs(x - y) for before, after in zip(X.values, X.values[1:])
+        for y, x in zip(before.values, after.values)
+    ]
+    return max(values), max([0] + steps)

@@ -28,8 +28,14 @@ from hypothesis import strategies as st
 import mglab
 from mglab import (
     AdaptedProcess,
+    Filtration,
     PredictableSequence,
+    ProbabilityMeasure,
     RandomVariable,
+    SampleSpace,
+    SigmaAlgebra,
+    StoppingTime,
+    as_number,
     classify,
     conditional_expectation,
     l2_pythagoras_check,
@@ -43,8 +49,8 @@ from mglab import (
     verify_transform_preservation,
 )
 from mglab import integration, make_coin_walk, stopped_process
-from mglab.integration import clear_denominators
-from mglab.processes import _drift_table
+from mglab.integration import clear_denominators, raw_atom_sums
+from mglab.processes import _drift_table, _stage_masses
 from support import (
     rand_filtration,
     rand_fraction,
@@ -62,9 +68,11 @@ from support import (
     reference_pythagoras,
     reference_step_identity_holds,
     reference_stopped_process,
+    reference_stopping_bounds,
     reference_tail_figures,
     reference_tail_hypothesis,
     reference_transform,
+    reference_upcrossing_figures,
     reference_weighted_sum,
 )
 
@@ -274,3 +282,59 @@ def test_atom_level_drift_table_matches_the_outcome_loop():
         coarse_last += F.stages[-1].atom_count < space.size
         null_atoms += any(not m for _, masses, _ in _drift_table(X, P) for m in masses)
     assert coarse_last > 20 and null_atoms > 20
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_upcrossing_and_stopping_figures_match_the_outcome_loops(pyr):
+    """E[U_N], E|X_m| and the stopping bounds read atoms; the references read outcomes."""
+    rng = random.Random(pyr.randint(0, 10**9))
+    args = {check: rest for check, *rest in _model(rng)}
+
+    X, P, a, b = args[upcrossing_inequality_check]
+    expected, mean_abs = reference_upcrossing_figures(X, P, a, b)
+    report = upcrossing_inequality_check(X, P, a, b)
+    assert repr((report.expected_upcrossings, report.corollary_bound)) == repr(
+        (expected, as_number(abs(a) + max(mean_abs)))
+    )
+
+    X, P, grid = args[truncated_convergence_diagnostic]
+    grid = [*grid, (a - 1, a), (b, b + Fraction(1, 2))]
+    diagnostic = truncated_convergence_diagnostic(X, P, grid)
+    assert repr(diagnostic.mean_abs_by_stage) == repr(mean_abs)
+    assert repr([e.expected_upcrossings for e in diagnostic.entries]) == repr(
+        [reference_upcrossing_figures(X, P, *pair)[0] for pair in grid]
+    )
+
+    X, tau, P = args[optional_stopping_report]
+    report = optional_stopping_report(X, tau, P)
+    assert repr((report.process_bound, report.increment_bound)) == repr(
+        reference_stopping_bounds(X)
+    )
+
+
+def test_first_of_equal_maxima_keeps_its_type():
+    """One atom holds int 1 before float 1.0, at a stage and in its increment."""
+    space = SampleSpace(["h", "t"])
+    P = ProbabilityMeasure(space, ["1/2", "1/2"])
+    trivial = SigmaAlgebra(space, [0, 0])
+    F = Filtration(space, [trivial, trivial, SigmaAlgebra(space, [0, 1])])
+    X = AdaptedProcess(F, [RandomVariable(space, v) for v in ((0, 0), (1, 1.0), (1.0, 1))])
+    report = optional_stopping_report(X, StoppingTime(F, [2, 2]), P)
+    assert repr((report.process_bound, report.increment_bound)) == "(1, 1)"
+    assert repr(reference_stopping_bounds(X)) == "(1, 1)"
+
+
+def test_stage_masses_match_raw_atom_sums():
+    """Every stage's atom masses, summed up the tree, equal the outcome loop's."""
+    rng = random.Random(10)
+    null_atoms = 0
+    for _ in range(300):
+        space = rand_space(rng, max_size=8)
+        P = rand_measure(rng, space)
+        F = rand_filtration(rng, space, rng.randint(1, 4))
+        ones = [1] * space.size
+        masses = _stage_masses(F, P)
+        assert masses == [raw_atom_sums(ones, stage, P.int_weights)[0] for stage in F.stages]
+        null_atoms += any(not m for stage_masses in masses for m in stage_masses)
+    assert null_atoms > 20

@@ -18,6 +18,7 @@ from mglab import (
     AdaptedProcess,
     EventSet,
     Filtration,
+    MartingaleClassification,
     PredictableSequence,
     ProbabilityMeasure,
     RandomVariable,
@@ -40,6 +41,7 @@ from mglab import (
     upcrossing_inequality_check,
     verify_transform_preservation,
 )
+from mglab.processes import _drift_table
 from support import (
     rand_filtration,
     rand_martingale,
@@ -219,6 +221,17 @@ def test_classify_float_process_uses_tolerance():
     assert classify(X, UNIFORM, tolerance=1e-16).label != MARTINGALE
 
 
+def test_classify_float_process_with_a_null_atom_uses_tolerance():
+    """The null atom (a,b) comes first and its float-table total is int 0;
+    exactness is the process's, so the live atom's 5.6e-17 drift is a tie."""
+    P = ProbabilityMeasure(ABCD, ["0", "0", "1/2", "1/2"])
+    X = _proc([0.3] * 4, [0.3] * 4, [0.3, 0.3, 0.1 + 0.2, 0.1 + 0.2])
+    _, masses, totals = _drift_table(X, P)[1]
+    assert (masses[0], totals[0], type(totals[0])) == (0, 0, int) and 0 < totals[1] < 1e-16
+    assert classify(X, P) == MartingaleClassification(MARTINGALE, None)
+    assert classify(X, P, tolerance=1e-17).label == SUBMARTINGALE
+
+
 # ---------------------------------------------------------------------------
 # transforms
 
@@ -313,17 +326,17 @@ def test_transform_sums_each_increment_once(monkeypatch):
     C = PredictableSequence(F, [RandomVariable(X.space, [1] * X.space.size)] * X.horizon)
     calls = []
 
-    def counting(name):
-        kernel = getattr(mglab.processes, name)
+    def counting(module, name):
+        kernel = getattr(module, name)
 
         def count(*args):
             calls.append(name)
             return kernel(*args)
 
-        monkeypatch.setattr(mglab.processes, name, count)
+        monkeypatch.setattr(module, name, count)
 
-    counting("_drift_table")
-    counting("raw_atom_sums")
+    counting(mglab.processes, "_drift_table")
+    counting(mglab.integration, "raw_atom_sums")
     rep = verify_transform_preservation(C, X, P, bound=1)
     assert rep.step_identity_ok and bool(rep)
     assert calls == ["_drift_table", "_drift_table"]
