@@ -33,11 +33,10 @@ from . import processes as proc
 from .integration import expectation
 from .jsonio import (
     SpecError,
-    filtration_to_obj,
+    _epsilon,
+    _window,
     parse_process_spec,
     parse_space_descriptor,
-    process_to_obj,
-    space_to_obj,
     to_jsonable,
 )
 from .measure import (
@@ -421,9 +420,9 @@ def cmd_walk_spec(args) -> int:
     p = parse_number(args.p)
     space, measure, filtration, walk = proc.make_coin_walk(args.n, p)
     spec: dict = {
-        "space": space_to_obj(space, measure),
-        "filtration": filtration_to_obj(filtration),
-        "process": process_to_obj(walk),
+        "space": {"outcomes": space.outcome_labels, "weights": measure.weights},
+        "filtration": filtration.stages,
+        "process": walk.values,
     }
     if args.stop_hit is not None:
         level = args.stop_hit
@@ -438,9 +437,9 @@ def cmd_walk_spec(args) -> int:
             raise SpecError("--interval", f"need a < b, got a = {a}, b = {b}")
         spec["interval"] = [a, b]
     if args.window is not None:
-        spec["window"] = args.window
+        spec["window"] = _window(args.window, "--window")
     if args.epsilon is not None:
-        spec["epsilon"] = parse_number(args.epsilon)
+        spec["epsilon"] = _epsilon(parse_number(args.epsilon), "--epsilon")
 
     text = json.dumps(to_jsonable(spec), indent=2)
     out = getattr(args, "out", None)

@@ -101,6 +101,21 @@ def _parse_values(raw, field: str, space: SampleSpace) -> RandomVariable:
     return RandomVariable(space, values)
 
 
+def _window(raw, field: str) -> int:
+    """A positive-int tail-bound window; ``walk-spec`` shares the check, so its specs read back."""
+    if not isinstance(raw, int) or isinstance(raw, bool) or raw < 1:
+        raise SpecError(field, "expected a positive integer")
+    return raw
+
+
+def _epsilon(value: Number, field: str) -> Fraction:
+    """A tail-bound epsilon, exact and strictly between 0 and 1 (shared as :func:`_window`)."""
+    epsilon = Fraction(value)
+    if not 0 < epsilon < 1:
+        raise SpecError(field, f"must lie strictly between 0 and 1, got {epsilon}")
+    return epsilon
+
+
 def parse_space(obj, field: str = "") -> tuple[SampleSpace, ProbabilityMeasure | None]:
     """Parse the outcomes and optional weights of a descriptor object."""
     prefix = f"{field}." if field else ""
@@ -300,16 +315,11 @@ def parse_process_spec(obj) -> ProcessSpec:
 
     window = None
     if obj.get("window") is not None:
-        raw_win = obj["window"]
-        if not isinstance(raw_win, int) or isinstance(raw_win, bool) or raw_win < 1:
-            raise SpecError("window", "expected a positive integer")
-        window = raw_win
+        window = _window(obj["window"], "window")
 
     epsilon = None
     if obj.get("epsilon") is not None:
-        epsilon = Fraction(_parse_value(obj["epsilon"], "epsilon"))
-        if not 0 < epsilon < 1:
-            raise SpecError("epsilon", f"must lie strictly between 0 and 1, got {epsilon}")
+        epsilon = _epsilon(_parse_value(obj["epsilon"], "epsilon"), "epsilon")
 
     bound = None
     if obj.get("bound") is not None:
@@ -337,28 +347,19 @@ def parse_process_spec(obj) -> ProcessSpec:
 # Emission
 
 
-def _emit_number(value):
-    """Integers stay JSON integers; everything else goes through format_number."""
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    return format_number(value)
-
-
 def space_to_obj(space: SampleSpace, measure: ProbabilityMeasure | None) -> dict:
-    obj: dict[str, Any] = {"outcomes": list(space.outcome_labels)}
+    obj: dict[str, Any] = {"outcomes": space.outcome_labels}
     if measure is not None:
-        obj["weights"] = [_emit_number(w) for w in measure.weights]
-    return obj
+        obj["weights"] = measure.weights
+    return to_jsonable(obj)
 
 
 def filtration_to_obj(filtration: Filtration) -> list:
-    return [
-        [list(atom.members) for atom in stage.atoms] for stage in filtration.stages
-    ]
+    return to_jsonable(filtration.stages)
 
 
 def process_to_obj(process: AdaptedProcess) -> list:
-    return [[_emit_number(v) for v in rv.values] for rv in process.values]
+    return to_jsonable(process.values)
 
 
 def to_jsonable(value):

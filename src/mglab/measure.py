@@ -77,9 +77,6 @@ class SampleSpace:
     def universe(self) -> "EventSet":
         return EventSet(tuple(range(self.size)))
 
-    def label_of(self, index: int) -> str:
-        return self.outcome_labels[index]
-
 
 @dataclass(frozen=True)
 class EventSet:
@@ -384,9 +381,6 @@ class ProbabilityMeasure:
         object.__setattr__(self, "denominator", D)
         object.__setattr__(self, "int_weights", int_weights)
 
-    def weight_of(self, outcome: int) -> Fraction:
-        return self.weights[outcome]
-
     def __call__(self, event: EventSet) -> Fraction:
         return measure_of(self, event)
 
@@ -417,7 +411,7 @@ def is_probability(space: SampleSpace, weights: Sequence) -> tuple[bool, str | N
     exact = [Fraction(as_exact(w)) for w in weights]
     for i, w in enumerate(exact):
         if w < 0:
-            return False, f"weight of outcome {i} ({space.label_of(i)}) is negative: {w}"
+            return False, f"weight of outcome {i} ({space.outcome_labels[i]}) is negative: {w}"
     total = sum(exact)
     if total != 1:
         return False, f"weights sum to {total}, not 1"

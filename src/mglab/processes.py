@@ -164,10 +164,6 @@ class AdaptedProcess:
         """The trajectory (X_0(w), ..., X_N(w)) for one outcome."""
         return tuple(rv.values[outcome] for rv in self.values)
 
-    @property
-    def exact(self) -> bool:
-        return all(rv.exact for rv in self.values)
-
     @cached_property
     def scaled(self) -> tuple[tuple[Sequence[int], ...], int] | None:
         """``(nums, L)`` with ``values[n].values[i] == nums[n][i] / L``, or None.
@@ -208,10 +204,6 @@ class PredictableSequence:
                     f"not predictable: C_{k + 1} must be measurable at stage {k}; it "
                     f"splits atom {list(atom.members)}"
                 )
-
-    @property
-    def exact(self) -> bool:
-        return all(rv.exact for rv in self.values)
 
 
 @dataclass(frozen=True)
@@ -419,7 +411,19 @@ def classify(
     single step on every atom is strict), and genuinely mixed drift signs
     give ``none``.
     """
-    return _label(X, _drift_table(X, P), tolerance)
+    return _reading(X, P, tolerance)[2]
+
+
+def _reading(
+    X: AdaptedProcess, P: ProbabilityMeasure, tolerance: float
+) -> tuple[list[list[int]], list[tuple[SigmaAlgebra, list, list]], MartingaleClassification]:
+    """What every exact report reads first, after refusing a measure on another space:
+    X's :func:`_stage_masses`, its :func:`_drift_table` on them and the verdict read off it."""
+    if P.space != X.space:
+        raise ValueError("process and measure live on different sample spaces")
+    masses = _stage_masses(X.filtration, P)
+    table = _drift_table(X, P, masses)
+    return masses, table, _label(X, table, tolerance)
 
 
 def _sum_up(values: Sequence, members: Sequence[int], coarse: SigmaAlgebra) -> list:
@@ -442,22 +446,20 @@ def _stage_masses(F: Filtration, P: ProbabilityMeasure) -> list[list[int]]:
 
 
 def _drift_table(
-    X: AdaptedProcess, P: ProbabilityMeasure, masses: list[list[int]] | None = None
+    X: AdaptedProcess, P: ProbabilityMeasure, masses: list[list[int]]
 ) -> list[tuple[SigmaAlgebra, list, list]]:
     """Per step n: stage n, its atom masses, and the atom totals of X_{n+1} - X_n.
 
-    On an exact process the masses are ``masses`` (:func:`_stage_masses`,
-    built here when not given) and the totals are ints over ``D * L`` for
-    ``(_, L) = X.scaled``, summed over atoms: the total on a stage-n atom A
-    is the sum of x_{n+1}(B) m(B) over the stage-(n+1) atoms B inside A,
-    minus x_n(A) m(A), each x read at its atom's least member (X is
-    adapted).  Integer addition is exact in any order: these are the ints
-    of :func:`~mglab.integration.raw_atom_sums` over the scaled increments
-    (a null atom's total is 0).  On a float process the masses and totals
-    are those of :func:`~mglab.integration.atom_sums`, in outcome order.
+    On an exact process the masses are ``masses`` (:func:`_stage_masses`) and
+    the totals are ints over ``D * L`` for ``(_, L) = X.scaled``, summed over
+    atoms: the total on a stage-n atom A is the sum of x_{n+1}(B) m(B) over
+    the stage-(n+1) atoms B inside A, minus x_n(A) m(A), each x read at its
+    atom's least member (X is adapted).  Integer addition is exact in any
+    order: these are the ints of :func:`~mglab.integration.raw_atom_sums`
+    over the scaled increments (a null atom's total is 0).  On a float
+    process the masses and totals are those of
+    :func:`~mglab.integration.atom_sums`, in outcome order.
     """
-    if P.space != X.space:
-        raise ValueError("process and measure live on different sample spaces")
     stages = X.filtration.stages
     scaled = X.scaled
     if scaled is None:
@@ -466,8 +468,6 @@ def _drift_table(
             for stage, before, after in zip(stages, X.values, X.values[1:])
         ]
     nums = scaled[0]
-    if masses is None:
-        masses = _stage_masses(X.filtration, P)
     table = []
     for n, (stage, fine) in enumerate(zip(stages, stages[1:])):
         after, before, least = nums[n + 1], nums[n], fine.least_members
@@ -607,9 +607,8 @@ def verify_transform_preservation(
     one drift table per process, so each increment is summed once.
     """
     bound = as_number(bound)
-    masses = _stage_masses(X.filtration, P)
-    x_table = _drift_table(X, P, masses)
-    input_label = _label(X, x_table, tolerance).label
+    masses, x_table, x_verdict = _reading(X, P, tolerance)
+    input_label = x_verdict.label
     hypothesis_failure: str | None = None
     claimed: str | None = None
     if input_label == MARTINGALE:
@@ -756,9 +755,7 @@ def optional_stopping_report(
     """
     if tau.filtration != X.filtration:
         raise ValueError("stopping time and process must share one filtration")
-    if P.space != X.space:
-        raise ValueError("process and measure live on different sample spaces")
-    label = classify(X, P, tolerance).label
+    label = _reading(X, P, tolerance)[2].label
     never_mass = weighted_sum([t is None for t in tau.times], P)
     tau_bounded = tau.bounded
     tau_max = max(tau.times) if tau_bounded else None
@@ -1073,10 +1070,8 @@ def upcrossing_inequality_check(
     b = as_number(b)
     if not a < b:
         raise ValueError(f"need a < b, got a = {a}, b = {b}")
-    if P.space != X.space:
-        raise ValueError("process and measure live on different sample spaces")
-    masses = _stage_masses(X.filtration, P)
-    label = _label(X, _drift_table(X, P, masses), tolerance).label
+    masses, _, verdict = _reading(X, P, tolerance)
+    label = verdict.label
     hypothesis_ok = label in SUPERMARTINGALE_FAMILY
 
     expected_up = _expected_upcrossings(X, P, masses, a, b)
@@ -1162,10 +1157,8 @@ def l2_pythagoras_check(
     are divided.  A float process sums each entry over the outcomes with
     :func:`~mglab.integration.weighted_sum`.
     """
-    if P.space != M.space:
-        raise ValueError("process and measure live on different sample spaces")
-    masses = _stage_masses(M.filtration, P)
-    label = _label(M, _drift_table(M, P, masses), tolerance).label
+    masses, _, verdict = _reading(M, P, tolerance)
+    label = verdict.label
     hypothesis_ok = label == MARTINGALE
 
     N = M.horizon
@@ -1283,10 +1276,8 @@ def truncated_convergence_diagnostic(
     meaning the horizon shows nearly as much oscillation as the bound
     permits.
     """
-    if P.space != X.space:
-        raise ValueError("process and measure live on different sample spaces")
-    masses = _stage_masses(X.filtration, P)
-    label = _label(X, _drift_table(X, P, masses), tolerance).label
+    masses, _, verdict = _reading(X, P, tolerance)
+    label = verdict.label
     hypothesis_ok = label in SUPERMARTINGALE_FAMILY
 
     mean_abs = _mean_abs_by_stage(X, P, masses)

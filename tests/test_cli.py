@@ -356,6 +356,19 @@ def test_walk_spec_verify_pipeline(capsys, tmp_path):
         assert code == 0, (theorem, out)
 
 
+@pytest.mark.parametrize("flags", [
+    ("--window", "0"), ("--window", "-3"), ("--epsilon", "2"), ("--epsilon", "0"),
+    ("--epsilon", "1"), ("--interval", "1", "1"),
+])
+def test_walk_spec_refuses_what_verify_would_refuse(capsys, tmp_path, flags):
+    """A spec that every verify selector would reject is never written."""
+    spec_path = tmp_path / "bad.json"
+    code, out, err = run_cli(capsys, "walk-spec", "--n", "3", *flags, "--out", str(spec_path))
+    assert code == 2 and out == ""
+    assert err.startswith(f"input error: {flags[0]}: ")
+    assert not spec_path.exists()
+
+
 def test_walk_spec_biased_classifies_strict(capsys, tmp_path):
     spec_path = tmp_path / "b.json"
     run_cli(capsys, "walk-spec", "--n", "4", "--p", "1/3", "--out", str(spec_path))

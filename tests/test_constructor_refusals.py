@@ -2,6 +2,8 @@
 
 Code that derives objects from checked ones may skip these checks; the
 public constructors, and the JSON readers built on them, keep every one.
+Each exact report likewise refuses a measure on another sample space, of the
+same size or larger, before it sums anything.
 """
 from fractions import Fraction
 
@@ -10,11 +12,21 @@ import pytest
 from mglab import (
     AdaptedProcess,
     Filtration,
+    PredictableSequence,
     RandomVariable,
     SampleSpace,
     SigmaAlgebra,
+    StoppingTime,
+    classify,
     discrete_sigma_algebra,
+    l2_pythagoras_check,
+    optional_stopping_report,
+    stopping_tail_bound_check,
     trivial_sigma_algebra,
+    truncated_convergence_diagnostic,
+    uniform_measure,
+    upcrossing_inequality_check,
+    verify_transform_preservation,
 )
 
 S2 = SampleSpace(["a", "b"])
@@ -25,6 +37,23 @@ F3 = Filtration(S3, [trivial_sigma_algebra(S3), SigmaAlgebra(S3, [0, 0, 1])])
 
 def _rv(values, space=S3):
     return RandomVariable(space, values)
+
+
+X3 = AdaptedProcess(F3, [_rv([0, 0, 0]), _rv([1, 1, 2])])
+C3 = PredictableSequence(F3, [_rv([1, 1, 1])])
+TAU3 = StoppingTime(F3, [1, 1, 1])
+FOREIGN = {
+    "same size": uniform_measure(OTHER3),
+    "larger": uniform_measure(SampleSpace(["p", "q", "r", "s"])),
+}
+REPORTS = {
+    "classify": lambda P: classify(X3, P),
+    "transform": lambda P: verify_transform_preservation(C3, X3, P, 1),
+    "optional stopping": lambda P: optional_stopping_report(X3, TAU3, P),
+    "upcrossing": lambda P: upcrossing_inequality_check(X3, P, 0, 1),
+    "pythagoras": lambda P: l2_pythagoras_check(X3, P),
+    "convergence": lambda P: truncated_convergence_diagnostic(X3, P, [(0, 1)]),
+}
 
 
 CASES = {
@@ -70,6 +99,18 @@ CASES = {
     "process not adapted at stage 0": (
         lambda: AdaptedProcess(F3, [_rv([0, 0, 1]), _rv([1, 1, 2])]), ValueError,
         "not adapted: X_0 is not measurable at stage 0; it splits atom [0, 1, 2]"),
+    **{
+        f"{report} on a {size} foreign measure": (
+            lambda run=run, P=P: run(P), ValueError,
+            "process and measure live on different sample spaces")
+        for report, run in REPORTS.items() for size, P in FOREIGN.items()
+    },
+    **{
+        f"tail bound on a {size} foreign measure": (
+            lambda P=P: stopping_tail_bound_check(TAU3, F3, P, 1, Fraction(1, 2)), ValueError,
+            "filtration and measure live on different sample spaces")
+        for size, P in FOREIGN.items()
+    },
 }
 
 

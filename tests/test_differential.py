@@ -273,14 +273,15 @@ def test_atom_level_drift_table_matches_the_outcome_loop():
         F = rand_filtration(rng, space, rng.randint(1, 4))
         X = rng.choice((rand_martingale, rand_supermartingale))(rng, F, P)
         C = rand_predictable(rng, F, nonnegative=rng.random() < 0.5)
-        assert _drift_table(X, P) == reference_drift_table(X, P)
+        table = _drift_table(X, P, _stage_masses(F, P))
+        assert table == reference_drift_table(X, P)
         assert repr(classify(X, P)) == repr(reference_classify(X, P))
         report = verify_transform_preservation(C, X, P, 3)
         assert report.step_identity_ok == reference_step_identity_holds(C, X, transform(C, X), P)
         floats = _floats(X)
         assert repr(classify(floats, P)) == repr(reference_classify(floats, P))
         coarse_last += F.stages[-1].atom_count < space.size
-        null_atoms += any(not m for _, masses, _ in _drift_table(X, P) for m in masses)
+        null_atoms += any(not m for _, masses, _ in table for m in masses)
     assert coarse_last > 20 and null_atoms > 20
 
 

@@ -6,7 +6,8 @@ with every spec field filled in; a p=1/3 walk with one zero-weight
 outcome, which brings out witnesses, null atoms, exit 1 and
 ``hypothesis_witness``; and a fair walk in JSON-float halves with one
 zero-weight outcome, whose interval endpoint ``a`` ties a terminal value,
-which pins the float-versus-int types of the reported sums.  After an intended change to the output, re-capture
+which pins the float-versus-int types of the reported sums.  The
+``walk-spec`` case pins the spec document the CLI writes.  After an intended change to the output, re-capture
 with ``PYTHONPATH=src python tests/test_golden.py``.
 """
 import json
@@ -37,6 +38,8 @@ CASES = {
                       "--paths", "500", "--seed", "7"],
     "simulate-doubling": ["simulate", "doubling", "--levels", "5", "--p", "1/2",
                           "--entry", "3", "--paths", "800", "--seed", "11"],
+    "walk-spec": ["walk-spec", "--n", "3", "--p", "1/3", "--stop-hit", "1",
+                  "--interval", "-1", "1", "--window", "2", "--epsilon", "1/10"],
 }
 
 

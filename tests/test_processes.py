@@ -41,7 +41,7 @@ from mglab import (
     upcrossing_inequality_check,
     verify_transform_preservation,
 )
-from mglab.processes import _drift_table
+from mglab.processes import _drift_table, _stage_masses
 from support import (
     rand_filtration,
     rand_martingale,
@@ -226,7 +226,7 @@ def test_classify_float_process_with_a_null_atom_uses_tolerance():
     exactness is the process's, so the live atom's 5.6e-17 drift is a tie."""
     P = ProbabilityMeasure(ABCD, ["0", "0", "1/2", "1/2"])
     X = _proc([0.3] * 4, [0.3] * 4, [0.3, 0.3, 0.1 + 0.2, 0.1 + 0.2])
-    _, masses, totals = _drift_table(X, P)[1]
+    _, masses, totals = _drift_table(X, P, _stage_masses(X.filtration, P))[1]
     assert (masses[0], totals[0], type(totals[0])) == (0, 0, int) and 0 < totals[1] < 1e-16
     assert classify(X, P) == MartingaleClassification(MARTINGALE, None)
     assert classify(X, P, tolerance=1e-17).label == SUBMARTINGALE
