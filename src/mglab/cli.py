@@ -46,6 +46,7 @@ from .measure import (
     generate_sigma_algebra,
 )
 from .montecarlo import (
+    _BLOCK,
     Functional,
     estimate_functional,
     simulate_doubling_strategy,
@@ -360,10 +361,14 @@ def cmd_verify(args) -> int:
 
 
 def _write_csv(path: str, ensemble) -> None:
+    width = ensemble.horizon + 1
+    rows = max(1, _BLOCK // width)
+    line = ",".join(["%d"] * width) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(f"t{t}" for t in range(ensemble.horizon + 1)) + "\n")
-        for row in ensemble.paths:
-            fh.write(",".join(str(int(v)) for v in row) + "\n")
+        fh.write(",".join(f"t{t}" for t in range(width)) + "\n")
+        # A block of rows at a time, so the paths never all become Python ints.
+        for r0 in range(0, ensemble.n_paths, rows):
+            fh.writelines(line % tuple(row) for row in ensemble.paths[r0 : r0 + rows].tolist())
 
 
 def cmd_simulate(args) -> int:

@@ -3,8 +3,10 @@
 The exact modules stop at 2**20 outcomes; this one picks up from there.
 Streams are counter-based: the value used for path i at step t is a hash of
 (master seed, i * horizon + t), so an ensemble is a pure function of its
-parameters, identical no matter how the work is chunked or scheduled, and
-any single path can be regenerated in isolation.
+parameters and any single path can be regenerated in isolation.  The samplers
+hash blocks of about 2**15 counters, whose temporaries stay in cache, and the
+stream is the same however it is blocked.  A step is up when its hash's top 53
+bits k are below ceil(p * 2**53), which is exactly u < p for u = k * 2**-53.
 
 The hash is the splitmix64 finalizer applied twice.  One round is the
 standard splitmix64 output stage and shows measurable bias when driven by
@@ -38,31 +40,48 @@ _GOLD = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 
+# Cells per block: one block's hash temporaries stay in a core's L2 cache.
+_BLOCK = 1 << 15
+# Rows per upcrossing-scan tile: enough to outweigh each numpy call's fixed cost.
+_TILE_ROWS = 1 << 11
+
 # Stakes double at every level, so wealth spans +-(2**levels); keep clear of
 # int64 range.
 MAX_DOUBLING_LEVELS = 60
 
 
-def _mix(z: np.ndarray) -> np.ndarray:
-    z = (z ^ (z >> np.uint64(30))) * _MIX1
-    z = (z ^ (z >> np.uint64(27))) * _MIX2
-    return z ^ (z >> np.uint64(31))
+def _hash53_in_place(z: np.ndarray, scratch: np.ndarray) -> None:
+    """Turn z = seed + counter * gold into the k of its uniform k * 2**-53."""
+    for _ in range(2):
+        z += _GOLD
+        z ^= np.right_shift(z, np.uint64(30), out=scratch)
+        z *= _MIX1
+        z ^= np.right_shift(z, np.uint64(27), out=scratch)
+        z *= _MIX2
+        z ^= np.right_shift(z, np.uint64(31), out=scratch)
+    z >>= np.uint64(11)
 
 
 def _uniforms(seed: int, counters: np.ndarray) -> np.ndarray:
     """IEEE doubles in [0, 1), one per counter, a pure function of (seed, counter)."""
-    z = np.uint64(seed & _MASK64) + (counters + np.uint64(1)) * _GOLD
-    z = _mix(z)
-    z = _mix(z + _GOLD)
-    return (z >> np.uint64(11)) * 2.0 ** -53
+    z = np.uint64(seed & _MASK64) + counters * _GOLD
+    _hash53_in_place(z, np.empty_like(z))
+    return z * 2.0 ** -53
 
 
-def _step_uniforms(seed: int, n_paths: int, horizon: int) -> np.ndarray:
-    counters = (
-        np.arange(n_paths, dtype=np.uint64)[:, None] * np.uint64(horizon)
-        + np.arange(horizon, dtype=np.uint64)[None, :]
-    )
-    return _uniforms(seed, counters)
+def _coin_blocks(seed: int, n_paths: int, horizon: int, p: float):
+    """Yield (r0, up) per block of rows: up[i, j] is u < p for path r0 + i at
+    step j, in a buffer that the next block overwrites."""
+    threshold = np.uint64(math.ceil(p * 2.0 ** 53))
+    rows = min(max(1, _BLOCK // horizon), n_paths)
+    offsets = np.arange(rows * horizon, dtype=np.uint64) * _GOLD
+    z, scratch, up = np.empty_like(offsets), np.empty_like(offsets), np.empty(offsets.shape, bool)
+    for r0 in range(0, n_paths, rows):
+        n = (min(r0 + rows, n_paths) - r0) * horizon
+        np.add(offsets[:n], np.uint64((seed + r0 * horizon * int(_GOLD)) & _MASK64), out=z[:n])
+        _hash53_in_place(z[:n], scratch[:n])
+        np.less(z[:n], threshold, out=up[:n])
+        yield r0, up[:n].reshape(-1, horizon)
 
 
 @dataclass(frozen=True, eq=False)
@@ -168,10 +187,13 @@ def simulate_walk(N: int, p_heads, n_paths: int, seed: int) -> PathEnsemble:
     p = float(_walk_probability(N, p_heads))
     if n_paths < 1:
         raise ValueError("n_paths must be at least 1")
-    u = _step_uniforms(seed, n_paths, N)
-    steps = np.where(u < p, 1, -1).astype(np.int64)
     paths = np.zeros((n_paths, N + 1), dtype=np.int64)
-    np.cumsum(steps, axis=1, out=paths[:, 1:])
+    buffer = np.empty(max(_BLOCK, N), dtype=np.int64)  # no block holds more cells
+    for r0, up in _coin_blocks(seed, n_paths, N, p):
+        steps = buffer[: up.size].reshape(up.shape)
+        np.multiply(up, 2, out=steps)
+        steps -= 1
+        np.cumsum(steps, axis=1, out=paths[r0 : r0 + len(up), 1:])
     return PathEnsemble(
         model_id=f"walk(N={N},p={format_number(as_number(p_heads))})",
         n_paths=n_paths,
@@ -204,15 +226,14 @@ def simulate_doubling_strategy(
     if n_paths < 1:
         raise ValueError("n_paths must be at least 1")
 
-    u = _step_uniforms(seed, n_paths, n_levels)
-    up = u < p
-    alive = np.ones((n_paths, n_levels), dtype=bool)
-    if n_levels > 1:
-        alive[:, 1:] = np.logical_and.accumulate(~up[:, :-1], axis=1)
-    stakes = np.left_shift(np.int64(1), np.arange(n_levels, dtype=np.int64)) * alive
-    moves = np.where(up, 1, -1).astype(np.int64)
+    # Wealth is 1 - 2**j after j straight drops and +1 from the first rebound on.
+    losses = 1 - np.left_shift(np.int64(1), np.arange(1, n_levels + 1, dtype=np.int64))
     paths = np.zeros((n_paths, n_levels + 1), dtype=np.int64)
-    np.cumsum(stakes * moves, axis=1, out=paths[:, 1:])
+    for r0, up in _coin_blocks(seed, n_paths, n_levels, p):
+        np.logical_or.accumulate(up, axis=1, out=up)
+        block = paths[r0 : r0 + len(up), 1:]
+        block[...] = losses
+        np.copyto(block, 1, where=up)
 
     ensemble = PathEnsemble(
         model_id=(
@@ -307,17 +328,29 @@ class Functional:
 
 
 def _upcrossings_vectorized(paths: np.ndarray, a, b) -> np.ndarray:
-    """Per-path upcrossing counts via the same two-state scan, columnwise."""
+    """Per-path upcrossing counts via the same two-state scan, columnwise.
+
+    armed[t] = (armed[t-1] and X_t < b) or X_t <= a; as a < b, an upcrossing
+    completes exactly where armed falls to False.  Tiles of about _BLOCK cells
+    are scanned transposed; row 0 of a tile's state comes from the tile before.
+    """
     a = float(a)
     b = float(b)
     n_paths, width = paths.shape
-    below = np.zeros(n_paths, dtype=bool)
     counts = np.zeros(n_paths, dtype=np.int64)
-    for t in range(width):
-        col = paths[:, t]
-        completed = below & (col >= b)
-        counts += completed
-        below = (below & ~completed) | (col <= a)
+    for r0 in range(0, n_paths, _TILE_ROWS):
+        rows = paths[r0 : r0 + _TILE_ROWS]
+        cols = _BLOCK // len(rows)
+        armed = np.zeros((1, len(rows)), dtype=bool)
+        for c0 in range(0, width, cols):
+            # float64 is the type the comparisons with a and b cast to anyway
+            tile = rows[:, c0 : c0 + cols].T.astype(np.float64, order="C")
+            armed = np.concatenate([armed[-1:], tile <= a])
+            held = tile < b
+            for t in range(len(tile)):
+                held[t] &= armed[t]
+                armed[t + 1] |= held[t]
+            counts[r0 : r0 + _TILE_ROWS] += np.count_nonzero(armed[:-1] > armed[1:], axis=0)
     return counts
 
 

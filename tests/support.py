@@ -13,6 +13,8 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+import numpy as np
+
 from mglab import (
     DEFAULT_TOLERANCE,
     MARTINGALE,
@@ -547,3 +549,71 @@ def reference_stopping_bounds(X: AdaptedProcess) -> tuple:
         for y, x in zip(before.values, after.values)
     ]
     return max(values), max([0] + steps)
+
+
+# ---------------------------------------------------------------------------
+# The one-shot Monte Carlo kernels: every uniform, step and temporary of an
+# ensemble built at full (n_paths, horizon) size, as the samplers ran before
+# they worked in row blocks.  ``p`` is the float probability the samplers
+# compare against.
+
+_REF_MASK64 = (1 << 64) - 1
+_REF_GOLD = np.uint64(0x9E3779B97F4A7C15)
+_REF_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_REF_MIX2 = np.uint64(0x94D049BB133111EB)
+
+
+def _reference_mix(z: np.ndarray) -> np.ndarray:
+    z = (z ^ (z >> np.uint64(30))) * _REF_MIX1
+    z = (z ^ (z >> np.uint64(27))) * _REF_MIX2
+    return z ^ (z >> np.uint64(31))
+
+
+def reference_uniforms(seed: int, counters: np.ndarray) -> np.ndarray:
+    z = np.uint64(seed & _REF_MASK64) + (counters + np.uint64(1)) * _REF_GOLD
+    z = _reference_mix(z)
+    z = _reference_mix(z + _REF_GOLD)
+    return (z >> np.uint64(11)) * 2.0 ** -53
+
+
+def _reference_step_uniforms(seed: int, n_paths: int, horizon: int) -> np.ndarray:
+    counters = (
+        np.arange(n_paths, dtype=np.uint64)[:, None] * np.uint64(horizon)
+        + np.arange(horizon, dtype=np.uint64)[None, :]
+    )
+    return reference_uniforms(seed, counters)
+
+
+def reference_simulate_walk(N: int, p: float, n_paths: int, seed: int) -> np.ndarray:
+    u = _reference_step_uniforms(seed, n_paths, N)
+    steps = np.where(u < p, 1, -1).astype(np.int64)
+    paths = np.zeros((n_paths, N + 1), dtype=np.int64)
+    np.cumsum(steps, axis=1, out=paths[:, 1:])
+    return paths
+
+
+def reference_doubling_paths(n_levels: int, p: float, n_paths: int, seed: int) -> np.ndarray:
+    u = _reference_step_uniforms(seed, n_paths, n_levels)
+    up = u < p
+    alive = np.ones((n_paths, n_levels), dtype=bool)
+    if n_levels > 1:
+        alive[:, 1:] = np.logical_and.accumulate(~up[:, :-1], axis=1)
+    stakes = np.left_shift(np.int64(1), np.arange(n_levels, dtype=np.int64)) * alive
+    moves = np.where(up, 1, -1).astype(np.int64)
+    paths = np.zeros((n_paths, n_levels + 1), dtype=np.int64)
+    np.cumsum(stakes * moves, axis=1, out=paths[:, 1:])
+    return paths
+
+
+def reference_upcrossings(paths: np.ndarray, a, b) -> np.ndarray:
+    a = float(a)
+    b = float(b)
+    n_paths, width = paths.shape
+    below = np.zeros(n_paths, dtype=bool)
+    counts = np.zeros(n_paths, dtype=np.int64)
+    for t in range(width):
+        col = paths[:, t]
+        completed = below & (col >= b)
+        counts += completed
+        below = (below & ~completed) | (col <= a)
+    return counts

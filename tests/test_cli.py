@@ -10,6 +10,8 @@ from pathlib import Path
 import pytest
 
 import mglab.cli as cli
+from mglab import simulate_doubling_strategy
+from mglab.montecarlo import _BLOCK
 
 
 def run_cli(capsys, *argv):
@@ -336,6 +338,20 @@ def test_simulate_csv_dump(capsys, tmp_path):
     assert len(lines) == 26
     first = [int(v) for v in lines[1].split(",")]
     assert first[0] == 0 and all(abs(a - b) == 1 for a, b in zip(first, first[1:]))
+
+
+def test_simulate_csv_matches_the_per_value_writer(capsys, tmp_path):
+    """The block-at-a-time writer gives the bytes of the old one-value-at-a-time
+    writer, on a doubling ensemble spanning several row blocks."""
+    out_path = tmp_path / "paths.csv"
+    n_paths = 3 * (_BLOCK // 9) + 5
+    code, _, _ = run_cli(capsys, "simulate", "doubling", "--levels", "8", "--paths",
+                         str(n_paths), "--seed", "4", "--out", str(out_path))
+    assert code == 0
+    ensemble, _ = simulate_doubling_strategy(0, 8, Fraction(1, 2), n_paths, 4)
+    expected = ",".join(f"t{t}" for t in range(9)) + "\n" + "".join(
+        ",".join(str(int(v)) for v in row) + "\n" for row in ensemble.paths)
+    assert out_path.read_bytes() == expected.encode("utf-8")
 
 
 def test_simulate_missing_model_flag_is_input_error(capsys):

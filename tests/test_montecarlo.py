@@ -2,6 +2,7 @@
 exact-versus-sampled cross-check."""
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -23,8 +24,20 @@ from mglab import (
     simulate_walk,
     transform,
 )
-from mglab.montecarlo import MAX_DOUBLING_LEVELS, _uniforms
-from support import reference_doubling_stakes
+from mglab.montecarlo import (
+    _BLOCK,
+    _TILE_ROWS,
+    MAX_DOUBLING_LEVELS,
+    _uniforms,
+    _upcrossings_vectorized,
+)
+from support import (
+    reference_doubling_paths,
+    reference_doubling_stakes,
+    reference_simulate_walk,
+    reference_uniforms,
+    reference_upcrossings,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -60,6 +73,106 @@ def test_generator_range_and_spread():
 
 def test_seed_zero_counter_zero_is_not_degenerate():
     assert 0.0 < float(_uniforms(0, np.zeros(1, dtype=np.uint64))[0]) < 1.0
+
+
+# ---------------------------------------------------------------------------
+# the row-blocked kernels against the one-shot references
+
+
+BLOCK_PROBABILITIES = [0, 1, Fraction(1, 2), Fraction(1, 3), 0.3, 2 ** -60]
+BLOCK_SEEDS = [0, -1, 2 ** 64 - 1]
+
+
+def _path_counts(horizon: int) -> list[int]:
+    """One path, both sides of a block's row count, and a ragged last block."""
+    rows = max(1, _BLOCK // horizon)
+    return [1, rows - 1, rows, rows + 1, 2 * rows + rows // 3 + 1]
+
+
+def test_uniforms_match_the_one_shot_hash():
+    counters = np.arange(5000, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15 // 3)
+    for seed in BLOCK_SEEDS + [123456789]:
+        assert np.array_equal(_uniforms(seed, counters), reference_uniforms(seed, counters))
+
+
+@pytest.mark.parametrize("seed", BLOCK_SEEDS)
+@pytest.mark.parametrize("p", BLOCK_PROBABILITIES)
+def test_blocked_walk_matches_the_one_shot_kernel(p, seed):
+    shapes = [(N, n) for N in (1, 30) for n in _path_counts(N)]
+    shapes.append((_BLOCK + 5, 2))  # one row per block, each longer than a block
+    for N, n in shapes:
+        got = simulate_walk(N, p, n, seed).paths
+        assert np.array_equal(got, reference_simulate_walk(N, float(Fraction(p)), n, seed)), (N, n)
+
+
+@pytest.mark.parametrize("seed", BLOCK_SEEDS)
+@pytest.mark.parametrize("p", BLOCK_PROBABILITIES)
+def test_blocked_doubling_matches_the_one_shot_kernel(p, seed):
+    for L in (1, 8, 12, MAX_DOUBLING_LEVELS):
+        for n in _path_counts(L):
+            got = simulate_doubling_strategy(0, L, p, n, seed)[0].paths
+            want = reference_doubling_paths(L, float(Fraction(p)), n, seed)
+            assert np.array_equal(got, want), (L, n)
+
+
+@pytest.fixture(scope="module")
+def block_ensembles():
+    # The scan tiles rows in _TILE_ROWS and columns in _BLOCK // _TILE_ROWS;
+    # at N = 100 a row block spans seven column tiles.
+    walks = [simulate_walk(30, Fraction(1, 2), n, 4).paths
+             for n in (1, _TILE_ROWS - 1, _TILE_ROWS, _TILE_ROWS + 1, 2 * _TILE_ROWS + 700)]
+    walks.append(simulate_walk(100, Fraction(1, 2), 2100, 4).paths)
+    return walks + [simulate_doubling_strategy(0, L, Fraction(1, 2), n, 4)[0].paths
+                    for L, n in [(3, 20000), (8, 9000), (12, 7000)]]
+
+
+def _assert_upcrossings_match(paths, a, b):
+    want = reference_upcrossings(paths, a, b)
+    assert np.array_equal(_upcrossings_vectorized(paths, a, b), want), paths.shape
+    samples = Functional.upcrossings(a, b).apply_to_paths(paths)
+    assert np.array_equal(samples, want.astype(np.float64))
+
+
+@pytest.mark.parametrize("a, b", [(-1, 1), (-0.5, 1.5), (0, 3), (-7, -1)])
+def test_blocked_upcrossings_match_the_one_shot_scan(block_ensembles, a, b):
+    for paths in block_ensembles:
+        _assert_upcrossings_match(paths, a, b)
+
+
+def test_blocked_upcrossings_on_paths_longer_than_a_block():
+    _assert_upcrossings_match(simulate_walk(_BLOCK + 5, Fraction(1, 2), 2, 4).paths, -0.5, 1.5)
+
+
+@pytest.mark.parametrize("seed", [0, 9])
+def test_step_threshold_is_exactly_u_below_p(seed):
+    """A step is +1 exactly when its uniform u is below p: p = u gives -1,
+    the next double above u gives +1, in the first block and in later ones."""
+    N = 30
+    n = _BLOCK // N + 2
+    for counter in (0, 7, 29, (_BLOCK // N) * N + 4, n * N - 1):
+        u = float(_uniforms(seed, np.array([counter], dtype=np.uint64))[0])
+        path, step = divmod(counter, N)
+        for p, move in ((u, -1), (float(np.nextafter(u, 1.0)), 1)):
+            paths = simulate_walk(N, p, n, seed).paths
+            assert paths[path, step + 1] - paths[path, step] == move, (counter, p)
+
+
+def test_sampling_temporaries_stay_block_sized():
+    """Peak traced memory while sampling is little more than the returned
+    paths (n * (horizon + 1) int64s), however many paths there are."""
+    n, p = 200_000, Fraction(1, 3)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        simulate_walk(30, p, n, 5)
+        walk_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        simulate_doubling_strategy(0, 10, p, n, 5)
+        doubling_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert walk_peak / (n * 30) <= 12  # the paths alone take 8.27 B per path-step
+    assert doubling_peak / (n * 10) <= 14  # 8.8 for the paths alone
 
 
 # ---------------------------------------------------------------------------
