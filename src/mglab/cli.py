@@ -26,7 +26,6 @@ import math
 import os
 import signal
 import sys
-from dataclasses import dataclass
 
 from . import conditioning as cond
 from . import processes as proc
@@ -34,6 +33,7 @@ from .integration import expectation
 from .jsonio import (
     SpecError,
     _epsilon,
+    _parse_value,
     _window,
     parse_process_spec,
     parse_space_descriptor,
@@ -52,28 +52,11 @@ from .montecarlo import (
     simulate_doubling_strategy,
     simulate_walk,
 )
-from .numeric import DEFAULT_TOLERANCE, format_number, numbers_equal, parse_number
+from .numeric import DEFAULT_TOLERANCE, format_number, numbers_equal
 
 
 class InternalCheckError(RuntimeError):
     """Hypotheses held but a proven statement failed: a bug in this tool."""
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated run settings shared by the subcommands."""
-
-    output_format: str
-    tolerance: float
-    enumeration_limit: int
-
-    def __post_init__(self):
-        if self.output_format not in ("json", "human"):
-            raise ValueError(f"unknown output format {self.output_format!r}")
-        if not 0 < self.tolerance < math.inf:
-            raise ValueError("tolerance must be positive and finite")
-        if self.enumeration_limit < 1:
-            raise ValueError("enumeration limit must be at least 1")
 
 
 def _default_limit() -> int:
@@ -87,13 +70,14 @@ def _default_limit() -> int:
     return value
 
 
-def _config(args) -> RunConfig:
-    limit = args.limit if getattr(args, "limit", None) is not None else _default_limit()
-    return RunConfig(
-        output_format=getattr(args, "format", "json"),
-        tolerance=getattr(args, "tolerance", DEFAULT_TOLERANCE),
-        enumeration_limit=limit,
-    )
+def _config(args) -> int:
+    """Check the shared flags (argparse's choices own ``--format``); return the limit."""
+    limit = args.limit if args.limit is not None else _default_limit()
+    if not 0 < args.tolerance < math.inf:
+        raise ValueError("tolerance must be positive and finite")
+    if limit < 1:
+        raise ValueError("enumeration limit must be at least 1")
+    return limit
 
 
 def _human_lines(value, indent: int = 0) -> list[str]:
@@ -121,10 +105,10 @@ def _human_lines(value, indent: int = 0) -> list[str]:
     return [f"{pad}{value}"]
 
 
-def _emit(report: dict, config: RunConfig, out_path: str | None = None) -> None:
+def _emit(report: dict, output_format: str, out_path: str | None = None) -> None:
     payload = to_jsonable(report)
     text = json.dumps(payload, indent=2)
-    if config.output_format == "human":
+    if output_format == "human":
         shown = "\n".join(_human_lines(payload))
     else:
         shown = text
@@ -147,7 +131,7 @@ def _load_json(path: str):
 
 
 def cmd_sigma(args) -> int:
-    config = _config(args)
+    limit = _config(args)
     space, _, generators = parse_space_descriptor(_load_json(args.spec))
     sigma = generate_sigma_algebra(space, generators)
     report: dict = {
@@ -159,13 +143,13 @@ def cmd_sigma(args) -> int:
         "set_count": 2 ** sigma.atom_count,
     }
     try:
-        sets = enumerate_sets(sigma, config.enumeration_limit)
+        sets = enumerate_sets(sigma, limit)
         report["sets"] = [list(s.members) for s in sets]
         report["warning"] = None
     except SizeLimitError as exc:
         report["sets"] = None
         report["warning"] = str(exc)
-    _emit(report, config, getattr(args, "out", None))
+    _emit(report, args.format, args.out)
     return 0
 
 
@@ -332,11 +316,11 @@ THEOREMS = {
 
 
 def cmd_verify(args) -> int:
-    config = _config(args)
+    _config(args)
     spec = parse_process_spec(_load_json(args.spec))
     if spec.measure is None:
         raise SpecError("space.weights", "verification needs a probability measure")
-    detail, reason, passed, defect = THEOREMS[args.theorem](spec, spec.measure, config.tolerance)
+    detail, reason, passed, defect = THEOREMS[args.theorem](spec, spec.measure, args.tolerance)
     if reason is None and not passed:
         raise InternalCheckError(
             f"{defect}; this indicates a defect in this tool, not a counterexample "
@@ -352,7 +336,7 @@ def cmd_verify(args) -> int:
         "exit_code": exit_code,
         "detail": detail,
     }
-    _emit(report, config, getattr(args, "out", None))
+    _emit(report, args.format, args.out)
     return exit_code
 
 
@@ -372,12 +356,12 @@ def _write_csv(path: str, ensemble) -> None:
 
 
 def cmd_simulate(args) -> int:
-    config = _config(args)
+    _config(args)
     seed = args.seed if args.seed is not None else 0
     if args.model == "walk":
         if args.n is None:
             raise SpecError("--n", "the walk model needs a horizon")
-        p = parse_number(args.p)
+        p = _parse_value(args.p, "--p")
         ensemble = simulate_walk(args.n, p, args.paths, seed)
         est = estimate_functional(ensemble, Functional.terminal())
         report = {
@@ -392,8 +376,8 @@ def cmd_simulate(args) -> int:
     elif args.model == "doubling":
         if args.levels is None:
             raise SpecError("--levels", "the doubling model needs a level budget")
-        p = parse_number(args.p)
-        entry = parse_number(args.entry)
+        p = _parse_value(args.p, "--p")
+        entry = _parse_value(args.entry, "--entry")
         ensemble, rep = simulate_doubling_strategy(entry, args.levels, p, args.paths, seed)
         report = {
             "command": "simulate",
@@ -408,11 +392,10 @@ def cmd_simulate(args) -> int:
     else:
         raise SpecError("model", f"unknown model {args.model!r}")
 
-    out = getattr(args, "out", None)
-    if out:
-        _write_csv(out, ensemble)
-        report["csv_path"] = out
-    _emit(report, config)
+    if args.out:
+        _write_csv(args.out, ensemble)
+        report["csv_path"] = args.out
+    _emit(report, args.format)
     return 0
 
 
@@ -422,7 +405,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_walk_spec(args) -> int:
     _config(args)  # rejects bad shared flags, though walk-spec uses none of them
-    p = parse_number(args.p)
+    p = _parse_value(args.p, "--p")
     space, measure, filtration, walk = proc.make_coin_walk(args.n, p)
     spec: dict = {
         "space": {"outcomes": space.outcome_labels, "weights": measure.weights},
@@ -436,22 +419,20 @@ def cmd_walk_spec(args) -> int:
             next((n for n, v in enumerate(path) if v == level), None) for path in paths
         ]
     if args.interval is not None:
-        a = parse_number(args.interval[0])
-        b = parse_number(args.interval[1])
+        a, b = (_parse_value(v, "--interval") for v in args.interval)
         if not a < b:
             raise SpecError("--interval", f"need a < b, got a = {a}, b = {b}")
         spec["interval"] = [a, b]
     if args.window is not None:
         spec["window"] = _window(args.window, "--window")
     if args.epsilon is not None:
-        spec["epsilon"] = _epsilon(parse_number(args.epsilon), "--epsilon")
+        spec["epsilon"] = _epsilon(_parse_value(args.epsilon, "--epsilon"), "--epsilon")
 
     text = json.dumps(to_jsonable(spec), indent=2)
-    out = getattr(args, "out", None)
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
-        print(f"wrote spec for N={args.n} to {out}")
+        print(f"wrote spec for N={args.n} to {args.out}")
     else:
         print(text)
     return 0

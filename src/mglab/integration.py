@@ -11,13 +11,13 @@ kernels here: :func:`weighted_sum` over all outcomes (expectations, the
 optional-stopping figures, the upcrossing negative part, the tail-bound
 mean, E|X_m| and the L2 Gram matrix of a float process, the exact side
 of cross-validation), :func:`atom_sums` per atom of a partition
-(conditional expectation, the one-step drift table of a float process)
-and :func:`raw_atom_sums`, the per-atom loop itself, which
-:func:`atom_sums` divides.  The exact checks that read stage-measurable
-quantities sum atoms rather than outcomes, in integers over the stage
-masses, without these kernels (see ``mglab.processes``): the drift table,
-the L2 Gram matrix, E|X_m|, the upcrossing count and the tail-bound
-hypothesis and chain.
+(conditional expectation) and :func:`raw_atom_sums`, the per-atom loop
+itself, which :func:`atom_sums` divides.  The exact checks that read
+stage-measurable quantities sum atoms rather than outcomes, in integers
+over the stage masses, without these kernels (see ``mglab.processes``):
+the drift table, the L2 Gram matrix, E|X_m|, the upcrossing count and the
+tail-bound hypothesis and chain.  The drift table of a float process reads
+the same stage masses and sums its totals in outcome order.
 :func:`integrate_simple` stays a separate route.
 
 The kernels sum fraction-free, in the sense of Bareiss (Math. Comp. 1968):
@@ -34,12 +34,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from operator import mul
 from typing import Sequence
 
 from .measure import EventSet, ProbabilityMeasure, SampleSpace, SigmaAlgebra, _trusted, measure_of
-from .numeric import Number, all_exact, as_number
+from .numeric import Number, as_number
 
 
 @dataclass(frozen=True)
@@ -52,26 +51,25 @@ class RandomVariable:
         The sample space the variable lives on.
     values:
         One finite value per outcome, aligned with the space's outcome
-        order.  Ints and Fractions are exact; floats are accepted but mark
-        the variable inexact (see :attr:`exact`), which downgrades
-        exact-equality checks elsewhere to tolerance comparisons.
+        order.  Ints and Fractions are exact; floats are accepted but make
+        the variable inexact, which downgrades exact-equality checks
+        elsewhere to tolerance comparisons.
     """
 
     space: SampleSpace
     values: tuple[Number, ...]
 
     def __post_init__(self):
-        # as_number refuses non-finite floats, so every stored value is finite.
-        values = tuple(as_number(v) for v in self.values)
+        values = tuple(self.values)
+        # Ints are already normalized.  Anything else goes through as_number,
+        # which refuses non-finite floats, so every stored value is finite.
+        if set(map(type, values)) != {int}:
+            values = tuple(map(as_number, values))
         object.__setattr__(self, "values", values)
         if len(values) != self.space.size:
             raise ValueError(
                 f"got {len(values)} values for a space of {self.space.size} outcomes"
             )
-
-    @cached_property
-    def exact(self) -> bool:
-        return all_exact(self.values)
 
     def value_at(self, outcome: int) -> Number:
         return self.values[outcome]

@@ -23,7 +23,9 @@ document with float weights says so.  On output, rationals print as "p/q"
 strings and floats with 17 significant digits; both directions round-trip.
 
 Validation failures raise :class:`SpecError` carrying the path of the first
-offending field, which the CLI turns into an exit-2 message.
+offending field, which the CLI turns into an exit-2 message.  A process spec's
+fields after the space are read in one fixed order, one reader per field, so
+of two bad fields the one read first is reported.
 """
 from __future__ import annotations
 
@@ -47,6 +49,14 @@ class SpecError(ValueError):
         super().__init__(f"{field}: {message}")
 
 
+def _built(field: str, build, *args):
+    """``build(*args)``, with a ValueError it raises reported at ``field``."""
+    try:
+        return build(*args)
+    except ValueError as exc:
+        raise SpecError(field, str(exc)) from None
+
+
 def _parse_value(raw, field: str) -> Number:
     if isinstance(raw, bool):
         raise SpecError(field, "booleans are not numbers")
@@ -59,10 +69,7 @@ def _parse_value(raw, field: str) -> Number:
             raise SpecError(field, f"numbers must be finite, got {raw!r}")
         return raw
     if isinstance(raw, str):
-        try:
-            return parse_number(raw)
-        except ValueError as exc:
-            raise SpecError(field, str(exc)) from None
+        return _built(field, parse_number, raw)
     raise SpecError(field, f"expected a number or numeric string, got {type(raw).__name__}")
 
 
@@ -76,20 +83,14 @@ def _parse_event(raw, field: str, space: SampleSpace) -> EventSet:
             raise SpecError(
                 f"{field}[{j}]", f"index {idx} out of range for {space.size} outcomes"
             )
-    try:
-        return EventSet(tuple(raw))
-    except ValueError as exc:
-        raise SpecError(field, str(exc)) from None
+    return _built(field, EventSet, tuple(raw))
 
 
 def _parse_partition(raw, field: str, space: SampleSpace) -> SigmaAlgebra:
     if not isinstance(raw, list) or not raw:
         raise SpecError(field, "a partition must be a non-empty array of index arrays")
     atoms = tuple(_parse_event(cell, f"{field}[{k}]", space) for k, cell in enumerate(raw))
-    try:
-        return SigmaAlgebra.from_atoms(space, atoms)
-    except ValueError as exc:
-        raise SpecError(field, str(exc)) from None
+    return _built(field, SigmaAlgebra.from_atoms, space, atoms)
 
 
 def _parse_values(raw, field: str, space: SampleSpace) -> RandomVariable:
@@ -127,10 +128,7 @@ def parse_space(obj, field: str = "") -> tuple[SampleSpace, ProbabilityMeasure |
     for j, label in enumerate(outcomes):
         if not isinstance(label, str):
             raise SpecError(f"{prefix}outcomes[{j}]", "labels must be strings")
-    try:
-        space = SampleSpace(tuple(outcomes))
-    except ValueError as exc:
-        raise SpecError(f"{prefix}outcomes", str(exc)) from None
+    space = _built(f"{prefix}outcomes", SampleSpace, tuple(outcomes))
 
     measure = None
     if "weights" in obj and obj["weights"] is not None:
@@ -198,9 +196,81 @@ class ProcessSpec:
     bound: Number | None
 
 
-_SPEC_KEYS = frozenset(
-    f.name for f in dataclasses.fields(ProcessSpec) if f.name != "measure"
-)
+def _needs_filtration(spec: dict, field: str, message: str) -> Filtration:
+    if spec["filtration"] is None:
+        raise SpecError(field, message)
+    return spec["filtration"]
+
+
+def _read_filtration(raw, field: str, spec: dict) -> Filtration:
+    if not isinstance(raw, list) or not raw:
+        raise SpecError(field, "expected a non-empty array of partitions")
+    space = spec["space"]
+    stages = tuple(_parse_partition(part, f"{field}[{n}]", space) for n, part in enumerate(raw))
+    return _built(field, Filtration, space, stages)
+
+
+def _stage_reader(cls, lag: int, needs: str, arrays: str):
+    """The reader of ``cls``'s per-stage value arrays, one per stage but the
+    first ``lag``; ``arrays`` says what a wrong count got, given the count due."""
+
+    def read(raw, field: str, spec: dict):
+        filtration = _needs_filtration(spec, field, needs)
+        if not isinstance(raw, list):
+            raise SpecError(field, "expected an array of value arrays")
+        due = len(filtration.stages) - lag
+        if len(raw) != due:
+            raise SpecError(field, f"got {len(raw)} {arrays.format(due)}")
+        rvs = tuple(_parse_values(v, f"{field}[{n}]", spec["space"]) for n, v in enumerate(raw))
+        return _built(field, cls, filtration, rvs)
+
+    return read
+
+
+def _read_stopping_time(raw, field: str, spec: dict) -> StoppingTime:
+    filtration = _needs_filtration(spec, field, "a stopping time needs a filtration")
+    if not isinstance(raw, list):
+        raise SpecError(field, "expected an array of times (null = never)")
+    size = spec["space"].size
+    if len(raw) != size:
+        raise SpecError(field, f"got {len(raw)} times for {size} outcomes")
+    for j, t in enumerate(raw):
+        if t is not None and (not isinstance(t, int) or isinstance(t, bool)):
+            raise SpecError(f"{field}[{j}]", "times must be integers or null")
+    return _built(field, StoppingTime, filtration, tuple(raw))
+
+
+def _read_interval(raw, field: str, spec: dict) -> tuple[Number, Number]:
+    if not isinstance(raw, list) or len(raw) != 2:
+        raise SpecError(field, "expected [a, b] with a < b")
+    a, b = (_parse_value(v, f"{field}[{j}]") for j, v in enumerate(raw))
+    if not a < b:
+        raise SpecError(field, f"need a < b, got a = {a}, b = {b}")
+    return a, b
+
+
+# One reader per optional field, in reading order: the first refusal in this
+# order wins, whatever the document's key order.  A reader sees the fields
+# read before it.
+_READERS = {
+    "filtration": _read_filtration,
+    "process": _stage_reader(
+        AdaptedProcess, 0, "a process needs a filtration in the same document",
+        "stage arrays for a filtration with {} stages"),
+    "predictable": _stage_reader(
+        PredictableSequence, 1, "stakes need a filtration in the same document",
+        "stake arrays for horizon {}"),
+    "stopping_time": _read_stopping_time,
+    "conditioning": lambda raw, field, spec: _parse_partition(raw, field, spec["space"]),
+    "conditioning_fine": lambda raw, field, spec: _parse_partition(raw, field, spec["space"]),
+    "variable": lambda raw, field, spec: _parse_values(raw, field, spec["space"]),
+    "candidate": lambda raw, field, spec: _parse_values(raw, field, spec["space"]),
+    "interval": _read_interval,
+    "window": lambda raw, field, spec: _window(raw, field),
+    "epsilon": lambda raw, field, spec: _epsilon(_parse_value(raw, field), field),
+    "bound": lambda raw, field, spec: _parse_value(raw, field),
+}
+_SPEC_KEYS = frozenset(("space", *_READERS))
 
 
 def parse_process_spec(obj) -> ProcessSpec:
@@ -214,133 +284,11 @@ def parse_process_spec(obj) -> ProcessSpec:
     if "space" not in obj:
         raise SpecError("space", "missing")
     space, measure = parse_space(obj["space"], "space")
-
-    filtration = None
-    if obj.get("filtration") is not None:
-        raw_f = obj["filtration"]
-        if not isinstance(raw_f, list) or not raw_f:
-            raise SpecError("filtration", "expected a non-empty array of partitions")
-        stages = tuple(
-            _parse_partition(part, f"filtration[{n}]", space) for n, part in enumerate(raw_f)
-        )
-        try:
-            filtration = Filtration(space, stages)
-        except ValueError as exc:
-            raise SpecError("filtration", str(exc)) from None
-
-    process = None
-    if obj.get("process") is not None:
-        if filtration is None:
-            raise SpecError("process", "a process needs a filtration in the same document")
-        raw_p = obj["process"]
-        if not isinstance(raw_p, list):
-            raise SpecError("process", "expected an array of value arrays")
-        if len(raw_p) != len(filtration.stages):
-            raise SpecError(
-                "process",
-                f"got {len(raw_p)} stage arrays for a filtration with "
-                f"{len(filtration.stages)} stages",
-            )
-        rvs = tuple(
-            _parse_values(stage, f"process[{n}]", space) for n, stage in enumerate(raw_p)
-        )
-        try:
-            process = AdaptedProcess(filtration, rvs)
-        except ValueError as exc:
-            raise SpecError("process", str(exc)) from None
-
-    predictable = None
-    if obj.get("predictable") is not None:
-        if filtration is None:
-            raise SpecError("predictable", "stakes need a filtration in the same document")
-        raw_c = obj["predictable"]
-        if not isinstance(raw_c, list):
-            raise SpecError("predictable", "expected an array of value arrays")
-        if len(raw_c) != filtration.horizon:
-            raise SpecError(
-                "predictable",
-                f"got {len(raw_c)} stake arrays for horizon {filtration.horizon}",
-            )
-        rvs = tuple(
-            _parse_values(stage, f"predictable[{n}]", space) for n, stage in enumerate(raw_c)
-        )
-        try:
-            predictable = PredictableSequence(filtration, rvs)
-        except ValueError as exc:
-            raise SpecError("predictable", str(exc)) from None
-
-    stopping = None
-    if obj.get("stopping_time") is not None:
-        if filtration is None:
-            raise SpecError("stopping_time", "a stopping time needs a filtration")
-        raw_t = obj["stopping_time"]
-        if not isinstance(raw_t, list):
-            raise SpecError("stopping_time", "expected an array of times (null = never)")
-        if len(raw_t) != space.size:
-            raise SpecError(
-                "stopping_time", f"got {len(raw_t)} times for {space.size} outcomes"
-            )
-        for j, t in enumerate(raw_t):
-            if t is not None and (not isinstance(t, int) or isinstance(t, bool)):
-                raise SpecError(f"stopping_time[{j}]", "times must be integers or null")
-        try:
-            stopping = StoppingTime(filtration, tuple(raw_t))
-        except ValueError as exc:
-            raise SpecError("stopping_time", str(exc)) from None
-
-    conditioning = None
-    if obj.get("conditioning") is not None:
-        conditioning = _parse_partition(obj["conditioning"], "conditioning", space)
-    conditioning_fine = None
-    if obj.get("conditioning_fine") is not None:
-        conditioning_fine = _parse_partition(obj["conditioning_fine"], "conditioning_fine", space)
-
-    variable = None
-    if obj.get("variable") is not None:
-        variable = _parse_values(obj["variable"], "variable", space)
-    candidate = None
-    if obj.get("candidate") is not None:
-        candidate = _parse_values(obj["candidate"], "candidate", space)
-
-    interval = None
-    if obj.get("interval") is not None:
-        raw_i = obj["interval"]
-        if not isinstance(raw_i, list) or len(raw_i) != 2:
-            raise SpecError("interval", "expected [a, b] with a < b")
-        a = _parse_value(raw_i[0], "interval[0]")
-        b = _parse_value(raw_i[1], "interval[1]")
-        if not a < b:
-            raise SpecError("interval", f"need a < b, got a = {a}, b = {b}")
-        interval = (a, b)
-
-    window = None
-    if obj.get("window") is not None:
-        window = _window(obj["window"], "window")
-
-    epsilon = None
-    if obj.get("epsilon") is not None:
-        epsilon = _epsilon(_parse_value(obj["epsilon"], "epsilon"), "epsilon")
-
-    bound = None
-    if obj.get("bound") is not None:
-        bound = _parse_value(obj["bound"], "bound")
-
-    return ProcessSpec(
-        space=space,
-        measure=measure,
-        filtration=filtration,
-        process=process,
-        predictable=predictable,
-        stopping_time=stopping,
-        conditioning=conditioning,
-        conditioning_fine=conditioning_fine,
-        variable=variable,
-        candidate=candidate,
-        interval=interval,
-        window=window,
-        epsilon=epsilon,
-        bound=bound,
-    )
+    spec = {"space": space, "measure": measure}
+    for field, read in _READERS.items():
+        raw = obj.get(field)
+        spec[field] = None if raw is None else read(raw, field, spec)
+    return ProcessSpec(**spec)
 
 
 # ---------------------------------------------------------------------------

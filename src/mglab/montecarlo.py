@@ -30,6 +30,8 @@ from .processes import (
     AdaptedProcess,
     Filtration,
     PredictableSequence,
+    _interval,
+    _walk_probability,
     count_upcrossings,
     make_coin_walk,
     transform,
@@ -151,16 +153,6 @@ def _report(samples: np.ndarray) -> EstimateReport:
         ci95=(mean - 1.96 * se, mean + 1.96 * se),
         n_paths=n,
     )
-
-
-def _walk_probability(horizon, p_heads) -> Fraction:
-    """Check a walk's horizon; return its heads probability, exact, in [0, 1]."""
-    if not isinstance(horizon, int) or isinstance(horizon, bool) or horizon < 1:
-        raise ValueError("the horizon must be a positive integer")
-    p = Fraction(as_exact(p_heads))
-    if not 0 <= p <= 1:
-        raise ValueError(f"heads probability must lie in [0, 1], got {p}")
-    return p
 
 
 def _doubling_probability(n_levels, p_up) -> Fraction:
@@ -318,10 +310,7 @@ class Functional:
 
     @classmethod
     def upcrossings(cls, a, b) -> "Functional":
-        a = as_number(a)
-        b = as_number(b)
-        if not a < b:
-            raise ValueError(f"need a < b, got a = {a}, b = {b}")
+        a, b = _interval(a, b)
         return cls("upcrossings", f"upcrossings of [{a}, {b}]",
                    lambda path: count_upcrossings(path, a, b),
                    lambda paths: _upcrossings_vectorized(paths, a, b).astype(np.float64))

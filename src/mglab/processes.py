@@ -23,7 +23,6 @@ from typing import Sequence
 
 from .integration import (
     RandomVariable,
-    atom_sums,
     clear_denominators,
     constant_variable,
     expectation,
@@ -308,6 +307,24 @@ def is_stopping_time(times: Sequence[int | None], filtration: Filtration) -> boo
 # Coin-walk construction
 
 
+def _walk_probability(horizon, p_heads, capped: bool = False) -> Fraction:
+    """Check a walk's horizon, and with ``capped`` the exact engine's cap on it;
+    return its heads probability, exact, in [0, 1]."""
+    if not isinstance(horizon, int) or isinstance(horizon, bool) or horizon < 1:
+        raise ValueError("the horizon must be a positive integer")
+    if capped and horizon > MAX_COIN_WALK_HORIZON:
+        raise SizeLimitError(
+            f"a horizon of {horizon} means 2**{horizon} = {2 ** horizon} outcomes, over the "
+            f"exact-enumeration cap of {MAX_COIN_WALK_HORIZON}; use the Monte Carlo engine "
+            "instead: mglab.montecarlo.simulate_walk for long walks, "
+            "mglab.montecarlo.simulate_doubling_strategy for doubling episodes"
+        )
+    p = Fraction(as_exact(p_heads))
+    if not 0 <= p <= 1:
+        raise ValueError(f"heads probability must lie in [0, 1], got {p}")
+    return p
+
+
 def make_coin_walk(
     N: int, p_heads
 ) -> tuple[SampleSpace, ProbabilityMeasure, Filtration, AdaptedProcess]:
@@ -323,18 +340,7 @@ def make_coin_walk(
     that, exact enumeration stops being a workbench and the Monte Carlo
     engine (``mglab.montecarlo.simulate_walk``) is the right tool.
     """
-    if not isinstance(N, int) or isinstance(N, bool) or N < 1:
-        raise ValueError("the horizon must be a positive integer")
-    if N > MAX_COIN_WALK_HORIZON:
-        raise SizeLimitError(
-            f"a horizon of {N} means 2**{N} = {2 ** N} outcomes, over the exact-enumeration "
-            f"cap of {MAX_COIN_WALK_HORIZON}; use the Monte Carlo engine instead: "
-            "mglab.montecarlo.simulate_walk for long walks, "
-            "mglab.montecarlo.simulate_doubling_strategy for doubling episodes"
-        )
-    p = Fraction(as_exact(p_heads))
-    if not 0 <= p <= 1:
-        raise ValueError(f"heads probability must lie in [0, 1], got {p}")
+    p = _walk_probability(N, p_heads, capped=True)
     q = 1 - p
     size = 1 << N
 
@@ -377,13 +383,13 @@ def make_coin_walk(
     filtration = _trusted(Filtration, space=space, stages=stages)
 
     prev = (0,) * size
-    values = [_trusted(RandomVariable, space=space, values=prev, exact=True)]
+    values = [_trusted(RandomVariable, space=space, values=prev)]
     for n in range(1, N + 1):
         # Flip n is bit N - n of the index: blocks of +1 (heads) then -1.
         block = 1 << (N - n)
         step = ((1,) * block + (-1,) * block) * (1 << (n - 1))
         prev = tuple(map(add, prev, step))
-        values.append(_trusted(RandomVariable, space=space, values=prev, exact=True))
+        values.append(_trusted(RandomVariable, space=space, values=prev))
     nums = tuple(rv.values for rv in values)
     walk = _trusted(AdaptedProcess, filtration=filtration, values=tuple(values), scaled=(nums, 1))
     return space, measure, filtration, walk
@@ -403,13 +409,12 @@ def classify(
     atom's mass.  On an exact process the increments are summed as integers
     over :attr:`AdaptedProcess.scaled`, atom by atom up the filtration (see
     :func:`_drift_table`), and a drift sign is the sign of that integer sum;
-    no Fraction is built.  A float process is summed by
-    :func:`~mglab.integration.atom_sums` and its mean compared with
-    ``tolerance``, which applies only once floats are involved.  The
-    strongest accurate label wins: all drifts zero gives ``martingale``,
-    one-sided drifts give the super/sub labels (``strict-`` when every
-    single step on every atom is strict), and genuinely mixed drift signs
-    give ``none``.
+    no Fraction is built.  A float process is summed over the Fraction
+    weights in outcome order and its mean compared with ``tolerance``,
+    which applies only once floats are involved.  The strongest accurate
+    label wins: all drifts zero gives ``martingale``, one-sided drifts give
+    the super/sub labels (``strict-`` when every single step on every atom
+    is strict), and genuinely mixed drift signs give ``none``.
     """
     return _reading(X, P, tolerance)[2]
 
@@ -457,15 +462,20 @@ def _drift_table(
     atom's least member (X is adapted).  Integer addition is exact in any
     order: these are the ints of :func:`~mglab.integration.raw_atom_sums`
     over the scaled increments (a null atom's total is 0).  On a float
-    process the masses and totals are those of
-    :func:`~mglab.integration.atom_sums`, in outcome order.
+    process each mass is ``masses`` over ``D`` (int 0 for a null atom) and
+    each total is summed over the non-zero Fraction weights from int 0 in
+    outcome order, so a float total keeps its bits: the masses and totals
+    of :func:`~mglab.integration.atom_sums`.
     """
     stages = X.filtration.stages
     scaled = X.scaled
     if scaled is None:
+        D, w = P.denominator, P.weights
+        live = [i for i, wi in enumerate(w) if wi]
         return [
-            (stage, *atom_sums([a - b for a, b in zip(after.values, before.values)], stage, P))
-            for stage, before, after in zip(stages, X.values, X.values[1:])
+            (stage, [Fraction(m, D) if m else 0 for m in ms],
+             _sum_up([(after.values[i] - before.values[i]) * w[i] for i in live], live, stage))
+            for stage, ms, before, after in zip(stages, masses, X.values, X.values[1:])
         ]
     nums = scaled[0]
     table = []
@@ -530,19 +540,12 @@ def transform(C: PredictableSequence, X: AdaptedProcess) -> AdaptedProcess:
     """
     if C.filtration != X.filtration:
         raise ValueError("stakes and process must share one filtration")
-    space = X.space
-    values = [constant_variable(space, 0)]
-    prev = values[0].values
+    values = [constant_variable(X.space, 0)]
     for stake, before, now in zip(C.values, X.values, X.values[1:]):
-        cur = tuple(map(add, prev, map(mul, stake.values, map(sub, now.values, before.values))))
-        # A stage of ints is already normalized.  Any other stage goes
-        # through the public checks, which turn a whole Fraction into an
-        # int and refuse a float that overflowed.
-        if set(map(type, cur)) == {int}:
-            values.append(_trusted(RandomVariable, space=space, values=cur, exact=True))
-        else:
-            values.append(RandomVariable(space, cur))
-        prev = cur
+        steps = map(mul, stake.values, map(sub, now.values, before.values))
+        # The constructor turns a whole Fraction into an int and refuses a
+        # float that overflowed.
+        values.append(RandomVariable(X.space, tuple(map(add, values[-1].values, steps))))
     # Adapted by construction: C_k is stage k-1 and X_k stage k measurable.
     return _trusted(AdaptedProcess, filtration=X.filtration, values=tuple(values))
 
@@ -972,6 +975,14 @@ def stopping_tail_bound_check(
 # Upcrossings
 
 
+def _interval(a, b) -> tuple[Number, Number]:
+    """The ends of an upcrossing interval as numbers, refusing a >= b."""
+    a, b = as_number(a), as_number(b)
+    if not a < b:
+        raise ValueError(f"need a < b, got a = {a}, b = {b}")
+    return a, b
+
+
 def count_upcrossings(path_values: Sequence, a, b) -> int:
     """Completed upcrossings of [a, b] along one trajectory.
 
@@ -979,10 +990,7 @@ def count_upcrossings(path_values: Sequence, a, b) -> int:
     completes one upcrossing and re-arms the wait.  Starting at or above b
     counts nothing until the path has first dipped to a.
     """
-    a = as_number(a)
-    b = as_number(b)
-    if not a < b:
-        raise ValueError(f"need a < b, got a = {a}, b = {b}")
+    a, b = _interval(a, b)
     count = 0
     below = False
     for v in path_values:
@@ -1066,10 +1074,7 @@ def upcrossing_inequality_check(
     the paths through an atom; martingales count as supermartingales for
     the hypothesis.
     """
-    a = as_number(a)
-    b = as_number(b)
-    if not a < b:
-        raise ValueError(f"need a < b, got a = {a}, b = {b}")
+    a, b = _interval(a, b)
     masses, _, verdict = _reading(X, P, tolerance)
     label = verdict.label
     hypothesis_ok = label in SUPERMARTINGALE_FAMILY

@@ -385,6 +385,20 @@ def test_walk_spec_refuses_what_verify_would_refuse(capsys, tmp_path, flags):
     assert not spec_path.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ("simulate", "walk", "--n", "3", "--p", "x"),
+    ("simulate", "doubling", "--levels", "3", "--entry", "x"),
+    ("walk-spec", "--n", "3", "--p", "x"),
+    ("walk-spec", "--n", "3", "--interval", "1", "x"),
+    ("walk-spec", "--n", "3", "--epsilon", "x"),
+])
+def test_unparsable_number_flags_name_their_flag(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    flag = [a for a in argv if a.startswith("--")][-1]
+    assert err == f"input error: {flag}: cannot parse 'x' as a number\n"
+
+
 def test_walk_spec_biased_classifies_strict(capsys, tmp_path):
     spec_path = tmp_path / "b.json"
     run_cli(capsys, "walk-spec", "--n", "4", "--p", "1/3", "--out", str(spec_path))

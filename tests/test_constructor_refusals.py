@@ -3,7 +3,9 @@
 Code that derives objects from checked ones may skip these checks; the
 public constructors, and the JSON readers built on them, keep every one.
 Each exact report likewise refuses a measure on another sample space, of the
-same size or larger, before it sums anything.
+same size or larger, before it sums anything.  The coin-walk parameters and
+the upcrossing interval have one check each, shared by every entry point that
+takes them; their texts, and which refusal wins, are pinned here per entry point.
 """
 from fractions import Fraction
 
@@ -12,15 +14,21 @@ import pytest
 from mglab import (
     AdaptedProcess,
     Filtration,
+    Functional,
     PredictableSequence,
     RandomVariable,
     SampleSpace,
     SigmaAlgebra,
+    SizeLimitError,
     StoppingTime,
+    WalkModel,
     classify,
+    count_upcrossings,
     discrete_sigma_algebra,
     l2_pythagoras_check,
+    make_coin_walk,
     optional_stopping_report,
+    simulate_walk,
     stopping_tail_bound_check,
     trivial_sigma_algebra,
     truncated_convergence_diagnostic,
@@ -53,6 +61,24 @@ REPORTS = {
     "upcrossing": lambda P: upcrossing_inequality_check(X3, P, 0, 1),
     "pythagoras": lambda P: l2_pythagoras_check(X3, P),
     "convergence": lambda P: truncated_convergence_diagnostic(X3, P, [(0, 1)]),
+}
+U3 = uniform_measure(S3)
+HORIZON = "the horizon must be a positive integer"
+CAP_25 = (
+    "a horizon of 25 means 2**25 = 33554432 outcomes, over the exact-enumeration cap of 20; "
+    "use the Monte Carlo engine instead: mglab.montecarlo.simulate_walk for long walks, "
+    "mglab.montecarlo.simulate_doubling_strategy for doubling episodes"
+)
+P_2 = "heads probability must lie in [0, 1], got 2"
+WALKS = {
+    "make_coin_walk": make_coin_walk,
+    "WalkModel": WalkModel,
+    "simulate_walk": lambda N, p: simulate_walk(N, p, 10, 0),
+}
+INTERVALS = {
+    "count_upcrossings": lambda a, b: count_upcrossings([0, 1], a, b),
+    "upcrossing_inequality_check": lambda a, b: upcrossing_inequality_check(X3, U3, a, b),
+    "Functional.upcrossings": Functional.upcrossings,
 }
 
 
@@ -111,6 +137,38 @@ CASES = {
             "filtration and measure live on different sample spaces")
         for size, P in FOREIGN.items()
     },
+    **{
+        f"{name} {case}": (lambda build=build, args=args: build(*args), error, message)
+        for name, build in WALKS.items()
+        for case, args, error, message in [
+            ("string horizon", ("5", 2), ValueError, HORIZON),
+            ("bool horizon", (True, Fraction(1, 2)), ValueError, HORIZON),
+            ("zero horizon", (0, 2), ValueError, HORIZON),
+            ("heads probability", (3, 2), ValueError, P_2),
+            ("negative heads probability", (3, "-1/3"), ValueError,
+             "heads probability must lie in [0, 1], got -1/3"),
+            ("unparsable heads probability", (3, "x"), ValueError,
+             "cannot parse 'x' as a number"),
+        ]
+    },
+    # Only the exact builder is capped, and the cap wins over a bad probability.
+    "make_coin_walk cap": (lambda: make_coin_walk(25, 2), SizeLimitError, CAP_25),
+    "WalkModel past the cap": (lambda: WalkModel(25, 2), ValueError, P_2),
+    "simulate_walk past the cap": (lambda: simulate_walk(25, 2, 10, 0), ValueError, P_2),
+    "simulate_walk paths": (
+        lambda: simulate_walk(3, Fraction(1, 2), 0, 0), ValueError, "n_paths must be at least 1"),
+    **{
+        f"{name} {case}": (lambda build=build, args=args: build(*args), ValueError, message)
+        for name, build in INTERVALS.items()
+        for case, args, message in [
+            ("tied interval", (1, 1), "need a < b, got a = 1, b = 1"),
+            ("reversed interval", ("1/2", Fraction(-1, 3)), "need a < b, got a = 1/2, b = -1/3"),
+            ("float interval", (0.5, -0.0), "need a < b, got a = 0.5, b = 0.0"),
+        ]
+    },
+    "convergence grid interval": (
+        lambda: truncated_convergence_diagnostic(X3, U3, [(0, 1), (1, Fraction(2, 2))]),
+        ValueError, "grid interval needs a < b, got a = 1, b = 1"),
 }
 
 

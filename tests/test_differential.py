@@ -195,7 +195,6 @@ def _trusted_parts(X: AdaptedProcess) -> tuple:
     """The cached fields a trusted build may fill, next to the values they derive from."""
     return (
         [(s.atom_count, s.least_members) for s in X.filtration.stages],
-        [rv.exact for rv in X.values],
         X.scaled,
     )
 
@@ -205,7 +204,6 @@ def _recomputed_parts(X: AdaptedProcess) -> tuple:
     return (
         [(len(set(s.labels)), tuple(s.labels.index(k) for k in range(len(set(s.labels)))))
          for s in stages],
-        [all(not isinstance(v, float) for v in rv.values) for rv in X.values],
         clear_denominators(*(rv.values for rv in X.values)),
     )
 
@@ -280,6 +278,12 @@ def test_atom_level_drift_table_matches_the_outcome_loop():
         assert report.step_identity_ok == reference_step_identity_holds(C, X, transform(C, X), P)
         floats = _floats(X)
         assert repr(classify(floats, P)) == repr(reference_classify(floats, P))
+        # The float table reads the int stage masses; its masses and totals,
+        # types and float bits included, are the outcome loop's.
+        assert repr(_drift_table(floats, P, _stage_masses(F, P))) == repr([
+            (stage, *reference_atom_sums([a - b for a, b in zip(y.values, x.values)], stage, P))
+            for stage, x, y in zip(F.stages, floats.values, floats.values[1:])
+        ])
         coarse_last += F.stages[-1].atom_count < space.size
         null_atoms += any(not m for _, masses, _ in table for m in masses)
     assert coarse_last > 20 and null_atoms > 20
@@ -339,3 +343,49 @@ def test_stage_masses_match_raw_atom_sums():
         assert masses == [raw_atom_sums(ones, stage, P.int_weights)[0] for stage in F.stages]
         null_atoms += any(not m for stage_masses in masses for m in stage_masses)
     assert null_atoms > 20
+
+
+def _rand_entry(rng: random.Random):
+    """One value of any kind the constructor may meet, refusals included."""
+    return rng.choice([
+        lambda: rng.randint(-10**20, 10**20),
+        lambda: rng.choice((True, False)),
+        lambda: Fraction(rng.randint(-9, 9)),
+        lambda: rand_fraction(rng),
+        lambda: rng.choice((0.0, -0.0, 0.5, -1e308, 1e-320, float("inf"), float("nan"))),
+        lambda: rng.choice(("3", " -1/4 ", "0.3", "1e2", "x", "1/0", "nan", "")),
+        lambda: rng.choice((None, [1], 1j, b"1")),
+    ])()
+
+
+def _reference_values(space: SampleSpace, values) -> tuple:
+    """The constructor as it was: every value through as_number, then the length."""
+    out = tuple(map(as_number, values))
+    if len(out) != space.size:
+        raise ValueError(f"got {len(out)} values for a space of {space.size} outcomes")
+    return out
+
+
+def _construction(build, *args) -> str:
+    try:
+        return repr(build(*args))
+    except (TypeError, ValueError) as exc:
+        return f"raised {type(exc).__name__}: {exc}"
+
+
+def test_random_variable_int_path_matches_as_number_on_every_value():
+    """All-int lists skip as_number; every list gets as_number's values and refusals."""
+    rng = random.Random(13)
+    int_lists = refusals = 0
+    for _ in range(3000):
+        space = rand_space(rng, max_size=6)
+        n = space.size if rng.random() < 0.9 else rng.randint(0, 7)
+        if rng.random() < 0.4:
+            values = [rng.randint(-10**20, 10**20) for _ in range(n)]
+        else:
+            values = [_rand_entry(rng) for _ in range(n)]
+        got = _construction(lambda: RandomVariable(space, values).values)
+        assert got == _construction(_reference_values, space, values)
+        int_lists += bool(values) and {type(v) for v in values} == {int}
+        refusals += got.startswith("raised")
+    assert int_lists > 1000 and refusals > 500

@@ -192,3 +192,142 @@ def test_to_jsonable_report_objects():
     assert out["label"] == "martingale"
     assert out["witness"] is None
     assert json.dumps(out)
+
+
+def _without_filtration(doc):
+    del doc["filtration"]
+    return doc
+
+
+def _edit(field, value):
+    def edit(doc):
+        doc[field] = value
+        return doc
+    return edit
+
+
+STAKES = [[1, 1, 1, 1], [1, 1, 2, 2]]
+# Each case edits spec_doc() (which carries a filtration and a process) and
+# names the one refusal text it must raise, field path included.
+FIELD_REFUSALS = {
+    "process without a filtration": (
+        _without_filtration, "process: a process needs a filtration in the same document"),
+    "process not an array": (
+        _edit("process", {"0": [0, 0, 0, 0]}), "process: expected an array of value arrays"),
+    "process count": (
+        _edit("process", [[0, 0, 0, 0], [1, 1, -1, -1]]),
+        "process: got 2 stage arrays for a filtration with 3 stages"),
+    "process stage not an array": (
+        _edit("process", [[0, 0, 0, 0], 1, [2, 0, 0, -2]]),
+        "process[1]: expected an array of values, one per outcome"),
+    "process stage length": (
+        _edit("process", [[0, 0, 0, 0], [1, 1, -1], [2, 0, 0, -2]]),
+        "process[1]: got 3 values for 4 outcomes"),
+    "process value": (
+        _edit("process", [[0, 0, 0, 0], [1, 1, True, -1], [2, 0, 0, -2]]),
+        "process[1][2]: booleans are not numbers"),
+    "process constructor": (
+        _edit("process", [[0, 0, 0, 0], [1, 2, -1, -1], [2, 0, 0, -2]]),
+        "process: not adapted: X_1 is not measurable at stage 1; it splits atom [0, 1]"),
+    "predictable without a filtration": (
+        lambda doc: {"space": doc["space"], "predictable": STAKES},
+        "predictable: stakes need a filtration in the same document"),
+    "predictable not an array": (
+        _edit("predictable", "1"), "predictable: expected an array of value arrays"),
+    "predictable count": (
+        _edit("predictable", [[1, 1, 1, 1]] * 3), "predictable: got 3 stake arrays for horizon 2"),
+    "predictable stage length": (
+        _edit("predictable", [[1, 1, 1, 1], [1, 1, 2]]),
+        "predictable[1]: got 3 values for 4 outcomes"),
+    "predictable value": (
+        _edit("predictable", [["1/x", 1, 1, 1], [1, 1, 2, 2]]),
+        "predictable[0][0]: cannot parse '1/x' as a number"),
+    "predictable constructor": (
+        _edit("predictable", [[1, 1, 1, 1], [1, 2, 2, 2]]),
+        "predictable: not predictable: C_2 must be measurable at stage 1; it splits atom [0, 1]"),
+    "stopping_time without a filtration": (
+        lambda doc: {"space": doc["space"], "stopping_time": [1, 1, 1, 1]},
+        "stopping_time: a stopping time needs a filtration"),
+    "stopping_time not an array": (
+        _edit("stopping_time", 1), "stopping_time: expected an array of times (null = never)"),
+    "stopping_time count": (
+        _edit("stopping_time", [0, 0, 0]), "stopping_time: got 3 times for 4 outcomes"),
+    "stopping_time entry": (
+        _edit("stopping_time", [1, "1", 1, 1]), "stopping_time[1]: times must be integers or null"),
+    "stopping_time range": (
+        _edit("stopping_time", [0, 0, 0, 5]),
+        "stopping_time: stopping value at outcome 3 must be an integer in 0..2 or None, got 5"),
+    "stopping_time constructor": (
+        _edit("stopping_time", [1, 2, 1, 1]),
+        "stopping_time: not a stopping time: {tau <= 1} splits the stage-1 atom [0, 1]"),
+    "conditioning": (
+        _edit("conditioning", []),
+        "conditioning: a partition must be a non-empty array of index arrays"),
+    "conditioning_fine": (
+        _edit("conditioning_fine", [[0, 1], [1, 2, 3]]),
+        "conditioning_fine: outcome 1 appears in two atoms; atoms must be disjoint"),
+    "variable": (_edit("variable", [1, 2, 3]), "variable: got 3 values for 4 outcomes"),
+    "candidate": (_edit("candidate", "x"),
+                  "candidate: expected an array of values, one per outcome"),
+    "interval not a pair": (_edit("interval", [1]), "interval: expected [a, b] with a < b"),
+    "interval not an array": (_edit("interval", "1"), "interval: expected [a, b] with a < b"),
+    "interval end": (_edit("interval", [0, "x"]), "interval[1]: cannot parse 'x' as a number"),
+    "interval ends both bad": (_edit("interval", [None, "x"]),
+                               "interval[0]: expected a number or numeric string, got NoneType"),
+    "interval tied": (_edit("interval", ["1", 1]), "interval: need a < b, got a = 1, b = 1"),
+    "interval reversed": (_edit("interval", [0.5, -0.0]),
+                          "interval: need a < b, got a = 0.5, b = -0.0"),
+    "window zero": (_edit("window", 0), "window: expected a positive integer"),
+    "window bool": (_edit("window", True), "window: expected a positive integer"),
+    "window string": (_edit("window", "2"), "window: expected a positive integer"),
+    "epsilon range": (_edit("epsilon", "1"), "epsilon: must lie strictly between 0 and 1, got 1"),
+    "epsilon float": (_edit("epsilon", -0.5),
+                      "epsilon: must lie strictly between 0 and 1, got -1/2"),
+    "epsilon number": (_edit("epsilon", "x"), "epsilon: cannot parse 'x' as a number"),
+    "bound number": (_edit("bound", "x"), "bound: cannot parse 'x' as a number"),
+    "bound type": (_edit("bound", [1]), "bound: expected a number or numeric string, got list"),
+    "bound bool": (_edit("bound", False), "bound: booleans are not numbers"),
+}
+# Fields are read in one fixed order, whatever the document's key order: the
+# refusal of the field read first wins.
+FIELD_PRECEDENCE = {
+    "process before predictable": (
+        {"bound": "x", "predictable": "1", "process": 1}, "process: expected an array of value arrays"),
+    "predictable before stopping_time": (
+        {"stopping_time": 1, "predictable": "1"},
+        "predictable: expected an array of value arrays"),
+    "stopping_time before interval": (
+        {"interval": [1], "stopping_time": [0]}, "stopping_time: got 1 times for 4 outcomes"),
+    "conditioning before variable": (
+        {"variable": [1], "conditioning_fine": [], "conditioning": []},
+        "conditioning: a partition must be a non-empty array of index arrays"),
+    "variable before candidate": (
+        {"candidate": [1], "variable": [2]}, "variable: got 1 values for 4 outcomes"),
+    "interval before window": (
+        {"window": 0, "interval": [1, 0]}, "interval: need a < b, got a = 1, b = 0"),
+    "window before epsilon": ({"epsilon": "2", "window": -1}, "window: expected a positive integer"),
+    "epsilon before bound": (
+        {"bound": None, "epsilon": 0}, "epsilon: must lie strictly between 0 and 1, got 0"),
+    "unknown key before everything": (
+        {"process": 1, "zzz": 1},
+        "zzz: unknown field; expected one of bound, candidate, conditioning, conditioning_fine, "
+        "epsilon, filtration, interval, predictable, process, space, stopping_time, variable, "
+        "window"),
+}
+
+
+@pytest.mark.parametrize("case", FIELD_REFUSALS)
+def test_each_spec_field_refuses_with_its_message(case):
+    edit, message = FIELD_REFUSALS[case]
+    with pytest.raises(SpecError) as err:
+        parse_process_spec(edit(spec_doc()))
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("case", FIELD_PRECEDENCE)
+def test_the_field_read_first_refuses_first(case):
+    bad, message = FIELD_PRECEDENCE[case]
+    doc = {**bad, **spec_doc(), **bad}  # the bad fields come first in the document
+    with pytest.raises(SpecError) as err:
+        parse_process_spec(doc)
+    assert str(err.value) == message
