@@ -211,8 +211,8 @@ def _read_filtration(raw, field: str, spec: dict) -> Filtration:
 
 
 def _stage_reader(cls, lag: int, needs: str, arrays: str):
-    """The reader of ``cls``'s per-stage value arrays, one per stage but the
-    first ``lag``; ``arrays`` says what a wrong count got, given the count due."""
+    """The reader of ``cls``'s per-stage value arrays, ``len(stages) - lag``
+    of them; ``arrays`` words a wrong count, given the count due."""
 
     def read(raw, field: str, spec: dict):
         filtration = _needs_filtration(spec, field, needs)
