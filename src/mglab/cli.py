@@ -45,13 +45,6 @@ from .measure import (
     enumerate_sets,
     generate_sigma_algebra,
 )
-from .montecarlo import (
-    _BLOCK,
-    Functional,
-    estimate_functional,
-    simulate_doubling_strategy,
-    simulate_walk,
-)
 from .numeric import DEFAULT_TOLERANCE, format_number, numbers_equal
 
 
@@ -345,6 +338,7 @@ def cmd_verify(args) -> int:
 
 
 def _write_csv(path: str, ensemble) -> None:
+    from .montecarlo import _BLOCK
     width = ensemble.horizon + 1
     rows = max(1, _BLOCK // width)
     line = ",".join(["%d"] * width) + "\n"
@@ -356,6 +350,9 @@ def _write_csv(path: str, ensemble) -> None:
 
 
 def cmd_simulate(args) -> int:
+    # Only sampling needs numpy, so the other commands start without it.
+    from .montecarlo import (Functional, estimate_functional, simulate_doubling_strategy,
+                             simulate_walk)
     _config(args)
     seed = args.seed if args.seed is not None else 0
     if args.model == "walk":

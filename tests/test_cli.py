@@ -1,5 +1,7 @@
 """End-to-end command tests: exit codes, JSON shape, determinism, errors."""
+import contextlib
 import dataclasses
+import io
 import json
 import signal
 import subprocess
@@ -478,3 +480,52 @@ def test_console_script_entry_point():
     )
     assert proc.returncode == 0
     assert "sigma" in proc.stdout and "verify" in proc.stdout
+
+
+# The exact commands never sample, so they must run where numpy cannot be imported.
+NUMPY_BLOCKED = 'import sys\nsys.modules["numpy"] = None\n'
+RUN_MAIN = "import sys\nimport mglab.cli\nsys.exit(mglab.cli.main(sys.argv[1:]))\n"
+WALK_SPEC_ARGV = ("walk-spec", "--n", "4", "--stop-hit", "1", "--interval", "-1", "1",
+                  "--window", "2", "--epsilon", "1/10")
+
+
+def run_child_main(argv, numpy_blocked):
+    code = (NUMPY_BLOCKED if numpy_blocked else "") + RUN_MAIN
+    proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, timeout=120)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+@pytest.fixture(scope="module")
+def small_walk_spec(tmp_path_factory):
+    path = tmp_path_factory.mktemp("spec") / "walk4.json"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main([*WALK_SPEC_ARGV, "--out", str(path)]) == 0
+    return str(path)
+
+
+THEOREMS = ("classify", "transform", "stopped", "optional-stopping", "upcrossing",
+            "pythagoras", "tower", "kolmogorov", "tail-bound")
+
+
+@pytest.mark.parametrize("command", [
+    ("walk-spec",), ("sigma",),
+    # the walk spec lacks the fields of some selectors and fails the premise of
+    # others; on the reference document every selector passes
+    *(("verify", doc, theorem) for doc in ("walk-spec", "reference") for theorem in THEOREMS),
+], ids="-".join)
+def test_exact_commands_run_with_numpy_blocked(command, small_walk_spec, space_doc, walk_doc):
+    if command[0] == "verify":
+        argv = ("verify", small_walk_spec if command[1] == "walk-spec" else walk_doc, command[2])
+    else:
+        argv = WALK_SPEC_ARGV if command[0] == "walk-spec" else ("sigma", space_doc)
+    blocked = run_child_main(argv, numpy_blocked=True)
+    assert b"Traceback" not in blocked[2], blocked[2].decode()
+    assert blocked == run_child_main(argv, numpy_blocked=False)
+
+
+@pytest.mark.parametrize("module", ["mglab", "mglab.cli"])
+def test_import_leaves_numpy_unloaded(module):
+    proc = subprocess.run([sys.executable, "-c", f"import sys, {module}\n"
+                           "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'numpy'))"],
+                          capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
