@@ -327,19 +327,28 @@ def _upcrossings_vectorized(paths: np.ndarray, a, b) -> np.ndarray:
     b = float(b)
     n_paths, width = paths.shape
     counts = np.zeros(n_paths, dtype=np.int64)
+    # One set of buffers per call; a tile never holds more than _BLOCK cells.
+    tile_buf, held_buf = np.empty(_BLOCK), np.empty(_BLOCK, dtype=bool)
+    armed_buf, row_counts = np.empty(_BLOCK + _TILE_ROWS, dtype=bool), np.empty(_TILE_ROWS, int)
     for r0 in range(0, n_paths, _TILE_ROWS):
         rows = paths[r0 : r0 + _TILE_ROWS]
-        cols = _BLOCK // len(rows)
-        armed = np.zeros((1, len(rows)), dtype=bool)
+        n = len(rows)
+        cols = _BLOCK // n
+        armed_buf[:n] = False
         for c0 in range(0, width, cols):
+            k = min(cols, width - c0)
             # float64 is the type the comparisons with a and b cast to anyway
-            tile = rows[:, c0 : c0 + cols].T.astype(np.float64, order="C")
-            armed = np.concatenate([armed[-1:], tile <= a])
-            held = tile < b
-            for t in range(len(tile)):
+            tile = tile_buf[: k * n].reshape(k, n)
+            tile[...] = rows[:, c0 : c0 + k].T
+            armed = armed_buf[: (k + 1) * n].reshape(k + 1, n)
+            np.less_equal(tile, a, out=armed[1:])
+            held = np.less(tile, b, out=held_buf[: k * n].reshape(k, n))
+            for t in range(k):
                 held[t] &= armed[t]
                 armed[t + 1] |= held[t]
-            counts[r0 : r0 + _TILE_ROWS] += np.count_nonzero(armed[:-1] > armed[1:], axis=0)
+            falls = np.greater(armed[:-1], armed[1:], out=held)
+            counts[r0 : r0 + n] += np.add.reduce(falls, axis=0, out=row_counts[:n])
+            armed[0] = armed[k]  # the next column tile starts from this state
     return counts
 
 
