@@ -525,7 +525,7 @@ def test_exact_commands_run_with_numpy_blocked(command, small_walk_spec, space_d
 
 @pytest.mark.parametrize("module", ["mglab", "mglab.cli"])
 def test_import_leaves_numpy_unloaded(module):
-    proc = subprocess.run([sys.executable, "-c", f"import sys, {module}\n"
-                           "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'numpy'))"],
-                          capture_output=True, text=True, timeout=120)
+    code = f"import sys, {module}\nprint([m for m in sys.modules if m.split('.')[0] == 'numpy'])"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
