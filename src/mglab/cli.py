@@ -9,7 +9,9 @@ Exit codes are part of the contract:
 
     0  the command ran and the checked statement passed
     1  a theorem hypothesis failed (the input does not satisfy the premise)
-    2  input error: malformed JSON, schema violation, bad flags
+    2  input error: malformed JSON, schema violation, bad flags; or an
+       installation error: numpy, which only ``mgl simulate`` needs, cannot
+       be imported
     3  hypotheses held but the conclusion failed, or an unexpected internal
        error occurred; either means a defect in this tool, never a
        counterexample to the mathematics, and the message says so
@@ -351,8 +353,16 @@ def _write_csv(path: str, ensemble) -> None:
 
 def cmd_simulate(args) -> int:
     # Only sampling needs numpy, so the other commands start without it.
-    from .montecarlo import (Functional, estimate_functional, simulate_doubling_strategy,
-                             simulate_walk)
+    try:
+        from .montecarlo import (Functional, estimate_functional, simulate_doubling_strategy,
+                                 simulate_walk)
+    except ModuleNotFoundError as exc:
+        if exc.name != "numpy":
+            raise
+        # A missing dependency is an installation error, not a defect in this tool (exit 3).
+        print(f"installation error: mgl simulate needs numpy, which cannot be imported ({exc})",
+              file=sys.stderr)
+        return 2
     _config(args)
     seed = args.seed if args.seed is not None else 0
     if args.model == "walk":

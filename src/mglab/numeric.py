@@ -58,10 +58,7 @@ def as_exact(value) -> Fraction | int:
             raise ValueError(f"numeric values must be finite, got {value!r}")
         return Fraction(value)
     if isinstance(value, str):
-        parsed = parse_number(value)
-        if isinstance(parsed, float):
-            raise ValueError(f"{value!r} does not parse to an exact rational")
-        return parsed
+        return parse_number(value)
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 
 

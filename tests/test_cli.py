@@ -523,6 +523,15 @@ def test_exact_commands_run_with_numpy_blocked(command, small_walk_spec, space_d
     assert blocked == run_child_main(argv, numpy_blocked=False)
 
 
+@pytest.mark.parametrize("argv", [("simulate", "walk", "--n", "3"),
+                                  ("simulate", "doubling", "--levels", "3")], ids="-".join)
+def test_simulate_without_numpy_is_an_installation_error(argv):
+    code, out, err = run_child_main(argv, numpy_blocked=True)
+    assert (code, out) == (2, b"")
+    assert err.count(b"\n") == 1 and b"Traceback" not in err, err.decode()
+    assert err.startswith(b"installation error: mgl simulate needs numpy"), err.decode()
+
+
 @pytest.mark.parametrize("module", ["mglab", "mglab.cli"])
 def test_import_leaves_numpy_unloaded(module):
     code = f"import sys, {module}\nprint([m for m in sys.modules if m.split('.')[0] == 'numpy'])"

@@ -3,6 +3,8 @@ earlier import in the test process decides what ``import mglab`` binds."""
 import subprocess
 import sys
 
+import pytest
+
 MONTECARLO_NAMES = (
     "MAX_DOUBLING_LEVELS", "CrossValidationReport", "DoublingModel", "DoublingProfitReport",
     "EstimateReport", "Functional", "PathEnsemble", "WalkModel", "cross_validate",
@@ -35,15 +37,40 @@ def test_star_import_binds_every_public_name():
     assert out == "[]\n"
 
 
-def test_montecarlo_submodule_is_an_attribute_after_a_bare_import():
+SUBMODULES = ("numeric", "measure", "integration", "conditioning", "processes", "montecarlo",
+              "jsonio")
+
+
+def test_bare_import_loads_no_submodule_and_no_numpy():
+    out = run_child(
+        "import sys\n"
+        "import mglab\n"
+        "print([m for m in sys.modules if m.startswith('mglab.') or m.split('.')[0] == 'numpy'])\n"
+    )
+    assert out == "[]\n"
+
+
+def test_dir_lists_every_public_name_and_loads_nothing():
+    out = run_child(
+        "import sys\n"
+        "import mglab\n"
+        "names = dir(mglab)\n"
+        "print([n for n in mglab.__all__ if n not in names],"
+        " [m for m in sys.modules if m.startswith('mglab.')])\n"
+    )
+    assert out == "[] []\n"
+
+
+@pytest.mark.parametrize("submodule", SUBMODULES)
+def test_montecarlo_submodule_is_an_attribute_after_a_bare_import(submodule):
     out = run_child(
         "import sys, types\n"
         "import mglab\n"
-        "mc = mglab.montecarlo\n"
-        "print(isinstance(mc, types.ModuleType), mc.__name__,"
-        " mc is sys.modules['mglab.montecarlo'])\n"
+        f"mod = mglab.{submodule}\n"
+        "print(isinstance(mod, types.ModuleType), mod.__name__,"
+        f" mod is sys.modules['mglab.{submodule}'])\n"
     )
-    assert out == "True mglab.montecarlo True\n"
+    assert out == f"True mglab.{submodule} True\n"
 
 
 def test_montecarlo_names_are_the_engine_objects():
