@@ -34,13 +34,12 @@ _EXPORTS = {
     "processes": (
         "MARTINGALE", "MAX_COIN_WALK_HORIZON", "NEVER", "STRICT_SUBMARTINGALE",
         "STRICT_SUPERMARTINGALE", "SUBMARTINGALE", "SUBMARTINGALE_FAMILY", "SUPERMARTINGALE",
-        "SUPERMARTINGALE_FAMILY", "UNCLASSIFIED", "AdaptedProcess", "ConvergenceDiagnostic",
-        "Filtration", "MartingaleClassification", "OptionalStoppingReport",
-        "PredictableSequence", "PythagorasReport", "StoppingTime", "TailBoundReport",
-        "TransformPreservationReport", "UpcrossingReport", "classify", "count_upcrossings",
-        "is_stopping_time", "l2_pythagoras_check", "make_coin_walk", "optional_stopping_report",
-        "stopped_process", "stopping_tail_bound_check", "transform",
-        "truncated_convergence_diagnostic", "upcrossing_inequality_check",
+        "SUPERMARTINGALE_FAMILY", "UNCLASSIFIED", "AdaptedProcess", "Filtration",
+        "MartingaleClassification", "OptionalStoppingReport", "PredictableSequence",
+        "PythagorasReport", "StoppingTime", "TailBoundReport", "TransformPreservationReport",
+        "UpcrossingReport", "classify", "count_upcrossings", "is_stopping_time",
+        "l2_pythagoras_check", "make_coin_walk", "optional_stopping_report", "stopped_process",
+        "stopping_tail_bound_check", "transform", "upcrossing_inequality_check",
         "verify_transform_preservation",
     ),
     "montecarlo": (

@@ -199,8 +199,8 @@ def _stopped(spec, P, tol):
     in_label = proc.classify(X, P, tol).label
     stopped = proc.stopped_process(X, tau)
     out_label = proc.classify(stopped, P, tol).label
-    start = expectation(X.values[0], P)
     means = [expectation(rv, P) for rv in stopped.values]
+    start = means[0]
     detail = {
         "input_label": in_label,
         "stopped_label": out_label,

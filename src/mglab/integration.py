@@ -71,9 +71,6 @@ class RandomVariable:
                 f"got {len(values)} values for a space of {self.space.size} outcomes"
             )
 
-    def value_at(self, outcome: int) -> Number:
-        return self.values[outcome]
-
     def map(self, fn) -> "RandomVariable":
         return RandomVariable(self.space, tuple(fn(v) for v in self.values))
 

@@ -109,9 +109,6 @@ class EventSet:
     def union(self, other: "EventSet") -> "EventSet":
         return EventSet(tuple(self.member_set | other.member_set))
 
-    def intersection(self, other: "EventSet") -> "EventSet":
-        return EventSet(tuple(self.member_set & other.member_set))
-
     def complement(self, space: SampleSpace) -> "EventSet":
         if self.members and self.members[-1] >= space.size:
             raise ValueError("event refers to outcomes outside the space")

@@ -95,10 +95,6 @@ def is_exact(value: Number) -> bool:
     return not isinstance(value, float)
 
 
-def all_exact(values) -> bool:
-    return all(not isinstance(v, float) for v in values)
-
-
 def numbers_equal(a: Number, b: Number, tolerance: float = DEFAULT_TOLERANCE) -> bool:
     """Exact equality when both sides are exact, else ``|a-b| <= tolerance``."""
     if isinstance(a, float) or isinstance(b, float):

@@ -4,9 +4,7 @@ Everything here runs on a finite horizon over a finite space, so every
 theorem in scope reduces to finitely many exact comparisons: classification
 inspects one-step conditional means atom by atom, transforms and stopped
 processes are evaluated pathwise, and the optional-stopping, upcrossing,
-and L2 statements are verified by full enumeration.  Statements that are
-genuinely asymptotic (convergence of supermartingales) are exposed only as
-explicitly labeled finite-horizon diagnostics.
+and L2 statements are verified by full enumeration.
 
 Zero-probability atoms never take part in a classification or verdict;
 where a convention value shows up (conditioning on a null atom) the
@@ -39,7 +37,6 @@ from .measure import (
 from .numeric import (
     DEFAULT_TOLERANCE,
     Number,
-    all_exact,
     as_exact,
     as_number,
     numbers_equal,
@@ -234,9 +231,6 @@ class StoppingTime:
     @property
     def bounded(self) -> bool:
         return all(t is not None for t in self.times)
-
-    def never_event(self) -> EventSet:
-        return EventSet(tuple(i for i, t in enumerate(self.times) if t is None))
 
 
 @dataclass(frozen=True)
@@ -1192,17 +1186,20 @@ def l2_pythagoras_check(
     gap = lhs - rhs
     identity_holds = numbers_equal(lhs, rhs, tolerance)
 
-    orthogonality_ok = True
-    witness: tuple[int, int, int, int] | None = None
-    for s in range(N + 1):
-        for t in range(s + 1, N + 1):
-            for u in range(t, N + 1):
-                for v in range(u + 1, N + 1):
-                    prod = gram[t][v] - gram[t][u] - gram[s][v] + gram[s][u]
-                    if not numbers_equal(prod, 0, tolerance):
-                        orthogonality_ok = False
-                        if witness is None:
-                            witness = (s, t, u, v)
+    witness = next(
+        (
+            (s, t, u, v)
+            for s in range(N + 1)
+            for t in range(s + 1, N + 1)
+            for u in range(t, N + 1)
+            for v in range(u + 1, N + 1)
+            if not numbers_equal(
+                gram[t][v] - gram[t][u] - gram[s][v] + gram[s][u], 0, tolerance
+            )
+        ),
+        None,
+    )
+    orthogonality_ok = witness is None
     holds: bool | None
     if hypothesis_ok:
         holds = identity_holds and orthogonality_ok
@@ -1232,108 +1229,3 @@ def l2_pythagoras_check(
         notes=tuple(notes),
     )
 
-
-# ---------------------------------------------------------------------------
-# Finite-horizon convergence diagnostic
-
-
-@dataclass(frozen=True)
-class ConvergenceEntry:
-    a: Number
-    b: Number
-    expected_upcrossings: Number
-    corollary_bound: Number
-    ratio: float | None
-    flagged: bool
-
-
-@dataclass(frozen=True)
-class ConvergenceDiagnostic:
-    """Upcrossing statistics over a grid of intervals, finite horizon only.
-
-    For a supermartingale, E[U_N[a, b]] <= (|a| + sup_m E|X_m|) / (b - a)
-    on every interval; entries where the observed count uses up most of
-    that budget are flagged.  This is a diagnostic for how much oscillation
-    the horizon exhibits.  It asserts nothing about limits: no convergence
-    statement can be checked by finite enumeration, and the report's notes
-    repeat that.
-    """
-
-    label: str
-    hypothesis_ok: bool
-    horizon: int
-    sup_abs_mean: Number
-    mean_abs_by_stage: tuple[Number, ...]
-    entries: tuple[ConvergenceEntry, ...]
-    notes: tuple[str, ...]
-
-
-def truncated_convergence_diagnostic(
-    X: AdaptedProcess,
-    P: ProbabilityMeasure,
-    grid: Sequence[tuple],
-    tolerance: float = DEFAULT_TOLERANCE,
-) -> ConvergenceDiagnostic:
-    """Tabulate exact upcrossing counts against the corollary budget.
-
-    ``grid`` is a sequence of (a, b) pairs with a < b.  An entry is flagged
-    when its observed E[U_N] exceeds nine tenths of the corollary bound,
-    meaning the horizon shows nearly as much oscillation as the bound
-    permits.
-    """
-    masses, _, verdict = _reading(X, P, tolerance)
-    label = verdict.label
-    hypothesis_ok = label in SUPERMARTINGALE_FAMILY
-
-    mean_abs = _mean_abs_by_stage(X, P, masses)
-    sup_abs = max(mean_abs)
-
-    entries: list[ConvergenceEntry] = []
-    for pair in grid:
-        a, b = pair
-        a = as_number(a)
-        b = as_number(b)
-        if not a < b:
-            raise ValueError(f"grid interval needs a < b, got a = {a}, b = {b}")
-        eu = _expected_upcrossings(X, P, masses, a, b)
-        if all_exact((a, b, sup_abs)):
-            bound = as_number(Fraction(abs(a) + sup_abs, b - a))
-        else:
-            bound = as_number((abs(a) + sup_abs) / (b - a))
-        if bound > 0:
-            ratio = float(eu) / float(bound)
-            flagged = ratio >= 0.9
-        else:
-            ratio = None
-            flagged = eu > 0
-        entries.append(
-            ConvergenceEntry(
-                a=a,
-                b=b,
-                expected_upcrossings=as_number(eu),
-                corollary_bound=bound,
-                ratio=ratio,
-                flagged=flagged,
-            )
-        )
-
-    notes = [
-        f"finite-horizon diagnostic over stages 0..{X.horizon}; upcrossing counts are "
-        "truncated at the horizon and no convergence statement is asserted",
-        "sup_m E|X_m| is taken over this horizon only; it is not a uniform-in-time bound",
-    ]
-    if not hypothesis_ok:
-        notes.append(
-            f"process classifies as {label}, not a supermartingale; the corollary budget "
-            "does not apply and entries are informational"
-        )
-
-    return ConvergenceDiagnostic(
-        label=label,
-        hypothesis_ok=hypothesis_ok,
-        horizon=X.horizon,
-        sup_abs_mean=sup_abs,
-        mean_abs_by_stage=mean_abs,
-        entries=tuple(entries),
-        notes=tuple(notes),
-    )

@@ -31,7 +31,6 @@ from mglab import (
     simulate_walk,
     stopping_tail_bound_check,
     trivial_sigma_algebra,
-    truncated_convergence_diagnostic,
     uniform_measure,
     upcrossing_inequality_check,
     verify_transform_preservation,
@@ -60,7 +59,6 @@ REPORTS = {
     "optional stopping": lambda P: optional_stopping_report(X3, TAU3, P),
     "upcrossing": lambda P: upcrossing_inequality_check(X3, P, 0, 1),
     "pythagoras": lambda P: l2_pythagoras_check(X3, P),
-    "convergence": lambda P: truncated_convergence_diagnostic(X3, P, [(0, 1)]),
 }
 U3 = uniform_measure(S3)
 HORIZON = "the horizon must be a positive integer"
@@ -166,9 +164,6 @@ CASES = {
             ("float interval", (0.5, -0.0), "need a < b, got a = 0.5, b = 0.0"),
         ]
     },
-    "convergence grid interval": (
-        lambda: truncated_convergence_diagnostic(X3, U3, [(0, 1), (1, Fraction(2, 2))]),
-        ValueError, "grid interval needs a < b, got a = 1, b = 1"),
 }
 
 

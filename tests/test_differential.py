@@ -27,6 +27,7 @@ from hypothesis import strategies as st
 
 import mglab
 from mglab import (
+    MARTINGALE,
     AdaptedProcess,
     Filtration,
     PredictableSequence,
@@ -39,18 +40,18 @@ from mglab import (
     classify,
     conditional_expectation,
     l2_pythagoras_check,
+    numbers_equal,
     optional_stopping_report,
     stopping_tail_bound_check,
     tower_check,
     transform,
-    truncated_convergence_diagnostic,
     upcrossing_inequality_check,
     verify_kolmogorov,
     verify_transform_preservation,
 )
 from mglab import integration, make_coin_walk, stopped_process
 from mglab.integration import clear_denominators, raw_atom_sums
-from mglab.processes import _drift_table, _stage_masses
+from mglab.processes import _drift_table, _mean_abs_by_stage, _stage_masses
 from support import (
     rand_filtration,
     rand_fraction,
@@ -142,7 +143,6 @@ def _model(rng):
         (conditional_expectation, V, G, P),
         (tower_check, V, G, H, P),
         (verify_kolmogorov, V, G, P, Y),
-        (truncated_convergence_diagnostic, X, P, [(a, b)]),
     ]
 
 
@@ -189,6 +189,35 @@ def test_drift_table_and_tail_sums_match_the_reference_loops(pyr):
     assert repr((report.hypothesis_by_step, report.hypothesis_witness)) == repr(
         reference_tail_hypothesis(tau, P, window, eps)
     )
+
+
+def test_non_martingale_witness_is_the_first_nonzero_outcome_level_product():
+    """The L2 witness of a non-martingale is the lex-first (s, t, u, v) whose
+    E[(M_t - M_s)(M_v - M_u)], summed over the outcomes, is nonzero."""
+    rng = random.Random(16)
+    witnesses = 0
+    for _ in range(300):
+        X, P = {check: rest for check, *rest in _model(rng)}[l2_pythagoras_check]
+        report = l2_pythagoras_check(X, P)
+        if report.label == MARTINGALE:
+            continue
+        N = X.horizon
+        paths = list(zip(*(rv.values for rv in X.values)))
+        first = next(
+            (
+                (s, t, u, v)
+                for s in range(N + 1)
+                for t in range(s + 1, N + 1)
+                for u in range(t, N + 1)
+                for v in range(u + 1, N + 1)
+                if not numbers_equal(reference_weighted_sum(
+                    [(w[t] - w[s]) * (w[v] - w[u]) for w in paths], P), 0)
+            ),
+            None,
+        )
+        assert (report.orthogonality_witness, report.orthogonality_ok) == (first, first is None)
+        witnesses += first is not None
+    assert witnesses > 50
 
 
 def _trusted_parts(X: AdaptedProcess) -> tuple:
@@ -297,19 +326,13 @@ def test_upcrossing_and_stopping_figures_match_the_outcome_loops(pyr):
     args = {check: rest for check, *rest in _model(rng)}
 
     X, P, a, b = args[upcrossing_inequality_check]
-    expected, mean_abs = reference_upcrossing_figures(X, P, a, b)
-    report = upcrossing_inequality_check(X, P, a, b)
-    assert repr((report.expected_upcrossings, report.corollary_bound)) == repr(
-        (expected, as_number(abs(a) + max(mean_abs)))
-    )
-
-    X, P, grid = args[truncated_convergence_diagnostic]
-    grid = [*grid, (a - 1, a), (b, b + Fraction(1, 2))]
-    diagnostic = truncated_convergence_diagnostic(X, P, grid)
-    assert repr(diagnostic.mean_abs_by_stage) == repr(mean_abs)
-    assert repr([e.expected_upcrossings for e in diagnostic.entries]) == repr(
-        [reference_upcrossing_figures(X, P, *pair)[0] for pair in grid]
-    )
+    for lo, hi in [(a, b), (a - 1, a), (b, b + Fraction(1, 2))]:
+        expected, mean_abs = reference_upcrossing_figures(X, P, lo, hi)
+        report = upcrossing_inequality_check(X, P, lo, hi)
+        assert repr((report.expected_upcrossings, report.corollary_bound)) == repr(
+            (expected, as_number(abs(lo) + max(mean_abs)))
+        )
+    assert repr(_mean_abs_by_stage(X, P, _stage_masses(X.filtration, P))) == repr(mean_abs)
 
     X, tau, P = args[optional_stopping_report]
     report = optional_stopping_report(X, tau, P)

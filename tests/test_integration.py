@@ -37,7 +37,6 @@ HALF_QUARTERS = ProbabilityMeasure(ABCD, ["1/2", "1/4", "1/8", "1/8"])
 
 def test_random_variable_basics():
     X = RandomVariable(ABCD, [2, -1, 2, 3])
-    assert X.value_at(0) == 2
     assert (X + X).values == (4, -2, 4, 6)
     assert (X - X).values == (0, 0, 0, 0)
     assert X.scale(Fraction(1, 2)).values == (1, Fraction(-1, 2), 1, Fraction(3, 2))

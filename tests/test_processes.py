@@ -1,5 +1,5 @@
 """Filtrations, adapted processes, classification, transforms, stopping,
-upcrossings, the L2 identity, and the convergence diagnostic."""
+upcrossings, and the L2 identity."""
 import random
 from fractions import Fraction
 
@@ -37,7 +37,6 @@ from mglab import (
     stopping_tail_bound_check,
     transform,
     trivial_sigma_algebra,
-    truncated_convergence_diagnostic,
     upcrossing_inequality_check,
     verify_transform_preservation,
 )
@@ -115,9 +114,8 @@ def test_stopping_time_validation():
         StoppingTime(TWO_STAGE, [0, 0, 0, 5])
 
 
-def test_stopping_time_never_event():
+def test_stopping_time_bounded():
     tau = StoppingTime(TWO_STAGE, [1, 1, 2, None])
-    assert tau.never_event().members == (3,)
     assert not tau.bounded
     assert StoppingTime(TWO_STAGE, [0, 0, 0, 0]).bounded
 
@@ -597,37 +595,6 @@ def test_pythagoras_randomized_martingales():
         M = rand_martingale(rng, F, P)
         rep = l2_pythagoras_check(M, P)
         assert rep.holds and rep.orthogonality_ok, rep
-
-
-# ---------------------------------------------------------------------------
-# the convergence diagnostic
-
-
-def test_convergence_diagnostic_structure():
-    _, P, _, X = make_coin_walk(6, Fraction(1, 2))
-    shifted = AdaptedProcess(
-        X.filtration,
-        [RandomVariable(X.space, [v + 6 for v in rv.values]) for rv in X.values],
-    )
-    grid = [(Fraction(4), Fraction(6)), (Fraction(5), Fraction(7))]
-    diag = truncated_convergence_diagnostic(shifted, P, grid)
-    assert diag.hypothesis_ok
-    assert diag.horizon == 6
-    assert len(diag.entries) == 2
-    for entry in diag.entries:
-        assert entry.expected_upcrossings <= entry.corollary_bound
-    assert any("no convergence statement is asserted" in n for n in diag.notes)
-
-
-def test_convergence_diagnostic_bound_stays_exact_on_exact_inputs():
-    _, P, _, X = make_coin_walk(2, Fraction(1, 2))
-    diag = truncated_convergence_diagnostic(X, P, [(-1, 1), (0, 2)])
-    assert diag.sup_abs_mean == 1
-    assert [repr(e.corollary_bound) for e in diag.entries] == ["1", "Fraction(1, 2)"]
-    assert [e.ratio for e in diag.entries] == [0.0, 0.5]
-    # One float end point keeps the float division.
-    diag = truncated_convergence_diagnostic(X, P, [(-1.0, 1)])
-    assert repr(diag.entries[0].corollary_bound) == "1.0"
 
 
 @settings(max_examples=40, deadline=None)
