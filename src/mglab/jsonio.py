@@ -32,10 +32,11 @@ from __future__ import annotations
 import dataclasses
 import math
 from fractions import Fraction
+from itertools import chain
 from typing import Any
 
 from .integration import RandomVariable
-from .measure import EventSet, ProbabilityMeasure, SampleSpace, SigmaAlgebra
+from .measure import EventSet, ProbabilityMeasure, SampleSpace, SigmaAlgebra, _trusted
 from .numeric import Number, format_number, parse_number
 from .processes import AdaptedProcess, Filtration, PredictableSequence, StoppingTime
 
@@ -87,10 +88,40 @@ def _parse_event(raw, field: str, space: SampleSpace) -> EventSet:
 
 
 def _parse_partition(raw, field: str, space: SampleSpace) -> SigmaAlgebra:
+    """The sigma-algebra whose atoms are the cells of ``raw``, read straight into labels.
+
+    Every cell is checked first, in order (:func:`_parse_event` words a
+    refusal).  The cells are then numbered by least member, empty cells
+    first, which makes the labels canonical as they stand; an empty cell, an
+    overlap and an uncovered outcome are refused in that order.
+    """
     if not isinstance(raw, list) or not raw:
         raise SpecError(field, "a partition must be a non-empty array of index arrays")
-    atoms = tuple(_parse_event(cell, f"{field}[{k}]", space) for k, cell in enumerate(raw))
-    return _built(field, SigmaAlgebra.from_atoms, space, atoms)
+    size = space.size
+    cells, least = [], []
+    for k, cell in enumerate(raw):
+        if not (type(cell) is list and set(map(type, cell)) <= {int} and len(set(cell)) == len(cell)
+                and (not cell or 0 <= min(cell) and max(cell) < size)):
+            cell = _parse_event(cell, f"{field}[{k}]", space).members
+        cells.append(cell)
+        least.append(min(cell) if cell else -1)
+    order = sorted(range(len(cells)), key=least.__getitem__)
+    if not cells[order[0]]:
+        raise SpecError(field, "atoms must be non-empty")
+    labels = [-1] * size
+    for pos, k in enumerate(order):
+        for i in cells[k]:
+            labels[i] = pos
+    if sum(map(len, cells)) != size or -1 in labels:
+        seen: set[int] = set()
+        for i in chain.from_iterable(sorted(cells[k]) for k in order):
+            if i in seen:
+                raise SpecError(field, f"outcome {i} appears in two atoms; atoms must be disjoint")
+            seen.add(i)
+        missing = labels.index(-1)
+        raise SpecError(field, f"atoms do not cover the space: outcome {missing} is unassigned")
+    return _trusted(SigmaAlgebra, space=space, labels=tuple(labels), atom_count=len(cells),
+                    least_members=tuple(least[k] for k in order))
 
 
 def _parse_values(raw, field: str, space: SampleSpace) -> RandomVariable:
@@ -139,9 +170,7 @@ def parse_space(obj, field: str = "") -> tuple[SampleSpace, ProbabilityMeasure |
             raise SpecError(
                 f"{prefix}weights", f"got {len(raw_w)} weights for {space.size} outcomes"
             )
-        weights = tuple(
-            Fraction(_parse_value(w, f"{prefix}weights[{j}]")) for j, w in enumerate(raw_w)
-        )
+        weights = tuple(_parse_value(w, f"{prefix}weights[{j}]") for j, w in enumerate(raw_w))
         try:
             measure = ProbabilityMeasure(space, weights)
         except ValueError as exc:

@@ -143,9 +143,8 @@ class SigmaAlgebra:
 
     The member sets of the sigma-algebra are exactly the 2**k unions of
     atoms; use :func:`enumerate_sets` to list them and :func:`contains` to
-    test one without listing them all.  :meth:`from_atoms` builds one from
-    a list of cells.  ``atom_count`` is the number of atoms, counted once
-    while the labels are renumbered.
+    test one without listing them all.  ``atom_count`` is the number of
+    atoms, counted once while the labels are renumbered.
     """
 
     space: SampleSpace
@@ -164,32 +163,6 @@ class SigmaAlgebra:
         labels = tuple(renumbered.setdefault(lab, len(renumbered)) for lab in labels)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "atom_count", len(renumbered))
-
-    @classmethod
-    def from_atoms(cls, space: SampleSpace, atoms: Iterable[EventSet]) -> "SigmaAlgebra":
-        """The sigma-algebra whose atoms are ``atoms``.
-
-        The atoms must be non-empty, pairwise disjoint and cover the space;
-        the first violation is named in a ``ValueError``.  The given events,
-        sorted by smallest member, become the cached :attr:`atoms` view.
-        """
-        atoms = tuple(sorted(atoms, key=lambda a: a.members[0] if a.members else -1))
-        labels: list[int | None] = [None] * space.size
-        for pos, atom in enumerate(atoms):
-            if len(atom) == 0:
-                raise ValueError("atoms must be non-empty")
-            for i in atom.members:
-                if i >= space.size:
-                    raise ValueError(f"atom refers to outcome {i} outside the space")
-                if labels[i] is not None:
-                    raise ValueError(f"outcome {i} appears in two atoms; atoms must be disjoint")
-                labels[i] = pos
-        if None in labels:
-            missing = labels.index(None)
-            raise ValueError(f"atoms do not cover the space: outcome {missing} is unassigned")
-        sigma = cls(space, tuple(labels))
-        sigma.__dict__["atoms"] = atoms
-        return sigma
 
     @cached_property
     def atoms(self) -> tuple[EventSet, ...]:

@@ -21,6 +21,7 @@ from typing import Sequence
 
 from .integration import (
     RandomVariable,
+    atom_sums,
     clear_denominators,
     constant_variable,
     expectation,
@@ -455,21 +456,16 @@ def _drift_table(
     the stage-(n+1) atoms B inside A, minus x_n(A) m(A), each x read at its
     atom's least member (X is adapted).  Integer addition is exact in any
     order: these are the ints of :func:`~mglab.integration.raw_atom_sums`
-    over the scaled increments (a null atom's total is 0).  On a float
-    process each mass is ``masses`` over ``D`` (int 0 for a null atom) and
-    each total is summed over the non-zero Fraction weights from int 0 in
-    outcome order, so a float total keeps its bits: the masses and totals
-    of :func:`~mglab.integration.atom_sums`.
+    over the scaled increments (a null atom's total is 0).  A float
+    process's masses and totals are :func:`~mglab.integration.atom_sums` of
+    each step's increments, so a float total keeps its outcome-order bits.
     """
     stages = X.filtration.stages
     scaled = X.scaled
     if scaled is None:
-        D, w = P.denominator, P.weights
-        live = [i for i, wi in enumerate(w) if wi]
         return [
-            (stage, [Fraction(m, D) if m else 0 for m in ms],
-             _sum_up([(after.values[i] - before.values[i]) * w[i] for i in live], live, stage))
-            for stage, ms, before, after in zip(stages, masses, X.values, X.values[1:])
+            (stage, *atom_sums(list(map(sub, after.values, before.values)), stage, P))
+            for stage, before, after in zip(stages, X.values, X.values[1:])
         ]
     nums = scaled[0]
     table = []

@@ -24,7 +24,6 @@ from mglab import (
     SUPERMARTINGALE,
     UNCLASSIFIED,
     AdaptedProcess,
-    EventSet,
     Filtration,
     MartingaleClassification,
     PredictableSequence,
@@ -103,31 +102,27 @@ def rand_partition(rng: random.Random, space: SampleSpace) -> SigmaAlgebra:
     assignment = [rng.randrange(k) for i in range(n)]
     for j, i in enumerate(rng.sample(range(n), k)):
         assignment[i] = j
-    blocks: dict[int, list[int]] = {}
-    for i, g in enumerate(assignment):
-        blocks.setdefault(g, []).append(i)
-    return SigmaAlgebra.from_atoms(space, [EventSet(b) for b in blocks.values()])
+    return SigmaAlgebra(space, assignment)
 
 
 def refine_partition(rng: random.Random, sigma: SigmaAlgebra) -> SigmaAlgebra:
     """Split a random selection of atoms, leaving the rest intact."""
-    new_atoms: list[EventSet] = []
+    labels = list(sigma.labels)
+    fresh = sigma.atom_count
     for atom in sigma.atoms:
-        members = list(atom.members)
+        members = atom.members
         if len(members) > 1 and rng.random() < 0.6:
             cut = rng.randint(1, len(members) - 1)
-            picked = set(rng.sample(members, cut))
-            new_atoms.append(EventSet(sorted(picked)))
-            new_atoms.append(EventSet(sorted(set(members) - picked)))
-        else:
-            new_atoms.append(atom)
-    return SigmaAlgebra.from_atoms(sigma.space, new_atoms)
+            for i in rng.sample(members, cut):
+                labels[i] = fresh
+            fresh += 1
+    return SigmaAlgebra(sigma.space, labels)
 
 
 def rand_filtration(
     rng: random.Random, space: SampleSpace, horizon: int
 ) -> Filtration:
-    stages = [SigmaAlgebra.from_atoms(space, [EventSet(range(space.size))])]
+    stages = [SigmaAlgebra(space, [0] * space.size)]
     for _ in range(horizon):
         stages.append(refine_partition(rng, stages[-1]))
     return Filtration(space, stages)

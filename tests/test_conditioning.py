@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mglab import (
-    EventSet,
     ProbabilityMeasure,
     RandomVariable,
     SampleSpace,
@@ -30,7 +29,7 @@ from support import (
 
 ABCD = SampleSpace(["a", "b", "c", "d"])
 UNIFORM = ProbabilityMeasure(ABCD, ["1/4"] * 4)
-PAIRS = SigmaAlgebra.from_atoms(ABCD, [EventSet([0, 1]), EventSet([2, 3])])
+PAIRS = SigmaAlgebra(ABCD, (0, 0, 1, 1))
 
 
 def test_hand_checked_pair_averages():
@@ -122,8 +121,7 @@ def test_tower_requires_nesting():
     fine = discrete_sigma_algebra(ABCD)
     X = RandomVariable(ABCD, [1, 2, 3, 4])
     with pytest.raises(ValueError):
-        tower_check(X, PAIRS, SigmaAlgebra.from_atoms(ABCD, [EventSet([0, 2]), EventSet([1, 3])]),
-                    UNIFORM)
+        tower_check(X, PAIRS, SigmaAlgebra(ABCD, (0, 1, 0, 1)), UNIFORM)
     assert tower_check(X, PAIRS, fine, UNIFORM)
 
 

@@ -51,7 +51,7 @@ from mglab import (
 )
 from mglab import integration, make_coin_walk, stopped_process
 from mglab.integration import clear_denominators, raw_atom_sums
-from mglab.processes import _drift_table, _mean_abs_by_stage, _stage_masses
+from mglab.processes import _drift_table, _mean_abs_by_stage, _stage_masses, _sum_up
 from support import (
     rand_filtration,
     rand_fraction,
@@ -307,8 +307,8 @@ def test_atom_level_drift_table_matches_the_outcome_loop():
         assert report.step_identity_ok == reference_step_identity_holds(C, X, transform(C, X), P)
         floats = _floats(X)
         assert repr(classify(floats, P)) == repr(reference_classify(floats, P))
-        # The float table reads the int stage masses; its masses and totals,
-        # types and float bits included, are the outcome loop's.
+        # The float table's masses and totals, types and float bits included,
+        # are the outcome loop's.
         assert repr(_drift_table(floats, P, _stage_masses(F, P))) == repr([
             (stage, *reference_atom_sums([a - b for a, b in zip(y.values, x.values)], stage, P))
             for stage, x, y in zip(F.stages, floats.values, floats.values[1:])
@@ -316,6 +316,28 @@ def test_atom_level_drift_table_matches_the_outcome_loop():
         coarse_last += F.stages[-1].atom_count < space.size
         null_atoms += any(not m for _, masses, _ in table for m in masses)
     assert coarse_last > 20 and null_atoms > 20
+
+
+def test_float_drift_table_is_the_mass_pyramid_and_the_outcome_loop():
+    """A float process's drift table is ``atom_sums`` of each step's increments.
+    Its repr, types and float bits included, is that of the table it replaced:
+    the int stage masses over ``D`` (int 0 for a null atom) next to totals
+    summed from int 0 over the non-zero Fraction weights in outcome order."""
+    rng = random.Random(5)
+    null_atoms = 0
+    for _ in range(300):
+        X, P = {check: rest for check, *rest in _model(rng)}[classify]
+        X = _floats(X)
+        masses = _stage_masses(X.filtration, P)
+        live = [i for i, w in enumerate(P.weights) if w]
+        replaced = [
+            (stage, [Fraction(m, P.denominator) if m else 0 for m in ms],
+             _sum_up([(y.values[i] - x.values[i]) * P.weights[i] for i in live], live, stage))
+            for stage, ms, x, y in zip(X.filtration.stages, masses, X.values, X.values[1:])
+        ]
+        assert repr(_drift_table(X, P, masses)) == repr(replaced)
+        null_atoms += any(not m for ms in masses for m in ms)
+    assert null_atoms > 20
 
 
 @settings(max_examples=150, deadline=None)

@@ -11,6 +11,7 @@ which pins the float-versus-int types of the reported sums.  The
 with ``PYTHONPATH=src python tests/test_golden.py``.
 """
 import json
+import random
 import sys
 from pathlib import Path
 
@@ -54,6 +55,28 @@ def test_cli_output_is_byte_identical(capsys, case):
     out = capsys.readouterr().out
     assert code == expected["exit"]
     assert out == expected["stdout"]
+
+
+def _shuffled_cells(partition: list, rng: random.Random) -> list:
+    cells = [rng.sample(cell, len(cell)) for cell in partition]
+    rng.shuffle(cells)
+    return cells
+
+
+@pytest.mark.parametrize("theorem", SELECTORS)
+def test_shuffled_cells_print_the_same_bytes(capsys, tmp_path, theorem):
+    """The order of a partition's cells, and of the indices in a cell, is not
+    part of the spec: a shuffled copy of a golden spec prints its bytes."""
+    rng = random.Random(4)
+    doc = json.loads((GOLDEN / "walk_third.json").read_text(encoding="utf-8"))
+    doc["filtration"] = [_shuffled_cells(stage, rng) for stage in doc["filtration"]]
+    for field in ("conditioning", "conditioning_fine"):
+        doc[field] = _shuffled_cells(doc[field], rng)
+    path = tmp_path / "shuffled.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    expected = json.loads(EXPECTED.read_text(encoding="utf-8"))[f"verify-walk_third-{theorem}"]
+    code = cli.main(["verify", str(path), theorem])
+    assert (code, capsys.readouterr().out) == (expected["exit"], expected["stdout"])
 
 
 def _capture() -> None:

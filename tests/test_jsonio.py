@@ -1,10 +1,12 @@
 """Parsing and emission of spec documents, field-path errors, round trips."""
 import json
+import random
 from fractions import Fraction
 
 import pytest
 
 from mglab import (
+    SigmaAlgebra,
     SpecError,
     classify,
     make_coin_walk,
@@ -13,6 +15,7 @@ from mglab import (
     to_jsonable,
 )
 from mglab.jsonio import filtration_to_obj, process_to_obj, space_to_obj
+from support import rand_partition, rand_space, refine_partition
 
 
 def spec_doc():
@@ -331,3 +334,69 @@ def test_the_field_read_first_refuses_first(case):
     with pytest.raises(SpecError) as err:
         parse_process_spec(doc)
     assert str(err.value) == message
+
+
+# Every refusal of a partition, word for word, on spec_doc()'s four outcomes:
+# the partition, the path below the field that is refused, and the text.
+# A cell is checked whole before the next one, and then the cells are read by
+# least member, empty cells first; the first fault met is the one named.
+PARTITION_REFUSALS = {
+    "not an array": ({"0": [0]}, "", "a partition must be a non-empty array of index arrays"),
+    "no cells": ([], "", "a partition must be a non-empty array of index arrays"),
+    "cell not an array": ([[0, 1], 2, [3]], "[1]", "an event must be an array of outcome indices"),
+    "bool index": ([[0, True], [2, 3]], "[0][1]", "outcome indices must be integers"),
+    "float index": ([[0, 1], [2, 3.0]], "[1][1]", "outcome indices must be integers"),
+    "string index": ([["0"], [1, 2, 3]], "[0][0]", "outcome indices must be integers"),
+    "index -1": ([[0, 1], [-1, 2, 3]], "[1][0]", "index -1 out of range for 4 outcomes"),
+    "index equal to the size": ([[0, 1, 4], [2, 3]], "[0][2]",
+                                "index 4 out of range for 4 outcomes"),
+    "repeated index": ([[0, 1], [3, 2, 3, 2]], "[1]", "duplicate outcome index 2 in event"),
+    "empty cell beside an overlap": ([[0, 1], [1, 2, 3], []], "", "atoms must be non-empty"),
+    "overlap": ([[0, 1], [1, 2, 3]], "", "outcome 1 appears in two atoms; atoms must be disjoint"),
+    # Read by least member with sorted members, as [0, 2], [1, 3], [2, 3], the
+    # first outcome met twice is 2; in document order, or with the members
+    # as written, it would be 3.
+    "overlap out of order": ([[3, 1], [3, 2], [2, 0]], "",
+                             "outcome 2 appears in two atoms; atoms must be disjoint"),
+    "not covering": ([[0, 1]], "", "atoms do not cover the space: outcome 2 is unassigned"),
+    "smallest uncovered": ([[3], [0]], "", "atoms do not cover the space: outcome 1 is unassigned"),
+    "bad cell after an overlap": ([[0, 1], [1, 2], [3, "x"]], "[2][1]",
+                                  "outcome indices must be integers"),
+}
+
+
+@pytest.mark.parametrize("field", ["filtration[1]", "conditioning", "conditioning_fine"])
+@pytest.mark.parametrize("case", PARTITION_REFUSALS)
+def test_every_partition_refusal_word_for_word(field, case):
+    partition, below, message = PARTITION_REFUSALS[case]
+    doc = spec_doc()
+    if field == "filtration[1]":
+        doc["filtration"][1] = partition
+    else:
+        doc[field] = partition
+    with pytest.raises(SpecError) as err:
+        parse_process_spec(doc)
+    assert str(err.value) == f"{field}{below}: {message}"
+
+
+def test_shuffled_cells_parse_to_the_labelled_sigma_algebra():
+    """Neither the order of the cells nor that of a cell's indices matters: the
+    parse equals the constructor on the shuffled cells' positions as labels."""
+    rng = random.Random(12)
+    for _ in range(300):
+        space = rand_space(rng, max_size=10)
+        sigma = rand_partition(rng, space)
+        if rng.random() < 0.5:
+            sigma = refine_partition(rng, sigma)
+        cells = [rng.sample(atom.members, len(atom)) for atom in sigma.atoms]
+        rng.shuffle(cells)
+        positions = [0] * space.size
+        for k, cell in enumerate(cells):
+            for i in cell:
+                positions[i] = k
+        expected = SigmaAlgebra(space, positions)
+        doc = {"space": space_to_obj(space, None), "conditioning": cells}
+        parsed = parse_process_spec(json.loads(json.dumps(doc))).conditioning
+        assert parsed == expected == sigma
+        assert (parsed.labels, parsed.atom_count, parsed.least_members, parsed.atoms) == (
+            expected.labels, expected.atom_count, expected.least_members, expected.atoms)

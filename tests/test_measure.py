@@ -58,15 +58,8 @@ def test_space_rejects_duplicate_labels():
         SampleSpace(["x", "x"])
 
 
-def test_sigma_algebra_requires_partition():
-    with pytest.raises(ValueError):
-        SigmaAlgebra.from_atoms(ABCD, [EventSet([0, 1]), EventSet([1, 2, 3])])
-    with pytest.raises(ValueError):
-        SigmaAlgebra.from_atoms(ABCD, [EventSet([0, 1])])
-
-
 def test_labels_are_renumbered_by_first_appearance():
-    pairs = SigmaAlgebra.from_atoms(ABCD, [EventSet([2, 3]), EventSet([0, 1])])
+    pairs = SigmaAlgebra(ABCD, (1, 1, 0, 0))
     assert pairs.labels == (0, 0, 1, 1)
     assert SigmaAlgebra(ABCD, (7, 7, 3, 3)) == pairs
     assert hash(SigmaAlgebra(ABCD, [7, 7, 3, 3])) == hash(pairs)
@@ -122,7 +115,7 @@ def test_trivial_and_discrete():
 
 
 def test_atom_lookup():
-    sigma = SigmaAlgebra.from_atoms(ABCD, [EventSet([0, 1]), EventSet([2, 3])])
+    sigma = SigmaAlgebra(ABCD, (0, 0, 1, 1))
     assert sigma.atom_containing(1).members == (0, 1)
     assert sigma.atom_containing(3).members == (2, 3)
 

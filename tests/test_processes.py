@@ -16,7 +16,6 @@ from mglab import (
     SUPERMARTINGALE,
     UNCLASSIFIED,
     AdaptedProcess,
-    EventSet,
     Filtration,
     MartingaleClassification,
     PredictableSequence,
@@ -53,7 +52,7 @@ from support import (
 
 ABCD = SampleSpace(["a", "b", "c", "d"])
 UNIFORM = ProbabilityMeasure(ABCD, ["1/4"] * 4)
-PAIRS = SigmaAlgebra.from_atoms(ABCD, [EventSet([0, 1]), EventSet([2, 3])])
+PAIRS = SigmaAlgebra(ABCD, (0, 0, 1, 1))
 TWO_STAGE = Filtration(
     ABCD, [trivial_sigma_algebra(ABCD), PAIRS, discrete_sigma_algebra(ABCD)]
 )
