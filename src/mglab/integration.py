@@ -6,18 +6,16 @@ level sets, integrate the simple form, and check the positive/negative split
 agrees.  All three routes are implemented separately so they can be played
 against each other in tests instead of collapsing into one formula.
 
-Every other P-weighted sum in the exact engine goes through one of three
+Every other P-weighted sum in the exact engine goes through one of two
 kernels here: :func:`weighted_sum` over all outcomes (expectations, the
 optional-stopping figures, the upcrossing negative part, the tail-bound
 mean, E|X_m| and the L2 Gram matrix of a float process, the exact side
-of cross-validation), :func:`atom_sums` per atom of a partition
-(conditional expectation) and :func:`raw_atom_sums`, the per-atom loop
-itself, which :func:`atom_sums` divides.  The exact checks that read
-stage-measurable quantities sum atoms rather than outcomes, in integers
-over the stage masses, without these kernels (see ``mglab.processes``):
-the drift table, the L2 Gram matrix, E|X_m|, the upcrossing count and the
-tail-bound hypothesis and chain.  The drift table of a float process reads
-the same stage masses and sums its totals in outcome order.
+of cross-validation) and :func:`atom_sums` per atom of a partition
+(conditional expectation and the drift table of a float process).  The
+exact checks that read stage-measurable quantities sum atoms rather than
+outcomes, in integers over the stage masses, without these kernels (see
+``mglab.processes``): the drift table, the L2 Gram matrix, E|X_m|, the
+upcrossing count and the tail-bound hypothesis and chain.
 :func:`integrate_simple` stays a separate route.
 
 The kernels sum fraction-free, in the sense of Bareiss (Math. Comp. 1968):
@@ -27,7 +25,8 @@ denominators (:func:`clear_denominators`), the products are added as
 Python ints, and each sum (or each atom's sum) is divided by ``D * L``
 once, or not at all where only its sign or an integer identity is needed.
 A stream that holds a float keeps the ordered loop over the Fraction
-weights, so float results keep their exact bits.
+weights, so float results keep their exact bits; atom masses are integer
+sums whatever the stream holds.
 """
 from __future__ import annotations
 
@@ -218,50 +217,36 @@ def weighted_sum(values: Sequence[Number], P: ProbabilityMeasure) -> Number:
 def atom_sums(
     values: Sequence[Number], sigma: SigmaAlgebra, P: ProbabilityMeasure
 ) -> tuple[list, list]:
-    """Per-atom ``(masses, totals)``, both indexed by the labels of ``sigma``.
+    """Per-atom ``(masses, totals)``, both indexed by the labels of ``sigma``: the
+    one per-atom summation loop.
 
     ``masses[k]`` is the weight of atom k and ``totals[k]`` the sum of v * w
-    over its outcomes of non-zero weight: :func:`raw_atom_sums` of the
-    stream.  A null atom has mass and total int 0.  Exact values are summed
-    as integers over ``P.int_weights`` and divided once per atom, so every
-    other mass and total is a Fraction; a stream holding a float is summed
-    over the Fraction weights in ascending outcome order, as
-    :func:`weighted_sum` does.
+    over its outcomes of non-zero weight.  A null atom has mass and total
+    int 0; every other mass is a Fraction, summed over ``P.int_weights`` and
+    divided by ``D`` once per atom.  Exact values are summed as integers
+    over ``P.int_weights`` too and divided once per atom, so every other
+    total is a Fraction; a stream holding a float is summed over the
+    Fraction weights from int 0 in ascending outcome order, as
+    :func:`weighted_sum` does, so a float total keeps its exact bits.
 
     ``values`` must be a sequence; it is read twice, as in :func:`weighted_sum`.
     """
     cleared = clear_denominators(values)
     if cleared is None:
-        return raw_atom_sums(values, sigma, P.weights)
-    (nums,), L = cleared
-    masses, totals = raw_atom_sums(nums, sigma, P.int_weights)
-    D = P.denominator
-    DL = D * L
-    return (
-        [Fraction(m, D) if m else 0 for m in masses],
-        [Fraction(t, DL) if m else 0 for m, t in zip(masses, totals)],
-    )
-
-
-def raw_atom_sums(
-    values: Sequence[Number], sigma: SigmaAlgebra, weights: Sequence[Number]
-) -> tuple[list, list]:
-    """Undivided per-atom ``(masses, totals)``: the one per-atom summation loop.
-
-    ``masses[k]`` is the sum of w and ``totals[k]`` the sum of v * w over
-    the outcomes of atom k with non-zero weight, from int 0 in ascending
-    outcome order.  On an integer stream over ``L`` with
-    ``weights = P.int_weights`` every entry is a Python int: ``masses[k]``
-    is ``D`` times the atom's mass and ``totals[k]`` is ``D * L`` times its
-    total, so a sign or a comparison is one on ints and no Fraction is built.
-    """
+        nums, L, weights = values, None, P.weights
+    else:
+        (nums,), L = cleared
+        weights = P.int_weights
     masses: list = [0] * sigma.atom_count
     totals: list = [0] * sigma.atom_count
-    for lab, v, w in zip(sigma.labels, values, weights):
-        if w:
-            masses[lab] += w
+    for lab, v, w, m in zip(sigma.labels, nums, weights, P.int_weights):
+        if m:
+            masses[lab] += m
             totals[lab] += v * w
-    return masses, totals
+    D = P.denominator
+    if L is not None:
+        totals = [Fraction(t, D * L) if m else 0 for m, t in zip(masses, totals)]
+    return [Fraction(m, D) if m else 0 for m in masses], totals
 
 
 _EXACT_TYPES = frozenset({int, bool, Fraction})

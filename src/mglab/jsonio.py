@@ -23,7 +23,10 @@ document with float weights says so.  On output, rationals print as "p/q"
 strings and floats with 17 significant digits; both directions round-trip.
 
 Validation failures raise :class:`SpecError` carrying the path of the first
-offending field, which the CLI turns into an exit-2 message.  A process spec's
+offending field, which the CLI turns into an exit-2 message.  Value arrays,
+weights and stopping times are handed to their constructors as read; the
+per-entry readers run only when a constructor refuses, to name the first
+bad entry.  A process spec's
 fields after the space are read in one fixed order, one reader per field, so
 of two bad fields the one read first is reported.
 """
@@ -129,8 +132,12 @@ def _parse_values(raw, field: str, space: SampleSpace) -> RandomVariable:
         raise SpecError(field, "expected an array of values, one per outcome")
     if len(raw) != space.size:
         raise SpecError(field, f"got {len(raw)} values for {space.size} outcomes")
-    values = tuple(_parse_value(v, f"{field}[{j}]") for j, v in enumerate(raw))
-    return RandomVariable(space, values)
+    try:
+        return RandomVariable(space, raw)
+    except (TypeError, ValueError):
+        for j, v in enumerate(raw):
+            _parse_value(v, f"{field}[{j}]")
+        raise
 
 
 def _window(raw, field: str) -> int:
@@ -170,10 +177,11 @@ def parse_space(obj, field: str = "") -> tuple[SampleSpace, ProbabilityMeasure |
             raise SpecError(
                 f"{prefix}weights", f"got {len(raw_w)} weights for {space.size} outcomes"
             )
-        weights = tuple(_parse_value(w, f"{prefix}weights[{j}]") for j, w in enumerate(raw_w))
         try:
-            measure = ProbabilityMeasure(space, weights)
-        except ValueError as exc:
+            measure = ProbabilityMeasure(space, raw_w)
+        except (TypeError, ValueError) as exc:
+            for j, w in enumerate(raw_w):
+                _parse_value(w, f"{prefix}weights[{j}]")
             message = str(exc)
             if any(isinstance(w, float) for w in raw_w):
                 message += (
@@ -263,10 +271,13 @@ def _read_stopping_time(raw, field: str, spec: dict) -> StoppingTime:
     size = spec["space"].size
     if len(raw) != size:
         raise SpecError(field, f"got {len(raw)} times for {size} outcomes")
-    for j, t in enumerate(raw):
-        if t is not None and (not isinstance(t, int) or isinstance(t, bool)):
-            raise SpecError(f"{field}[{j}]", "times must be integers or null")
-    return _built(field, StoppingTime, filtration, tuple(raw))
+    try:
+        return _built(field, StoppingTime, filtration, raw)
+    except SpecError:
+        for j, t in enumerate(raw):
+            if t is not None and (not isinstance(t, int) or isinstance(t, bool)):
+                raise SpecError(f"{field}[{j}]", "times must be integers or null") from None
+        raise
 
 
 def _read_interval(raw, field: str, spec: dict) -> tuple[Number, Number]:

@@ -16,6 +16,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from operator import ne
 from typing import Iterable, Sequence
 
 from .numeric import as_exact
@@ -190,17 +191,16 @@ class SigmaAlgebra:
     def first_split(self, keys: Sequence) -> EventSet | None:
         """The lowest-label atom on which ``keys`` is not constant, or None.
 
-        ``keys`` holds one value per outcome, compared with ``!=``.  None
-        means ``keys`` is measurable: constant on every atom.
+        ``keys`` holds one value per outcome; each key is compared with ``!=``
+        to the key at its atom's least member.  None means ``keys`` is
+        measurable: constant on every atom.  One builtin pass decides that;
+        the atoms are walked in label order only when it finds a split.
         """
-        firsts: list = []
-        split: int | None = None
-        for lab, key in zip(self.labels, keys):
-            if lab == len(firsts):
-                firsts.append(key)
-            elif key != firsts[lab] and (split is None or lab < split):
-                split = lab
-        return None if split is None else self.atoms[split]
+        firsts = list(map(keys.__getitem__, self.least_members))
+        if not any(map(ne, keys, map(firsts.__getitem__, self.labels))):
+            return None
+        return next((atom for atom, first in zip(self.atoms, firsts)
+                     if any(keys[i] != first for i in atom.members[1:])), None)
 
     def refines(self, coarser: "SigmaAlgebra") -> bool:
         """True when every atom of ``coarser`` is a union of atoms of ``self``.
@@ -334,7 +334,9 @@ class ProbabilityMeasure:
     int_weights: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        weights = tuple(Fraction(as_exact(w)) for w in self.weights)
+        # as_exact hands back a Fraction as it is: only the ints need wrapping.
+        weights = tuple(w if type(w) is Fraction else Fraction(w)
+                        for w in map(as_exact, self.weights))
         object.__setattr__(self, "weights", weights)
         if len(weights) != self.space.size:
             raise ValueError(

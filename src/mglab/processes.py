@@ -455,8 +455,8 @@ def _drift_table(
     atoms: the total on a stage-n atom A is the sum of x_{n+1}(B) m(B) over
     the stage-(n+1) atoms B inside A, minus x_n(A) m(A), each x read at its
     atom's least member (X is adapted).  Integer addition is exact in any
-    order: these are the ints of :func:`~mglab.integration.raw_atom_sums`
-    over the scaled increments (a null atom's total is 0).  A float
+    order: these are the per-atom int sums of the scaled increments over
+    ``P.int_weights``, undivided (a null atom's total is 0).  A float
     process's masses and totals are :func:`~mglab.integration.atom_sums` of
     each step's increments, so a float total keeps its outcome-order bits.
     """

@@ -290,6 +290,23 @@ def reference_atom_sums(values, sigma: SigmaAlgebra, P: ProbabilityMeasure):
     return masses, totals
 
 
+def reference_first_split(sigma: SigmaAlgebra, keys):
+    """``SigmaAlgebra.first_split`` as one loop over the outcomes.
+
+    Each atom's first key is taken at its least member; every later key of
+    the atom is compared with it by ``!=``, and the lowest label that
+    compares unequal names the atom returned.
+    """
+    firsts: list = []
+    split = None
+    for lab, key in zip(sigma.labels, keys):
+        if lab == len(firsts):
+            firsts.append(key)
+        elif key != firsts[lab] and (split is None or lab < split):
+            split = lab
+    return None if split is None else sigma.atoms[split]
+
+
 def _atom_firsts(values, sigma: SigmaAlgebra) -> list:
     """The value at each atom's least member, indexed by atom label."""
     return [values[atom.members[0]] for atom in sigma.atoms]

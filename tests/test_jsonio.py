@@ -291,6 +291,109 @@ FIELD_REFUSALS = {
     "bound type": (_edit("bound", [1]), "bound: expected a number or numeric string, got list"),
     "bound bool": (_edit("bound", False), "bound: booleans are not numbers"),
 }
+
+
+def _put(path, values):
+    """An edit that sets the value array at ``path``, a field or ``"<field>[1]"``,
+    in spec_doc() with STAKES added."""
+    field, _, index = path.partition("[")
+
+    def edit(doc):
+        doc["predictable"] = [list(stakes) for stakes in STAKES]
+        if index:
+            doc[field][int(index[:-1])] = values
+        else:
+            doc[field] = values
+        return doc
+    return edit
+
+
+def _weights(weights):
+    def edit(doc):
+        doc["space"]["weights"] = weights
+        return doc
+    return edit
+
+
+# One bad entry of each kind, as JSON text, and the text that refuses it.
+BAD_ENTRIES = {
+    "bool": ("true", "booleans are not numbers"),
+    "unparsable string": ('"1/x"', "cannot parse '1/x' as a number"),
+    "Infinity": ("Infinity", "numbers must be finite, got inf"),
+    "NaN": ("NaN", "numbers must be finite, got nan"),
+    "1e400": ("1e400", "numbers must be finite, got inf"),
+    "null": ("null", "expected a number or numeric string, got NoneType"),
+    "list": ("[1]", "expected a number or numeric string, got list"),
+    "object": ('{"a": 1}', "expected a number or numeric string, got dict"),
+}
+VALUE_PATHS = ["process[1]", "predictable[1]", "variable", "candidate"]
+FLOAT_NOTE = ('; JSON float weights are read as their exact binary values, while strings such '
+              'as "0.1" or "1/10" are exact')
+
+
+def _entry_rows():
+    """Every bad entry in every value array and in the weights, and a bad time
+    after a range error: the first bad entry is named, whatever follows it."""
+    rows, kinds = {}, list(BAD_ENTRIES)
+    for path in VALUE_PATHS:
+        for k, kind in enumerate(kinds):
+            text, message = BAD_ENTRIES[kind]
+            later = BAD_ENTRIES[kinds[k - 1]][0]
+            rows[f"{path} {kind}"] = (
+                _put(path, json.loads(f"[1, 1, {text}, 1]")), f"{path}[2]: {message}")
+            rows[f"{path} {kind} before another bad entry"] = (
+                _put(path, json.loads(f"[1, {text}, 1, {later}]")), f"{path}[1]: {message}")
+    for kind, (text, message) in BAD_ENTRIES.items():
+        rows[f"weight {kind} beside a negative weight"] = (
+            _weights(json.loads(f'["-1/4", {text}, "1/2", "3/4"]')),
+            f"space.weights[1]: {message}")
+        rows[f"weight {kind} before a negative weight"] = (
+            _weights(json.loads(f'[{text}, "-1/4", "1/2", "3/4"]')),
+            f"space.weights[0]: {message}")
+    for bad in ['"1"', "1.0", "true", "[1]", '{"a": 1}']:
+        rows[f"stopping_time {bad} after a range error"] = (
+            _edit("stopping_time", json.loads(f"[5, 0, {bad}, 0]")),
+            "stopping_time[2]: times must be integers or null")
+    return rows
+
+
+FIELD_REFUSALS.update(_entry_rows())
+FIELD_REFUSALS.update({
+    "weight entry beside a bad sum": (
+        _weights(["1/2", "1/2", "1/2", "x"]), "space.weights[3]: cannot parse 'x' as a number"),
+    "weight entry beside negative float weights": (
+        _weights([-0.25, 0.5, "x", 0.75]), "space.weights[2]: cannot parse 'x' as a number"),
+    "negative weight": (
+        _weights(["1/2", "-1/4", "1/2", "1/4"]),
+        "space.weights: weight of outcome 1 is negative: -1/4"),
+    "negative float weight": (
+        _weights([0.5, -0.25, 0.5, 0.25]),
+        "space.weights: weight of outcome 1 is negative: -1/4" + FLOAT_NOTE),
+    "weights sum": (
+        _weights(["1/2", "1/4", "1/4", "1/4"]), "space.weights: weights sum to 5/4, not 1"),
+    "float weights sum": (
+        _weights([0.5, 0.25, 0.25, 0.25]),
+        "space.weights: weights sum to 5/4, not 1" + FLOAT_NOTE),
+    "one float weight in a bad sum": (
+        _weights(["1/2", "1/4", "1/4", 0.25]),
+        "space.weights: weights sum to 5/4, not 1" + FLOAT_NOTE),
+    "stopping_time float": (
+        _edit("stopping_time", [1.0, 1, 1, 1]), "stopping_time[0]: times must be integers or null"),
+    "stopping_time entry after a non-stopping time": (
+        _edit("stopping_time", [1, 2, 1, "1"]), "stopping_time[3]: times must be integers or null"),
+    "stopping_time negative": (
+        _edit("stopping_time", [0, -1, 0, 0]),
+        "stopping_time: stopping value at outcome 1 must be an integer in 0..2 or None, got -1"),
+    "stopping_time range after never": (
+        _edit("stopping_time", [None, 3, 0, 0]),
+        "stopping_time: stopping value at outcome 1 must be an integer in 0..2 or None, got 3"),
+    "stopping_time not stopping at stage 0": (
+        _edit("stopping_time", [0, 1, 1, 1]),
+        "stopping_time: not a stopping time: {tau <= 0} splits the stage-0 atom [0, 1, 2, 3]"),
+    "stopping_time not stopping beside never": (
+        _edit("stopping_time", [1, None, 2, 2]),
+        "stopping_time: not a stopping time: {tau <= 1} splits the stage-1 atom [0, 1]"),
+})
 # Fields are read in one fixed order, whatever the document's key order: the
 # refusal of the field read first wins.
 FIELD_PRECEDENCE = {
@@ -325,6 +428,17 @@ def test_each_spec_field_refuses_with_its_message(case):
     with pytest.raises(SpecError) as err:
         parse_process_spec(edit(spec_doc()))
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize("path", VALUE_PATHS)
+def test_value_strings_and_negative_zero_read_exactly(path):
+    """A "1/3" reads as a Fraction, a "-0.0" as the int 0 and a JSON -0.0 as 0.0."""
+    spec = parse_process_spec(_put(path, json.loads('["1/3", "1/3", "-0.0", -0.0]'))(spec_doc()))
+    field, _, index = path.partition("[")
+    read = getattr(spec, field)
+    if index:
+        read = read.values[1]
+    assert repr(read.values) == "(Fraction(1, 3), Fraction(1, 3), 0, 0.0)"
 
 
 @pytest.mark.parametrize("case", FIELD_PRECEDENCE)

@@ -107,6 +107,37 @@ def test_split_scans_match_enumerated_definitions(pyr):
         assert sigma.refines(other) == (other_sets <= sets)
 
 
+# Keys that compare equal across types (0 == 0.0 == -0.0, 1 == 1.0 == True
+# == Fraction(1)) must not split an atom; the rest must.
+SPLIT_KEYS = [0, 0.0, -0.0, Fraction(0), 1, 1.0, True, Fraction(1), Fraction(1, 2), 0.5, -3, 2.25]
+
+
+def test_first_split_matches_the_outcome_loop():
+    """Same atom (or None) as the one-loop reference, for tuple and list keys."""
+    from support import rand_partition, reference_first_split, refine_partition
+
+    rng = random.Random(19)
+    measurable = several = later_first = 0
+    for _ in range(3000):
+        space = rand_space(rng, max_size=9)
+        sigma = rand_partition(rng, space)
+        if rng.random() < 0.5:
+            sigma = refine_partition(rng, sigma)
+        base = [rng.choice(SPLIT_KEYS) for _ in range(sigma.atom_count)]
+        swap = rng.choice([0.0, 0.3, 0.6, 0.9])
+        keys = [rng.choice(SPLIT_KEYS) if rng.random() < swap else base[lab]
+                for lab in sigma.labels]
+        expected = reference_first_split(sigma, keys)
+        assert sigma.first_split(tuple(keys)) == expected
+        assert sigma.first_split(keys) == expected
+        firsts = [keys[i] for i in sigma.least_members]
+        split = [lab for lab, key in zip(sigma.labels, keys) if key != firsts[lab]]
+        measurable += expected is None
+        several += len(set(split)) > 1
+        later_first += bool(split) and split[0] != min(split)
+    assert measurable > 1000 and several > 200 and later_first > 50
+
+
 def test_trivial_and_discrete():
     t = trivial_sigma_algebra(ABCD)
     d = discrete_sigma_algebra(ABCD)

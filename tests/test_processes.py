@@ -317,7 +317,7 @@ def test_transform_sums_each_increment_once(monkeypatch):
     """One drift table for X and one for C·X: labels and identity share them.
 
     The exact table sums atoms, not outcomes, so no per-outcome
-    raw_atom_sums pass runs at all.
+    atom_sums pass runs at all.
     """
     _, P, F, X = make_coin_walk(4, Fraction(1, 3))
     C = PredictableSequence(F, [RandomVariable(X.space, [1] * X.space.size)] * X.horizon)
@@ -333,7 +333,8 @@ def test_transform_sums_each_increment_once(monkeypatch):
         monkeypatch.setattr(module, name, count)
 
     counting(mglab.processes, "_drift_table")
-    counting(mglab.integration, "raw_atom_sums")
+    counting(mglab.processes, "atom_sums")
+    counting(mglab.conditioning, "atom_sums")
     rep = verify_transform_preservation(C, X, P, bound=1)
     assert rep.step_identity_ok and bool(rep)
     assert calls == ["_drift_table", "_drift_table"]
