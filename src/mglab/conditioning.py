@@ -5,15 +5,19 @@ just the atom-wise weighted average, so there is nothing to approximate:
 E[X|G] is computed exactly and the defining integral identity
 ``integral_A X dP = integral_A E[X|G] dP`` is then verified set by set
 (atoms suffice, by additivity).  Atoms of probability zero get the
-convention value 0, and the report says so rather than hiding it.
+convention value 0, and the report says so rather than hiding it.  An input
+known to be measurable (E[X|H] in the tower rule, a candidate that passed
+the measurability test) is summed once per atom, as value times mass.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from operator import mul
 
-from .integration import RandomVariable, atom_sums, is_measurable
-from .measure import EventSet, ProbabilityMeasure, SigmaAlgebra, _trusted
-from .numeric import DEFAULT_TOLERANCE, Number, as_number, numbers_equal
+from .integration import RandomVariable, atom_sums, clear_denominators, is_measurable
+from .measure import EventSet, ProbabilityMeasure, SigmaAlgebra, _sum_up, _take, _trusted
+from .numeric import DEFAULT_TOLERANCE, as_number, numbers_equal
 
 
 @dataclass(frozen=True)
@@ -56,24 +60,37 @@ def conditional_expectation(
     if X.space != G.space or X.space != P.space:
         raise ValueError("variable, sigma-algebra, and measure must share one space")
     masses, totals = atom_sums(X.values, G, P)
-    averages: list[Number] = [0] * len(masses)
-    null_atoms: list[EventSet] = []
-    identity_ok = True
-    for k, (mass, weighted) in enumerate(zip(masses, totals)):
-        if mass == 0:
-            null_atoms.append(G.atoms[k])
-            continue
-        avg = as_number(weighted / mass)
-        averages[k] = avg
-        # The identity integral_A X dP = integral_A Y dP on this atom reads
-        # weighted == avg * mass; for exact inputs this holds by construction,
-        # for float inputs it guards against accumulation error.
-        if not numbers_equal(weighted, avg * mass, tolerance):
-            identity_ok = False
+    averages = _means(masses, totals)
+    # The identity integral_A X dP = integral_A Y dP on an atom reads
+    # weighted == avg * mass; for exact inputs this holds by construction,
+    # for float inputs it guards against accumulation error.
+    identity_ok = all(numbers_equal(weighted, avg * mass, tolerance)
+                      for mass, weighted, avg in zip(masses, totals, averages) if mass)
+    null_atoms = tuple(G.atoms[k] for k, mass in enumerate(masses) if not mass)
     # Every average has been through as_number, and 0 is the null-atom value.
-    values = tuple(averages[lab] for lab in G.labels)
-    result = _trusted(RandomVariable, space=X.space, values=values)
-    return ConditionalReport(result, identity_ok, tuple(null_atoms))
+    result = _trusted(RandomVariable, space=X.space, values=_take(averages, G.labels))
+    return ConditionalReport(result, identity_ok, null_atoms)
+
+
+def _measurable_sums(values, fine: SigmaAlgebra, G: SigmaAlgebra, P: ProbabilityMeasure):
+    """``atom_sums(values, G, P)`` for ``values`` constant on the atoms of ``fine``, a
+    refinement of G.  An exact stream is read once per fine-atom and summed as
+    value * mass in ints over ``D * L``; a float one keeps atom_sums's outcome order."""
+    cleared = clear_denominators(_take(values, fine.least_members))
+    if cleared is None:
+        return atom_sums(values, G, P)
+    (nums,), L = cleared
+    least, D = fine.least_members, P.denominator
+    fine_masses = _sum_up(P.int_weights, range(P.space.size), fine)
+    masses = _sum_up(fine_masses, least, G)
+    totals = _sum_up(list(map(mul, nums, fine_masses)), least, G)
+    return ([Fraction(m, D) if m else 0 for m in masses],
+            [Fraction(t, D * L) if m else 0 for m, t in zip(masses, totals)])
+
+
+def _means(masses: list, totals: list) -> list:
+    """Per atom, total / mass through ``as_number``, and 0 on a null atom."""
+    return [as_number(t / m) if m else 0 for m, t in zip(masses, totals)]
 
 
 def verify_kolmogorov(
@@ -97,7 +114,7 @@ def verify_kolmogorov(
     if not is_measurable(Y, G):
         return False
     _, lhs = atom_sums(X.values, G, P)
-    _, rhs = atom_sums(Y.values, G, P)
+    _, rhs = _measurable_sums(Y.values, G, G, P)
     return all(numbers_equal(a, b, tolerance) for a, b in zip(lhs, rhs))
 
 
@@ -130,16 +147,17 @@ def tower_check(
         raise ValueError(
             f"not nested: H-atom {list(atom.members)} straddles more than one G-atom"
         )
-    base = conditional_expectation(X, G, P, tolerance).result
-    fine = conditional_expectation(X, H, P, tolerance)
-    via_fine = conditional_expectation(fine.result, G, P, tolerance).result
-    refined = conditional_expectation(base, H, P, tolerance).result
+    base = conditional_expectation(X, G, P, tolerance).result.values
+    fine = conditional_expectation(X, H, P, tolerance).result.values
+    # E[X|H] and E[X|G] are H-measurable: the outer means read H-atoms.
+    via_fine = _means(*_measurable_sums(fine, H, G, P))
+    masses, totals = _measurable_sums(base, H, H, P)
+    refined = _means(masses, totals)
     # All three are constant on H-atoms, so one member of each H-atom of
     # positive mass stands for every outcome of positive weight in it.
-    null = {atom.members[0] for atom in fine.null_atoms}
     return all(
-        numbers_equal(via_fine.values[i], base.values[i], tolerance)
-        and numbers_equal(refined.values[i], base.values[i], tolerance)
-        for i in H.least_members
-        if i not in null
+        numbers_equal(via_fine[G.labels[i]], base[i], tolerance)
+        and numbers_equal(refined[k], base[i], tolerance)
+        for k, (i, mass) in enumerate(zip(H.least_members, masses))
+        if mass
     )

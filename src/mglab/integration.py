@@ -6,16 +6,14 @@ level sets, integrate the simple form, and check the positive/negative split
 agrees.  All three routes are implemented separately so they can be played
 against each other in tests instead of collapsing into one formula.
 
-Every other P-weighted sum in the exact engine goes through one of two
-kernels here: :func:`weighted_sum` over all outcomes (expectations, the
-optional-stopping figures, the upcrossing negative part, the tail-bound
-mean, E|X_m| and the L2 Gram matrix of a float process, the exact side
-of cross-validation) and :func:`atom_sums` per atom of a partition
-(conditional expectation and the drift table of a float process).  The
-exact checks that read stage-measurable quantities sum atoms rather than
-outcomes, in integers over the stage masses, without these kernels (see
-``mglab.processes``): the drift table, the L2 Gram matrix, E|X_m|, the
-upcrossing count and the tail-bound hypothesis and chain.
+Every other P-weighted sum over outcomes goes through one of two kernels
+here: :func:`weighted_sum` (expectations, the upcrossing negative part, the
+tail-bound mean, the exact side of cross-validation, and E|X_m|, the L2 Gram
+matrix and E[X_tau] of a float process) and :func:`atom_sums` per atom of a
+partition (conditional expectation, the left side of Kolmogorov's identity,
+and the drift table and measurable tower and Kolmogorov sums of floats).
+Exact stage-measurable quantities are read once per atom instead, in ints
+over the atom masses (see ``mglab.processes`` and ``mglab.conditioning``).
 :func:`integrate_simple` stays a separate route.
 
 The kernels sum fraction-free, in the sense of Bareiss (Math. Comp. 1968):

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from operator import ne
+from operator import itemgetter, ne
 from typing import Iterable, Sequence
 
 from .numeric import as_exact
@@ -37,6 +37,22 @@ def _trusted(cls, **fields):
     for name, value in fields.items():
         object.__setattr__(obj, name, value)
     return obj
+
+
+def _take(values: Sequence, indices: Sequence[int]) -> tuple:
+    """``tuple(values[i] for i in indices)`` in one C-level ``itemgetter`` call."""
+    got = itemgetter(*indices)(values)
+    return got if len(indices) > 1 else (got,)  # itemgetter of one index returns the item
+
+
+def _sum_up(values: Sequence, members: Sequence[int], coarse: "SigmaAlgebra") -> list:
+    """Per atom of ``coarse``, the sum from int 0 of the ``values[j]`` whose
+    outcome ``members[j]`` lies in it (one member per atom of a refinement)."""
+    labels = coarse.labels
+    sums = [0] * coarse.atom_count
+    for i, v in zip(members, values):
+        sums[labels[i]] += v
+    return sums
 
 
 class SizeLimitError(ValueError):
@@ -193,11 +209,13 @@ class SigmaAlgebra:
 
         ``keys`` holds one value per outcome; each key is compared with ``!=``
         to the key at its atom's least member.  None means ``keys`` is
-        measurable: constant on every atom.  One builtin pass decides that;
-        the atoms are walked in label order only when it finds a split.
+        measurable: constant on every atom.  Singletons split nothing; else one
+        builtin pass decides, and the atoms are walked only if it finds a split.
         """
-        firsts = list(map(keys.__getitem__, self.least_members))
-        if not any(map(ne, keys, map(firsts.__getitem__, self.labels))):
+        if self.atom_count == self.space.size:
+            return None
+        firsts = _take(keys, self.least_members)
+        if not any(map(ne, keys, _take(firsts, self.labels))):
             return None
         return next((atom for atom, first in zip(self.atoms, firsts)
                      if any(keys[i] != first for i in atom.members[1:])), None)

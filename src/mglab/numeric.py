@@ -67,10 +67,15 @@ def parse_number(text: str) -> Number:
 
     ``Fraction`` accepts all three forms and keeps decimals exact
     (``"0.3"`` becomes 3/10, not a float).  The literals ``"inf"``/``"nan"``
-    are rejected.
+    are rejected.  ASCII ``[-]digits[/digits]``, as in spec weights, skips the regex.
     """
+    num, slash, den = text.partition("/")
     try:
-        value = Fraction(text.strip())
+        if (num + den).isascii() and num.removeprefix("-").isdigit() and (
+                den.isdigit() or not slash):
+            value = Fraction(int(num), int(den)) if slash else int(num)
+        else:
+            value = Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"cannot parse {text!r} as a number") from exc
     return int(value) if value.denominator == 1 else value

@@ -3,8 +3,8 @@
 Everything here runs on a finite horizon over a finite space, so every
 theorem in scope reduces to finitely many exact comparisons: classification
 inspects one-step conditional means atom by atom, transforms and stopped
-processes are evaluated pathwise, and the optional-stopping, upcrossing,
-and L2 statements are verified by full enumeration.
+processes are built once per atom and expanded to the outcomes, and the
+optional-stopping, upcrossing, and L2 statements are verified exactly.
 
 Zero-probability atoms never take part in a classification or verdict;
 where a convention value shows up (conditioning on a null atom) the
@@ -12,18 +12,18 @@ underlying conditioning module reports it.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, compress, product, repeat
-from operator import add, mul, sub
+from operator import add, attrgetter, eq, mul, sub
 from typing import Sequence
 
 from .integration import (
     RandomVariable,
     atom_sums,
     clear_denominators,
-    constant_variable,
     expectation,
     weighted_sum,
 )
@@ -33,6 +33,8 @@ from .measure import (
     SampleSpace,
     SigmaAlgebra,
     SizeLimitError,
+    _sum_up,
+    _take,
     _trusted,
 )
 from .numeric import (
@@ -231,7 +233,7 @@ class StoppingTime:
 
     @property
     def bounded(self) -> bool:
-        return all(t is not None for t in self.times)
+        return None not in self.times
 
 
 @dataclass(frozen=True)
@@ -426,16 +428,6 @@ def _reading(
     return masses, table, _label(X, table, tolerance)
 
 
-def _sum_up(values: Sequence, members: Sequence[int], coarse: SigmaAlgebra) -> list:
-    """Per atom of ``coarse``, the sum from int 0 of the ``values[j]`` whose
-    outcome ``members[j]`` lies in it (one member per atom of a refinement)."""
-    labels = coarse.labels
-    sums = [0] * coarse.atom_count
-    for i, v in zip(members, values):
-        sums[labels[i]] += v
-    return sums
-
-
 def _stage_masses(F: Filtration, P: ProbabilityMeasure) -> list[list[int]]:
     """The int atom masses over ``D`` of every stage, by stage and label: one pass
     over the outcomes for the last stage, then each stage adds up its children's."""
@@ -467,14 +459,13 @@ def _drift_table(
             (stage, *atom_sums(list(map(sub, after.values, before.values)), stage, P))
             for stage, before, after in zip(stages, X.values, X.values[1:])
         ]
-    nums = scaled[0]
     table = []
-    for n, (stage, fine) in enumerate(zip(stages, stages[1:])):
-        after, before, least = nums[n + 1], nums[n], fine.least_members
-        totals = _sum_up([after[i] * m for i, m in zip(least, masses[n + 1])], least, stage)
-        for k, (i, m) in enumerate(zip(stage.least_members, masses[n])):
-            totals[k] -= before[i] * m
-        table.append((stage, masses[n], totals))
+    for stage, fine, before, after, m, fine_m in zip(
+            stages, stages[1:], scaled[0], scaled[0][1:], masses, masses[1:]):
+        least = fine.least_members
+        inflow = _sum_up(list(map(mul, _take(after, least), fine_m)), least, stage)
+        outflow = map(mul, _take(before, stage.least_members), m)
+        table.append((stage, m, list(map(sub, inflow, outflow))))
     return table
 
 
@@ -525,19 +516,37 @@ def _label(
 def transform(C: PredictableSequence, X: AdaptedProcess) -> AdaptedProcess:
     """The discrete stochastic integral Y_n = sum_{k<=n} C_k (X_k - X_{k-1}).
 
-    Y_0 = 0 and the sum is evaluated pathwise; the result is adapted to the
-    same filtration (each summand is stage-k measurable).
+    Y_0 = 0; on a stage-n atom B in the stage-(n-1) atom A, y_n(B) = y_{n-1}(A) +
+    c_n(A) (x_n(B) - x_{n-1}(A)), once per atom, then expanded to the outcomes.
+    Exact inputs recur in ints over L_C * L_X, kept as Y's scaled form; floats get
+    the outcome arithmetic on the same operands, so their bits do not change.
     """
     if C.filtration != X.filtration:
         raise ValueError("stakes and process must share one filtration")
-    values = [constant_variable(X.space, 0)]
-    for stake, before, now in zip(C.values, X.values, X.values[1:]):
-        steps = map(mul, stake.values, map(sub, now.values, before.values))
-        # The constructor turns a whole Fraction into an int and refuses a
-        # float that overflowed.
-        values.append(RandomVariable(X.space, tuple(map(add, values[-1].values, steps))))
+    stages = X.filtration.stages
+    stakes = [_take(rv.values, s.least_members) for rv, s in zip(C.values, stages)]
+    cleared = X.scaled and clear_denominators(*stakes)
+    cs, xs, L = (cleared[0], X.scaled[0], cleared[1] * X.scaled[1]) if cleared else (
+        stakes, [rv.values for rv in X.values], None)
+    ys = [(0,) * stages[0].atom_count]
+    for coarse, fine, c, before, now in zip(stages, stages[1:], cs, xs, xs[1:]):
+        least = fine.least_members
+        up = _take(coarse.labels, least)
+        steps = map(mul, _take(c, up), map(sub, _take(now, least), _take(before, least)))
+        ys.append(tuple(map(add, _take(ys[-1], up), steps)))
+        if L is None:  # the whole stage first, as the constructor refused it
+            ys[-1] = tuple(map(as_number, ys[-1]))
+    if L is not None and L > 1:  # reduce to Y.scaled's L; one Fraction per distinct value
+        g = math.gcd(L, *chain.from_iterable(ys))
+        nums, L = [[y // g for y in row] for row in ys], L // g
+        ys = nums if L == 1 else [
+            _take({y: as_number(Fraction(y, L)) for y in set(row)}, row) for row in nums]
+    values = tuple(_take(y, s.labels) for y, s in zip(ys, stages))
+    scaled = {} if L is None else {"scaled": (values, 1) if L == 1 else (
+        tuple(list(_take(n, s.labels)) for n, s in zip(nums, stages)), L)}
     # Adapted by construction: C_k is stage k-1 and X_k stage k measurable.
-    return _trusted(AdaptedProcess, filtration=X.filtration, values=tuple(values))
+    return _trusted(AdaptedProcess, filtration=X.filtration, **scaled, values=tuple(
+        _trusted(RandomVariable, space=X.space, values=v) for v in values))
 
 
 @dataclass(frozen=True)
@@ -570,15 +579,15 @@ class TransformPreservationReport:
 
 
 def _first_stake_outside(C: PredictableSequence, lo, hi) -> tuple[int, int, Number] | None:
-    """(k, i, v) for the first stake C_{k+1}(i) = v outside [lo, hi], in
-    stage order and then outcome order; None when every stake is inside."""
-    for k, rv in enumerate(C.values):
-        values = rv.values
-        if lo <= min(values) and max(values) <= hi:
+    """(k, i, v) for the first stake C_{k+1}(i) = v outside [lo, hi] in stage and then
+    outcome order, or None; exact stakes are ranged as ints over their common L."""
+    stages = C.filtration.stages
+    stakes = [_take(rv.values, s.least_members) for rv, s in zip(C.values, stages)]
+    nums, L = clear_denominators(*stakes) or (stakes, 1)
+    for k, (stage, values, ns) in enumerate(zip(stages, stakes, nums)):
+        if Fraction(lo) * L <= min(ns) and max(ns) <= Fraction(hi) * L:
             continue
-        for i, v in enumerate(values):
-            if v < lo or v > hi:
-                return k, i, v
+        return next((k, i, v) for i, v in zip(stage.least_members, values) if v < lo or v > hi)
     return None
 
 
@@ -632,23 +641,25 @@ def verify_transform_preservation(
     # The stake is constant on each atom, so the conditional identity
     # reduces to sum dY w = C_n * sum dX w before dividing by the mass.
     # Integer tables hold those sums over D * L_X and D * L_Y, so the
-    # identity is compared as y * L_X * den(c) == num(c) * x * L_Y.  Y is
-    # exact only when X and C are; an exact X under float stakes gives a
-    # float Y, and the int X totals are put back over D * L_X.
+    # identity is compared as y * L_X * den(c) == num(c) * x * L_Y in one int
+    # pass per stage.  Y is exact only when X and C are; an exact X under float
+    # stakes gives a float Y, and the int X totals are put back over D * L_X.
     xs, ys = X.scaled, Y.scaled
 
-    def holds_on_atom(x, y, c):
-        if xs is None:
-            return numbers_equal(y, c * x, tolerance)
-        if ys is None:
-            return numbers_equal(y, c * Fraction(x, P.denominator * xs[1]), tolerance)
-        return y * xs[1] * c.denominator == c.numerator * x * ys[1]
+    def stage_holds(masses, dx, dy, cs):
+        if ys is not None:
+            lhs = map(mul, dy, map(mul, map(attrgetter("denominator"), cs), repeat(xs[1])))
+            rhs = map(mul, dx, map(mul, map(attrgetter("numerator"), cs), repeat(ys[1])))
+            return all(map(eq, lhs, rhs))
+        if xs is not None:
+            dx = [Fraction(x, P.denominator * xs[1]) for x in dx]
+        return all(not m or numbers_equal(y, c * x, tolerance)
+                   for m, x, y, c in zip(masses, dx, dy, cs))
 
     # The stake on an atom is its value at the atom's least member.
     identity_ok = all(
-        not mass or holds_on_atom(x, y, rv.values[i])
+        stage_holds(masses, dx, dy, _take(rv.values, stage.least_members))
         for (stage, masses, dx), (_, _, dy), rv in zip(x_table, y_table, C.values)
-        for mass, x, y, i in zip(masses, dx, dy, stage.least_members)
     )
 
     if hypothesis_failure is not None:
@@ -683,14 +694,16 @@ def stopped_process(X: AdaptedProcess, tau: StoppingTime) -> AdaptedProcess:
     """
     if tau.filtration != X.filtration:
         raise ValueError("stopping time and process must share one filtration")
-    caps = [X.horizon if t is None else t for t in tau.times]
-    # Stage n takes X_n where tau >= n and keeps stage n-1 elsewhere.  Every
-    # value is one of X's own, and the stage is adapted because each
-    # {tau = k} is a stage-k event, so no check would refuse it.
+    times = tau.times
+    # Stage n takes X_n on the atoms in {tau >= n}, a stage-(n-1) event, and keeps stage
+    # n-1 elsewhere: values of X's own, adapted since {tau = k} is a stage-k event.
     values = [X.values[0]]
     prev = X.values[0].values
-    for n, rv in enumerate(X.values[1:], 1):
-        prev = tuple(x if cap >= n else p for x, p, cap in zip(rv.values, prev, caps))
+    for n, (rv, stage) in enumerate(zip(X.values[1:], X.filtration.stages[1:]), 1):
+        least = stage.least_members
+        atoms = [x if t is None or t >= n else p for x, p, t in
+                 zip(_take(rv.values, least), _take(prev, least), _take(times, least))]
+        prev = _take(atoms, stage.labels)
         values.append(_trusted(RandomVariable, space=X.space, values=prev))
     return _trusted(AdaptedProcess, filtration=X.filtration, values=tuple(values))
 
@@ -748,8 +761,13 @@ def optional_stopping_report(
     """
     if tau.filtration != X.filtration:
         raise ValueError("stopping time and process must share one filtration")
-    label = _reading(X, P, tolerance)[2].label
-    never_mass = weighted_sum([t is None for t in tau.times], P)
+    masses, _, verdict = _reading(X, P, tolerance)
+    label = verdict.label
+    D, stages, times = P.denominator, X.filtration.stages, tau.times
+    # {tau = k} is a stage-k event: its atoms per stage, and its int mass over D.
+    fires = [list(map(eq, _take(times, s.least_members), repeat(k))) for k, s in enumerate(stages)]
+    fired = [sum(compress(ms, f)) for ms, f in zip(masses, fires)]
+    never_mass = Fraction(D - sum(fired), D)
     tau_bounded = tau.bounded
     tau_max = max(tau.times) if tau_bounded else None
     tau_finite = never_mass == 0
@@ -757,11 +775,11 @@ def optional_stopping_report(
     # max keeps the first of equal maxima, type included: X_n and X_n - X_{n-1} are
     # stage-n measurable, so it sits at a least member.  The leading int 0 stands
     # for all-zero increments (float zeros included).
-    stages = X.filtration.stages
-    process_bound = max(abs(x.values[i]) for x, s in zip(X.values, stages) for i in s.least_members)
-    increment_bound = max(chain((0,), (
-        abs(x.values[i] - y.values[i])
-        for y, x, s in zip(X.values, X.values[1:], stages[1:]) for i in s.least_members)))
+    process_bound = max(chain.from_iterable(
+        map(abs, _take(x.values, s.least_members)) for x, s in zip(X.values, stages)))
+    increment_bound = max(chain((0,), chain.from_iterable(
+        map(abs, map(sub, _take(x.values, s.least_members), _take(y.values, s.least_members)))
+        for y, x, s in zip(X.values, X.values[1:], stages[1:]))))
 
     notes = [
         "hypothesis (ii) is applied as: process uniformly bounded and the stopping rule "
@@ -770,13 +788,16 @@ def optional_stopping_report(
     ]
 
     if tau_finite:
-        # NEVER falls on zero-weight outcomes only here; capping it at the
-        # horizon gives those outcomes a value that the sums skip.
-        caps = [X.horizon if t is None else t for t in tau.times]
-        expected_tau: Number | None = as_number(weighted_sum(caps, P))
-        value_at_stop: Number | None = as_number(
-            weighted_sum([X.values[t].values[i] for i, t in enumerate(caps)], P)
-        )
+        expected_tau: Number | None = as_number(Fraction(sum(k * f for k, f in enumerate(fired)), D))
+        if X.scaled is None:  # outcome order; NEVER only on zero weights here
+            caps = [X.horizon if t is None else t for t in times]
+            value_at_stop: Number | None = as_number(
+                weighted_sum([X.values[t].values[i] for i, t in enumerate(caps)], P))
+        else:
+            nums, L = X.scaled
+            value_at_stop = as_number(Fraction(sum(
+                sum(map(mul, compress(_take(x, s.least_members), f), compress(ms, f)))
+                for x, s, ms, f in zip(nums, stages, masses, fires)), D * L))
         if not tau_bounded:
             notes.append(
                 "the rule is NEVER on zero-probability outcomes only; expectations ignore them"

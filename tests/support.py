@@ -33,9 +33,12 @@ from mglab import (
     SigmaAlgebra,
     StoppingTime,
     as_number,
+    conditional_expectation,
     count_upcrossings,
+    is_measurable,
     numbers_equal,
 )
+from mglab.integration import atom_sums
 from mglab.numeric import sign_with_tolerance
 
 
@@ -231,14 +234,19 @@ def rand_predictable(
     filtration: Filtration,
     bound: int = 3,
     nonnegative: bool = False,
+    denominator: int = 1,
 ) -> PredictableSequence:
+    """Stakes in [lo, bound] with the given denominator, one per stage-(n-1) atom.
+
+    With ``denominator`` q > 1 most stakes are proper fractions k/q; with
+    the default 1 they are whole (and stored as ints)."""
     lo = 0 if nonnegative else -bound
     seq = []
     for n in range(1, filtration.horizon + 1):
         sigma = filtration.stage(n - 1)
         values: list[Fraction | int] = [0] * filtration.space.size
         for atom in sigma.atoms:
-            v = Fraction(rng.randint(lo, bound))
+            v = Fraction(rng.randint(lo * denominator, bound * denominator), denominator)
             for i in atom.members:
                 values[i] = v
         seq.append(RandomVariable(filtration.space, values))
@@ -366,6 +374,40 @@ def reference_step_identity_holds(
             if mass and not numbers_equal(y, stake * x, tolerance):
                 return False
     return True
+
+
+def reference_tower_check(X, G, H, P, tolerance=DEFAULT_TOLERANCE) -> bool:
+    """``tower_check`` as four ``conditional_expectation`` calls, each summed over
+    the outcomes, compared at the least member of every H-atom of positive mass."""
+    if X.space != G.space or X.space != H.space or X.space != P.space:
+        raise ValueError("all arguments must share one sample space")
+    atom = H.first_split(G.labels)
+    if atom is not None:
+        raise ValueError(
+            f"not nested: H-atom {list(atom.members)} straddles more than one G-atom"
+        )
+    base = conditional_expectation(X, G, P, tolerance).result
+    fine = conditional_expectation(X, H, P, tolerance)
+    via_fine = conditional_expectation(fine.result, G, P, tolerance).result
+    refined = conditional_expectation(base, H, P, tolerance).result
+    null = {atom.members[0] for atom in fine.null_atoms}
+    return all(
+        numbers_equal(via_fine.values[i], base.values[i], tolerance)
+        and numbers_equal(refined.values[i], base.values[i], tolerance)
+        for i in H.least_members
+        if i not in null
+    )
+
+
+def reference_verify_kolmogorov(X, G, P, Y, tolerance=DEFAULT_TOLERANCE) -> bool:
+    """``verify_kolmogorov`` with both sides summed over the outcomes by ``atom_sums``."""
+    if X.space != G.space or X.space != P.space or Y.space != X.space:
+        raise ValueError("all arguments must share one sample space")
+    if not is_measurable(Y, G):
+        return False
+    _, lhs = atom_sums(X.values, G, P)
+    _, rhs = atom_sums(Y.values, G, P)
+    return all(numbers_equal(a, b, tolerance) for a, b in zip(lhs, rhs))
 
 
 def reference_tail_figures(

@@ -125,6 +125,13 @@ def test_tower_requires_nesting():
     assert tower_check(X, PAIRS, fine, UNIFORM)
 
 
+def test_tower_refuses_a_non_nested_pair_naming_the_straddling_atom():
+    X = RandomVariable(ABCD, [1, 2, 3, 4])
+    with pytest.raises(ValueError) as err:
+        tower_check(X, SigmaAlgebra(ABCD, (0, 1, 0, 1)), PAIRS, UNIFORM)
+    assert str(err.value) == "not nested: H-atom [0, 1] straddles more than one G-atom"
+
+
 def test_tower_randomized_chains():
     rng = random.Random(109)
     for _ in range(60):

@@ -39,6 +39,7 @@ from mglab import (
     as_number,
     classify,
     conditional_expectation,
+    is_measurable,
     l2_pythagoras_check,
     numbers_equal,
     optional_stopping_report,
@@ -73,7 +74,9 @@ from support import (
     reference_tail_figures,
     reference_tail_hypothesis,
     reference_transform,
+    reference_tower_check,
     reference_upcrossing_figures,
+    reference_verify_kolmogorov,
     reference_weighted_sum,
 )
 
@@ -118,8 +121,11 @@ def _model(rng):
     X = build(rng, F, P)
     if rng.random() < 0.3:
         X = _floats(X)
-    C = rand_predictable(rng, F, nonnegative=rng.random() < 0.5)
-    if rng.random() < 0.25:
+    # Whole, proper-fraction (k/q with q in 2..4) or float stakes.
+    stakes = rng.random()
+    C = rand_predictable(rng, F, nonnegative=rng.random() < 0.5,
+                         denominator=rng.randint(2, 4) if stakes < 0.35 else 1)
+    if stakes > 0.75:
         # Float stakes on an exact process: the mixed step-identity path.
         C = PredictableSequence(F, [rv.map(float) for rv in C.values])
     tau = rand_stopping_time(rng, F, bounded=rng.random() < 0.7)
@@ -189,6 +195,29 @@ def test_drift_table_and_tail_sums_match_the_reference_loops(pyr):
     assert repr((report.hypothesis_by_step, report.hypothesis_witness)) == repr(
         reference_tail_hypothesis(tau, P, window, eps)
     )
+
+
+def test_conditioning_reads_measurable_inputs_on_atoms_like_the_outcome_loops():
+    """tower_check and verify_kolmogorov sum their measurable inputs once per atom;
+    the references sum every input over the outcomes.  Same repr, refusals
+    included, on draws with null atoms, float V, non-measurable Y and G = H."""
+    rng = random.Random(20)
+    seen = dict.fromkeys(("null H-atom", "float V", "measurable Y", "other Y", "refused"), 0)
+    for _ in range(300):
+        args = {check: rest for check, *rest in _model(rng)}
+        V, G, H, P = args[tower_check]
+        Y = args[verify_kolmogorov][3]
+        # (H, G) is not nested unless the two stages are one partition.
+        for g, h in ((G, H), (G, G), (H, H), (H, G)):
+            got = _outcome(tower_check, V, g, h, P)
+            assert got == _outcome(reference_tower_check, V, g, h, P)
+            seen["refused"] += got.startswith("raised")
+        assert _outcome(verify_kolmogorov, V, G, P, Y) == _outcome(
+            reference_verify_kolmogorov, V, G, P, Y)
+        seen["null H-atom"] += any(not any(P.weights[i] for i in a) for a in H.atoms)
+        seen["float V"] += any(isinstance(v, float) for v in V.values)
+        seen["measurable Y" if is_measurable(Y, G) else "other Y"] += 1
+    assert min(seen.values()) > 30, seen
 
 
 def test_non_martingale_witness_is_the_first_nonzero_outcome_level_product():

@@ -51,6 +51,39 @@ def test_parse_number_rejects_garbage():
             parse_number(bad)
 
 
+# Strings that take the split-and-int route next to every form only Fraction's
+# parser reads, and refusals of both kinds.
+PARSE_CORPUS = [
+    "1/3", "-1/3", "+1/3", "4/2", "-4/2", "6/-2", "-0", "0", "0/5", "-0/5", "1/0", "0/0",
+    "1/-3", " 1/3 ", "1/3\n", "1 /3", "1/ 3", "1_000/3", "1/3_0", "1e3", "0.25", "-.5",
+    "inf", "-inf", "nan", "", " ", "-", "/", "1/", "/3", "--1", "1//3", "1/3/5", "007/021",
+    "12345678901234567890123/7", "\u0663", "\u0661/\u0663", "1/\u0663", "\u00b2",
+    "\uff11/3", "x", "1/x", pytest.param("9" * 5000, id="5000 digits"),
+]
+
+
+def _reference_parse(text):
+    """The parser before the split route: every string through Fraction(text.strip())."""
+    try:
+        value = Fraction(text.strip())
+    except (ValueError, ZeroDivisionError):
+        return f"raised ValueError: cannot parse {text!r} as a number"
+    return int(value) if value.denominator == 1 else value
+
+
+def _parsed(text):
+    try:
+        return parse_number(text)
+    except ValueError as exc:
+        return f"raised ValueError: {exc}"
+
+
+@pytest.mark.parametrize("text", PARSE_CORPUS)
+def test_parse_number_matches_the_fraction_parser(text):
+    got, expected = _parsed(text), _reference_parse(text)
+    assert (type(got), got) == (type(expected), expected)
+
+
 def test_format_round_trip_exact():
     for v in (0, -3, Fraction(22, 7), Fraction(-1, 3)):
         assert parse_number(format_number(v)) == v
