@@ -5,9 +5,8 @@ just the atom-wise weighted average, so there is nothing to approximate:
 E[X|G] is computed exactly and the defining integral identity
 ``integral_A X dP = integral_A E[X|G] dP`` is then verified set by set
 (atoms suffice, by additivity).  Atoms of probability zero get the
-convention value 0, and the report says so rather than hiding it.  An input
-known to be measurable (E[X|H] in the tower rule, a candidate that passed
-the measurability test) is summed once per atom, as value times mass.
+convention value 0, and the report says so rather than hiding it.  A measurable
+input (E[X|H] in the tower rule, a Kolmogorov candidate) is summed once per atom.
 """
 from __future__ import annotations
 
@@ -73,13 +72,11 @@ def conditional_expectation(
 
 
 def _measurable_sums(values, fine: SigmaAlgebra, G: SigmaAlgebra, P: ProbabilityMeasure):
-    """``atom_sums(values, G, P)`` for ``values`` constant on the atoms of ``fine``, a
-    refinement of G.  An exact stream is read once per fine-atom and summed as
-    value * mass in ints over ``D * L``; a float one keeps atom_sums's outcome order."""
-    cleared = clear_denominators(_take(values, fine.least_members))
-    if cleared is None:
+    """``atom_sums(values, G, P)`` for ``values`` constant on the atoms of ``fine`` (in G):
+    value * mass per fine-atom in ints over ``D * L``, unless a float is in ``values``."""
+    if float in set(map(type, values)):
         return atom_sums(values, G, P)
-    (nums,), L = cleared
+    (nums,), L = clear_denominators(_take(values, fine.least_members))
     least, D = fine.least_members, P.denominator
     fine_masses = _sum_up(P.int_weights, range(P.space.size), fine)
     masses = _sum_up(fine_masses, least, G)
@@ -152,12 +149,9 @@ def tower_check(
     # E[X|H] and E[X|G] are H-measurable: the outer means read H-atoms.
     via_fine = _means(*_measurable_sums(fine, H, G, P))
     masses, totals = _measurable_sums(base, H, H, P)
-    refined = _means(masses, totals)
     # All three are constant on H-atoms, so one member of each H-atom of
     # positive mass stands for every outcome of positive weight in it.
     return all(
         numbers_equal(via_fine[G.labels[i]], base[i], tolerance)
-        and numbers_equal(refined[k], base[i], tolerance)
-        for k, (i, mass) in enumerate(zip(H.least_members, masses))
-        if mass
-    )
+        and numbers_equal(refined, base[i], tolerance)
+        for i, refined, mass in zip(H.least_members, _means(masses, totals), masses) if mass)

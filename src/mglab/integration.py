@@ -7,11 +7,11 @@ agrees.  All three routes are implemented separately so they can be played
 against each other in tests instead of collapsing into one formula.
 
 Every other P-weighted sum over outcomes goes through one of two kernels
-here: :func:`weighted_sum` (expectations, the upcrossing negative part, the
-tail-bound mean, the exact side of cross-validation, and E|X_m|, the L2 Gram
-matrix and E[X_tau] of a float process) and :func:`atom_sums` per atom of a
-partition (conditional expectation, the left side of Kolmogorov's identity,
-and the drift table and measurable tower and Kolmogorov sums of floats).
+here: :func:`weighted_sum` (expectations, the optional-stopping E[X_tau], the
+upcrossing negative part, the tail-bound mean, cross-validation's exact side,
+and E|X_m| and the L2 Gram matrix of a float process) and :func:`atom_sums`
+per atom of a partition (conditional expectation, the left side of Kolmogorov's
+identity, and the drift table and measurable tower and Kolmogorov sums of floats).
 Exact stage-measurable quantities are read once per atom instead, in ints
 over the atom masses (see ``mglab.processes`` and ``mglab.conditioning``).
 :func:`integrate_simple` stays a separate route.

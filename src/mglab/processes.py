@@ -5,6 +5,8 @@ theorem in scope reduces to finitely many exact comparisons: classification
 inspects one-step conditional means atom by atom, transforms and stopped
 processes are built once per atom and expanded to the outcomes, and the
 optional-stopping, upcrossing, and L2 statements are verified exactly.
+A stage-measurable value is read at its atom's least member: where equal values of
+mixed types share an atom (1 and 1.0), every outcome gets the least member's.
 
 Zero-probability atoms never take part in a classification or verdict;
 where a convention value shows up (conditioning on a null atom) the
@@ -516,10 +518,8 @@ def _label(
 def transform(C: PredictableSequence, X: AdaptedProcess) -> AdaptedProcess:
     """The discrete stochastic integral Y_n = sum_{k<=n} C_k (X_k - X_{k-1}).
 
-    Y_0 = 0; on a stage-n atom B in the stage-(n-1) atom A, y_n(B) = y_{n-1}(A) +
-    c_n(A) (x_n(B) - x_{n-1}(A)), once per atom, then expanded to the outcomes.
-    Exact inputs recur in ints over L_C * L_X, kept as Y's scaled form; floats get
-    the outcome arithmetic on the same operands, so their bits do not change.
+    Y_0 = 0, and y_n(B) = y_{n-1}(A) + c_n(A) (x_n(B) - x_{n-1}(A)) once per stage-n atom
+    B in the stage-(n-1) atom A; exact inputs recur in ints over L_C * L_X (Y.scaled).
     """
     if C.filtration != X.filtration:
         raise ValueError("stakes and process must share one filtration")
@@ -533,14 +533,12 @@ def transform(C: PredictableSequence, X: AdaptedProcess) -> AdaptedProcess:
         least = fine.least_members
         up = _take(coarse.labels, least)
         steps = map(mul, _take(c, up), map(sub, _take(now, least), _take(before, least)))
-        ys.append(tuple(map(add, _take(ys[-1], up), steps)))
-        if L is None:  # the whole stage first, as the constructor refused it
-            ys[-1] = tuple(map(as_number, ys[-1]))
+        y = tuple(map(add, _take(ys[-1], up), steps))
+        ys.append(y if L else tuple(map(as_number, y)))  # whole stage, as the constructor
     if L is not None and L > 1:  # reduce to Y.scaled's L; one Fraction per distinct value
         g = math.gcd(L, *chain.from_iterable(ys))
         nums, L = [[y // g for y in row] for row in ys], L // g
-        ys = nums if L == 1 else [
-            _take({y: as_number(Fraction(y, L)) for y in set(row)}, row) for row in nums]
+        ys = [_take({y: as_number(Fraction(y, L)) for y in set(row)}, row) for row in nums]
     values = tuple(_take(y, s.labels) for y, s in zip(ys, stages))
     scaled = {} if L is None else {"scaled": (values, 1) if L == 1 else (
         tuple(list(_take(n, s.labels)) for n, s in zip(nums, stages)), L)}
@@ -579,15 +577,12 @@ class TransformPreservationReport:
 
 
 def _first_stake_outside(C: PredictableSequence, lo, hi) -> tuple[int, int, Number] | None:
-    """(k, i, v) for the first stake C_{k+1}(i) = v outside [lo, hi] in stage and then
-    outcome order, or None; exact stakes are ranged as ints over their common L."""
-    stages = C.filtration.stages
-    stakes = [_take(rv.values, s.least_members) for rv, s in zip(C.values, stages)]
-    nums, L = clear_denominators(*stakes) or (stakes, 1)
-    for k, (stage, values, ns) in enumerate(zip(stages, stakes, nums)):
-        if Fraction(lo) * L <= min(ns) and max(ns) <= Fraction(hi) * L:
-            continue
-        return next((k, i, v) for i, v in zip(stage.least_members, values) if v < lo or v > hi)
+    """(k, i, v) for the first stake C_{k+1}(i) = v outside [lo, hi], in stage and then
+    outcome order, or None; a stake is read at its atom's least member."""
+    for k, (rv, stage) in enumerate(zip(C.values, C.filtration.stages)):
+        values = _take(rv.values, stage.least_members)
+        if not (lo <= min(values) and max(values) <= hi):
+            return next((k, i, v) for i, v in zip(stage.least_members, values) if v < lo or v > hi)
     return None
 
 
@@ -615,14 +610,12 @@ def verify_transform_preservation(
     claimed: str | None = None
     if input_label == MARTINGALE:
         claimed = MARTINGALE
-        offender = _first_stake_outside(C, -bound, bound)
-        if offender:
+        if offender := _first_stake_outside(C, -bound, bound):
             k, i, v = offender
             hypothesis_failure = f"|C_{k + 1}| = {abs(v)} exceeds the bound {bound} at outcome {i}"
     elif input_label in (SUPERMARTINGALE, STRICT_SUPERMARTINGALE):
         claimed = SUPERMARTINGALE
-        offender = _first_stake_outside(C, 0, bound)
-        if offender:
+        if offender := _first_stake_outside(C, 0, bound):
             k, i, v = offender
             hypothesis_failure = (
                 f"C_{k + 1} = {v} at outcome {i} is outside [0, {bound}], which the "
@@ -638,12 +631,11 @@ def verify_transform_preservation(
     Y = transform(C, X)
     y_table = _drift_table(Y, P, masses)
     output_label = _label(Y, y_table, tolerance).label
-    # The stake is constant on each atom, so the conditional identity
-    # reduces to sum dY w = C_n * sum dX w before dividing by the mass.
-    # Integer tables hold those sums over D * L_X and D * L_Y, so the
-    # identity is compared as y * L_X * den(c) == num(c) * x * L_Y in one int
-    # pass per stage.  Y is exact only when X and C are; an exact X under float
-    # stakes gives a float Y, and the int X totals are put back over D * L_X.
+    # The stake is constant on each atom, so the conditional identity reduces to
+    # sum dY w = C_n * sum dX w before dividing by the mass.  Integer tables hold
+    # those sums over D * L_X and D * L_Y, so it is compared as y * L_X * den(c) ==
+    # num(c) * x * L_Y, one int pass per stage.  An exact X under float stakes gives
+    # a float Y, and the int X totals are put back over D * L_X.
     xs, ys = X.scaled, Y.scaled
 
     def stage_holds(masses, dx, dy, cs):
@@ -694,7 +686,6 @@ def stopped_process(X: AdaptedProcess, tau: StoppingTime) -> AdaptedProcess:
     """
     if tau.filtration != X.filtration:
         raise ValueError("stopping time and process must share one filtration")
-    times = tau.times
     # Stage n takes X_n on the atoms in {tau >= n}, a stage-(n-1) event, and keeps stage
     # n-1 elsewhere: values of X's own, adapted since {tau = k} is a stage-k event.
     values = [X.values[0]]
@@ -702,7 +693,7 @@ def stopped_process(X: AdaptedProcess, tau: StoppingTime) -> AdaptedProcess:
     for n, (rv, stage) in enumerate(zip(X.values[1:], X.filtration.stages[1:]), 1):
         least = stage.least_members
         atoms = [x if t is None or t >= n else p for x, p, t in
-                 zip(_take(rv.values, least), _take(prev, least), _take(times, least))]
+                 zip(_take(rv.values, least), _take(prev, least), _take(tau.times, least))]
         prev = _take(atoms, stage.labels)
         values.append(_trusted(RandomVariable, space=X.space, values=prev))
     return _trusted(AdaptedProcess, filtration=X.filtration, values=tuple(values))
@@ -762,11 +753,10 @@ def optional_stopping_report(
     if tau.filtration != X.filtration:
         raise ValueError("stopping time and process must share one filtration")
     masses, _, verdict = _reading(X, P, tolerance)
-    label = verdict.label
-    D, stages, times = P.denominator, X.filtration.stages, tau.times
-    # {tau = k} is a stage-k event: its atoms per stage, and its int mass over D.
-    fires = [list(map(eq, _take(times, s.least_members), repeat(k))) for k, s in enumerate(stages)]
-    fired = [sum(compress(ms, f)) for ms, f in zip(masses, fires)]
+    label, D, stages = verdict.label, P.denominator, X.filtration.stages
+    # {tau = k} is a stage-k event: its int mass over D, summed on its stage-k atoms.
+    fired = [sum(compress(ms, map(eq, _take(tau.times, s.least_members), repeat(k))))
+             for k, (s, ms) in enumerate(zip(stages, masses))]
     never_mass = Fraction(D - sum(fired), D)
     tau_bounded = tau.bounded
     tau_max = max(tau.times) if tau_bounded else None
@@ -789,15 +779,11 @@ def optional_stopping_report(
 
     if tau_finite:
         expected_tau: Number | None = as_number(Fraction(sum(k * f for k, f in enumerate(fired)), D))
-        if X.scaled is None:  # outcome order; NEVER only on zero weights here
-            caps = [X.horizon if t is None else t for t in times]
-            value_at_stop: Number | None = as_number(
-                weighted_sum([X.values[t].values[i] for i, t in enumerate(caps)], P))
-        else:
-            nums, L = X.scaled
-            value_at_stop = as_number(Fraction(sum(
-                sum(map(mul, compress(_take(x, s.least_members), f), compress(ms, f)))
-                for x, s, ms, f in zip(nums, stages, masses, fires)), D * L))
+        # NEVER falls on zero-weight outcomes only here; capping it at the
+        # horizon gives those outcomes a value that the sum skips.
+        caps = [X.horizon if t is None else t for t in tau.times]
+        value_at_stop: Number | None = as_number(
+            weighted_sum([X.values[t].values[i] for i, t in enumerate(caps)], P))
         if not tau_bounded:
             notes.append(
                 "the rule is NEVER on zero-probability outcomes only; expectations ignore them"

@@ -319,6 +319,48 @@ def test_transform_normalizes_whole_fractions_to_ints():
             assert type(v) is int if v == int(v) else type(v) is Fraction
 
 
+def test_an_atom_of_equal_values_of_mixed_types_is_read_at_its_least_member():
+    """1 and 1.0 (or 1/2 and 0.5) are equal, so they may share an atom.  The
+    transform and the stopped process give each atom one value, the least
+    member's, so they agree with the outcome loops up to type, and exact
+    stakes at the least members make C·X exact.  A Kolmogorov candidate
+    holding a float anywhere is still summed as a float."""
+    space, P, F, walk = make_coin_walk(3, Fraction(1, 2))
+    odd_float = lambda rv: RandomVariable(  # noqa: E731
+        space, [float(v) if i % 2 else v for i, v in enumerate(rv.values)])
+    # C_1 (one atom) holds 1 at its least member and 1.0 elsewhere; C_2 mixes
+    # 1/2 and 0.5.  X_2 and X_3 hold floats at odd outcomes, X_0 and X_1 none.
+    C = PredictableSequence(F, [
+        RandomVariable(space, [1] + [1.0] * (space.size - 1)),
+        RandomVariable(space, [0.5 if i % 2 else Fraction(1, 2) for i in range(space.size)]),
+        RandomVariable(space, [2] * space.size),
+    ])
+    mixed = AdaptedProcess(F, walk.values[:2] + tuple(map(odd_float, walk.values[2:])))
+    tau = StoppingTime(F, [1, 1, 1, 1, 2, 2, 3, 3])
+    for X in (walk, mixed):
+        Y, R = transform(C, X), reference_transform(C, X)
+        assert [rv.values for rv in Y.values] == [rv.values for rv in R.values]
+        assert R.scaled is None
+        assert (Y.scaled is None) is (X is mixed)
+        if X is walk:
+            assert {type(v) for rv in Y.values for v in rv.values} == {int, Fraction}
+        report = verify_transform_preservation(C, X, P, 2)
+        assert report.holds and report.step_identity_ok
+        assert report.output_label == reference_classify(R, P).label == MARTINGALE
+        S, T = stopped_process(X, tau), reference_stopped_process(X, tau)
+        assert [rv.values for rv in S.values] == [rv.values for rv in T.values]
+        for rv, stage in zip(S.values, F.stages):
+            assert all(rv.values[i] is rv.values[stage.least_members[k]]
+                       for i, k in enumerate(stage.labels))
+    # E[X_2 | F_1] = X_1; nudged by 2**-44, within the tolerance, on one
+    # atom whose odd outcome holds the float.
+    nudged = [v + Fraction(1, 2**44) if i < 4 else v for i, v in enumerate(walk.values[1].values)]
+    Y = odd_float(RandomVariable(space, nudged))
+    assert verify_kolmogorov(walk.values[2], F.stages[1], P, Y)
+    assert reference_verify_kolmogorov(walk.values[2], F.stages[1], P, Y)
+    assert not verify_kolmogorov(walk.values[2], F.stages[1], P, RandomVariable(space, nudged))
+
+
 def test_atom_level_drift_table_matches_the_outcome_loop():
     """Coarse last stages and null atoms included; the float table is unchanged."""
     rng = random.Random(8)
