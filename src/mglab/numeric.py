@@ -71,7 +71,8 @@ def parse_number(text: str) -> Number:
     """
     num, slash, den = text.partition("/")
     try:
-        if (num + den).isascii() and num.removeprefix("-").isdigit() and (den.isdigit() or not slash):
+        if (num + den).isascii() and num.removeprefix("-").isdigit() and (
+                den.isdigit() or not slash):
             value = Fraction(int(num), int(den)) if slash else int(num)
         else:
             value = Fraction(text.strip())
