@@ -15,7 +15,7 @@ from fractions import Fraction
 from operator import mul
 
 from .integration import RandomVariable, atom_sums, clear_denominators, is_measurable
-from .measure import EventSet, ProbabilityMeasure, SigmaAlgebra, _sum_up, _take, _trusted
+from .measure import EventSet, ProbabilityMeasure, SigmaAlgebra, _atom_masses, _take, _trusted, _up
 from .numeric import DEFAULT_TOLERANCE, as_number, numbers_equal
 
 
@@ -73,14 +73,15 @@ def conditional_expectation(
 
 def _measurable_sums(values, fine: SigmaAlgebra, G: SigmaAlgebra, P: ProbabilityMeasure):
     """``atom_sums(values, G, P)`` for ``values`` constant on the atoms of ``fine`` (in G):
-    value * mass per fine-atom in ints over ``D * L``, unless a float is in ``values``."""
+    value * mass per fine-atom in ints over ``D * L``, unless a float is in ``values``,
+    on the masses held per (sigma-algebra, P); a G not yet read adds up fine's."""
     if float in set(map(type, values)):
         return atom_sums(values, G, P)
     (nums,), L = clear_denominators(_take(values, fine.least_members))
-    least, D = fine.least_members, P.denominator
-    fine_masses = _sum_up(P.int_weights, range(P.space.size), fine)
-    masses = _sum_up(fine_masses, least, G)
-    totals = _sum_up(list(map(mul, nums, fine_masses)), least, G)
+    D, parents = P.denominator, _take(G.labels, fine.least_members)
+    fine_masses = _atom_masses(fine, P)
+    masses = _atom_masses(G, P, (fine_masses, parents))
+    totals = _up(map(mul, nums, fine_masses), parents, G.atom_count)
     return ([Fraction(m, D) if m else 0 for m in masses],
             [Fraction(t, D * L) if m else 0 for m, t in zip(masses, totals)])
 

@@ -24,17 +24,19 @@ Python ints, and each sum (or each atom's sum) is divided by ``D * L``
 once, or not at all where only its sign or an integer identity is needed.
 A stream that holds a float keeps the ordered loop over the Fraction
 weights, so float results keep their exact bits; atom masses are integer
-sums whatever the stream holds.
+sums whatever the stream holds, held per (sigma-algebra, measure).
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from operator import mul
 from typing import Sequence
 
-from .measure import EventSet, ProbabilityMeasure, SampleSpace, SigmaAlgebra, _trusted, measure_of
+from .measure import (EventSet, ProbabilityMeasure, SampleSpace, SigmaAlgebra, _atom_masses,
+                      _trusted, _up, _value_split, measure_of)
 from .numeric import Number, as_number
 
 
@@ -149,7 +151,7 @@ def is_measurable(variable: RandomVariable, sigma: SigmaAlgebra) -> bool:
     """
     if variable.space != sigma.space:
         raise ValueError("variable and sigma-algebra live on different spaces")
-    return sigma.first_split(variable.values) is None
+    return _value_split(sigma, variable.values) is None
 
 
 def to_simple_form(variable: RandomVariable) -> SimpleFunctionForm:
@@ -220,30 +222,25 @@ def atom_sums(
 
     ``masses[k]`` is the weight of atom k and ``totals[k]`` the sum of v * w
     over its outcomes of non-zero weight.  A null atom has mass and total
-    int 0; every other mass is a Fraction, summed over ``P.int_weights`` and
-    divided by ``D`` once per atom.  Exact values are summed as integers
-    over ``P.int_weights`` too and divided once per atom, so every other
-    total is a Fraction; a stream holding a float is summed over the
-    Fraction weights from int 0 in ascending outcome order, as
-    :func:`weighted_sum` does, so a float total keeps its exact bits.
+    int 0; every other mass is a Fraction, its int mass over ``D`` as held
+    per (sigma, P) by ``mglab.measure._atom_masses``, divided once.  Exact
+    values are summed as integers over ``P.int_weights`` and divided once
+    per atom, so every other total is a Fraction; a stream holding a float
+    is summed over the Fraction weights from int 0 in ascending outcome
+    order, as :func:`weighted_sum` does, so a float total keeps its exact bits.
 
     ``values`` must be a sequence; it is read twice, as in :func:`weighted_sum`.
     """
+    masses = _atom_masses(sigma, P)
     cleared = clear_denominators(values)
+    D = P.denominator
     if cleared is None:
-        nums, L, weights = values, None, P.weights
+        totals = _up([v * w for v, w in zip(values, P.weights) if w],
+                     compress(sigma.labels, P.weights), sigma.atom_count)
     else:
         (nums,), L = cleared
-        weights = P.int_weights
-    masses: list = [0] * sigma.atom_count
-    totals: list = [0] * sigma.atom_count
-    for lab, v, w, m in zip(sigma.labels, nums, weights, P.int_weights):
-        if m:
-            masses[lab] += m
-            totals[lab] += v * w
-    D = P.denominator
-    if L is not None:
-        totals = [Fraction(t, D * L) if m else 0 for m, t in zip(masses, totals)]
+        totals = [Fraction(t, D * L) if m else 0 for m, t in zip(masses, _up(
+            map(mul, nums, P.int_weights), sigma.labels, sigma.atom_count))]
     return [Fraction(m, D) if m else 0 for m in masses], totals
 
 

@@ -13,10 +13,11 @@ are exact equalities rather than tolerance games.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from operator import itemgetter, ne
+from operator import is_not, itemgetter, ne
 from typing import Iterable, Sequence
 
 from .numeric import as_exact
@@ -45,14 +46,32 @@ def _take(values: Sequence, indices: Sequence[int]) -> tuple:
     return got if len(indices) > 1 else (got,)  # itemgetter of one index returns the item
 
 
-def _sum_up(values: Sequence, members: Sequence[int], coarse: "SigmaAlgebra") -> list:
-    """Per atom of ``coarse``, the sum from int 0 of the ``values[j]`` whose
-    outcome ``members[j]`` lies in it (one member per atom of a refinement)."""
-    labels = coarse.labels
-    sums = [0] * coarse.atom_count
-    for i, v in zip(members, values):
-        sums[labels[i]] += v
+def _up(values: Iterable, parents: Iterable[int], count: int) -> list:
+    """Per parent label in ``range(count)``, the sum from int 0 of the ``values``
+    whose entry in ``parents`` is that label: the one *up* move of a sum."""
+    sums = [0] * count
+    for k, v in zip(parents, values):
+        sums[k] += v
     return sums
+
+
+def _atom_masses(sigma: "SigmaAlgebra", P: "ProbabilityMeasure", child=None) -> tuple:
+    """The int atom masses of ``sigma`` under ``P`` over ``P.denominator``, by label, from
+    the outcome weights or from ``child``, the ``(masses, parents)`` of a refinement; held
+    on ``sigma`` for the last measure read, weakly, and a hit is that very ``P`` (``is``)."""
+    held = sigma._held_masses
+    if held is not None and held[0]() is P:
+        return held[1]
+    masses = tuple(_up(*(child or (P.int_weights, sigma.labels)), sigma.atom_count))
+    object.__setattr__(sigma, "_held_masses", (weakref.ref(P), masses))
+    return masses
+
+
+def _value_split(sigma: "SigmaAlgebra", values: Sequence) -> "EventSet | None":
+    """``sigma.first_split(values)`` for the finite values of a random variable,
+    decided in C when each value is the very object at its atom's least member."""
+    firsts = _take(_take(values, sigma.least_members), sigma.labels)
+    return sigma.first_split(values) if any(map(is_not, values, firsts)) else None
 
 
 class SizeLimitError(ValueError):
@@ -167,6 +186,7 @@ class SigmaAlgebra:
     space: SampleSpace
     labels: tuple[int, ...]
     atom_count: int = field(init=False, repr=False, compare=False)
+    _held_masses: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         labels = tuple(self.labels)

@@ -35,9 +35,11 @@ from .measure import (
     SampleSpace,
     SigmaAlgebra,
     SizeLimitError,
-    _sum_up,
+    _atom_masses,
     _take,
     _trusted,
+    _up,
+    _value_split,
 )
 from .numeric import (
     DEFAULT_TOLERANCE,
@@ -117,6 +119,13 @@ class Filtration:
     def stage(self, n: int) -> SigmaAlgebra:
         return self.stages[n]
 
+    @cached_property
+    def parents(self) -> tuple[tuple[int, ...], ...]:
+        """``parents[n - 1][k]``: the stage-(n-1) label of stage n's atom ``k``, for
+        n >= 1, read at its least member; the index array of the *up* move."""
+        return tuple(_take(coarse.labels, fine.least_members)
+                     for coarse, fine in zip(self.stages, self.stages[1:]))
+
 
 @dataclass(frozen=True)
 class AdaptedProcess:
@@ -146,7 +155,7 @@ class AdaptedProcess:
         for n, (rv, stage) in enumerate(zip(values, stages)):
             if rv.space != self.filtration.space:
                 raise ValueError(f"X_{n} lives on a different sample space")
-            atom = stage.first_split(rv.values)
+            atom = _value_split(stage, rv.values)
             if atom is not None:
                 raise ValueError(
                     f"not adapted: X_{n} is not measurable at stage {n}; it splits "
@@ -199,7 +208,7 @@ class PredictableSequence:
         for k, rv in enumerate(values):
             if rv.space != self.filtration.space:
                 raise ValueError(f"C_{k + 1} lives on a different sample space")
-            atom = self.filtration.stages[k].first_split(rv.values)
+            atom = _value_split(self.filtration.stages[k], rv.values)
             if atom is not None:
                 raise ValueError(
                     f"not predictable: C_{k + 1} must be measurable at stage {k}; it "
@@ -420,7 +429,7 @@ def classify(
 
 def _reading(
     X: AdaptedProcess, P: ProbabilityMeasure, tolerance: float
-) -> tuple[list[list[int]], list[tuple[SigmaAlgebra, list, list]], MartingaleClassification]:
+) -> tuple[list[tuple], list[tuple[SigmaAlgebra, Sequence, list]], MartingaleClassification]:
     """What every exact report reads first, after refusing a measure on another space:
     X's :func:`_stage_masses`, its :func:`_drift_table` on them and the verdict read off it."""
     if P.space != X.space:
@@ -430,26 +439,27 @@ def _reading(
     return masses, table, _label(X, table, tolerance)
 
 
-def _stage_masses(F: Filtration, P: ProbabilityMeasure) -> list[list[int]]:
-    """The int atom masses over ``D`` of every stage, by stage and label: one pass
-    over the outcomes for the last stage, then each stage adds up its children's."""
-    table = [_sum_up(P.int_weights, range(F.space.size), F.stages[-1])]
-    for n in range(F.horizon - 1, -1, -1):
-        table.insert(0, _sum_up(table[0], F.stages[n + 1].least_members, F.stages[n]))
-    return table
+def _stage_masses(F: Filtration, P: ProbabilityMeasure) -> list[tuple[int, ...]]:
+    """The int atom masses over ``D`` of every stage, by stage and label, as held
+    per (stage, measure) by ``_atom_masses``: a stage not yet read under ``P`` adds
+    up its children's masses, and only the last stage reads the outcome weights."""
+    table = [_atom_masses(F.stages[-1], P)]
+    for stage, parents in zip(F.stages[-2::-1], F.parents[::-1]):
+        table.append(_atom_masses(stage, P, (table[-1], parents)))
+    return table[::-1]
 
 
 def _drift_table(
-    X: AdaptedProcess, P: ProbabilityMeasure, masses: list[list[int]]
-) -> list[tuple[SigmaAlgebra, list, list]]:
+    X: AdaptedProcess, P: ProbabilityMeasure, masses: list[tuple[int, ...]]
+) -> list[tuple[SigmaAlgebra, Sequence, list]]:
     """Per step n: stage n, its atom masses, and the atom totals of X_{n+1} - X_n.
 
     On an exact process the masses are ``masses`` (:func:`_stage_masses`) and
     the totals are ints over ``D * L`` for ``(_, L) = X.scaled``, summed over
     atoms: the total on a stage-n atom A is the sum of x_{n+1}(B) m(B) over
-    the stage-(n+1) atoms B inside A, minus x_n(A) m(A), each x read at its
-    atom's least member (X is adapted).  Integer addition is exact in any
-    order: these are the per-atom int sums of the scaled increments over
+    the stage-(n+1) atoms B inside A (moved up over ``Filtration.parents``),
+    minus x_n(A) m(A), each x read at its atom's least member (X is adapted):
+    the per-atom int sums, exact in any order, of the scaled increments over
     ``P.int_weights``, undivided (a null atom's total is 0).  A float
     process's masses and totals are :func:`~mglab.integration.atom_sums` of
     each step's increments, so a float total keeps its outcome-order bits.
@@ -462,10 +472,9 @@ def _drift_table(
             for stage, before, after in zip(stages, X.values, X.values[1:])
         ]
     table = []
-    for stage, fine, before, after, m, fine_m in zip(
-            stages, stages[1:], scaled[0], scaled[0][1:], masses, masses[1:]):
-        least = fine.least_members
-        inflow = _sum_up(list(map(mul, _take(after, least), fine_m)), least, stage)
+    for stage, fine, parents, before, after, m, fine_m in zip(stages, stages[1:],
+            X.filtration.parents, scaled[0], scaled[0][1:], masses, masses[1:]):
+        inflow = _up(map(mul, _take(after, fine.least_members), fine_m), parents, len(m))
         outflow = map(mul, _take(before, stage.least_members), m)
         table.append((stage, m, list(map(sub, inflow, outflow))))
     return table
@@ -529,9 +538,8 @@ def transform(C: PredictableSequence, X: AdaptedProcess) -> AdaptedProcess:
     cs, xs, L = (cleared[0], X.scaled[0], cleared[1] * X.scaled[1]) if cleared else (
         stakes, [rv.values for rv in X.values], None)
     ys = [(0,) * stages[0].atom_count]
-    for coarse, fine, c, before, now in zip(stages, stages[1:], cs, xs, xs[1:]):
+    for fine, up, c, before, now in zip(stages[1:], X.filtration.parents, cs, xs, xs[1:]):
         least = fine.least_members
-        up = _take(coarse.labels, least)
         steps = map(mul, _take(c, up), map(sub, _take(now, least), _take(before, least)))
         y = tuple(map(add, _take(ys[-1], up), steps))
         ys.append(y if L else tuple(map(as_number, y)))  # whole stage, as the constructor
@@ -578,10 +586,11 @@ class TransformPreservationReport:
 
 def _first_stake_outside(C: PredictableSequence, lo, hi) -> tuple[int, int, Number] | None:
     """(k, i, v) for the first stake C_{k+1}(i) = v outside [lo, hi], in stage and then
-    outcome order, or None; a stake is read at its atom's least member."""
+    outcome order, or None; read at least members, each distinct object ranged once."""
     for k, (rv, stage) in enumerate(zip(C.values, C.filtration.stages)):
         values = _take(rv.values, stage.least_members)
-        if not (lo <= min(values) and max(values) <= hi):
+        distinct = dict(zip(map(id, values), values)).values()
+        if not (lo <= min(distinct) and max(distinct) <= hi):
             return next((k, i, v) for i, v in zip(stage.least_members, values) if v < lo or v > hi)
     return None
 
@@ -907,9 +916,10 @@ def stopping_tail_bound_check(
         # {tau <= deadline} is a union of stage-deadline atoms: their masses
         # add up to hit in each stage-n atom A, and P(tau <= deadline | A) >
         # eps iff hit > eps * mass, a test in ints over D on positive masses.
-        least = stages[deadline].least_members
-        hits = _sum_up([m if times[i] is not None and times[i] <= deadline else 0
-                        for i, m in zip(least, masses[deadline])], least, stages[n])
+        hits = [m if times[i] is not None and times[i] <= deadline else 0
+                for i, m in zip(stages[deadline].least_members, masses[deadline])]
+        for j in range(deadline - 1, n - 1, -1):
+            hits = _up(hits, F.parents[j], stages[j].atom_count)
         failed = [
             k for k, (mass, hit) in enumerate(zip(masses[n], hits))
             if mass and not hit * eps.denominator > eps.numerator * mass
@@ -1006,12 +1016,9 @@ def _expected_upcrossings(X: AdaptedProcess, P: ProbabilityMeasure, masses, a, b
     armed) state of :func:`count_upcrossings`: its parent's stepped on its value."""
     stages = X.filtration.stages
     states = [(0, X.values[0].values[i] <= a) for i in stages[0].least_members]
-    for coarse, fine, rv in zip(stages, stages[1:], X.values[1:]):
-        labels, values = coarse.labels, rv.values
+    for fine, parents, rv in zip(stages[1:], X.filtration.parents, X.values[1:]):
         stepped = []
-        for i in fine.least_members:
-            count, armed = states[labels[i]]
-            v = values[i]
+        for (count, armed), v in zip(_take(states, parents), _take(rv.values, fine.least_members)):
             if armed and v >= b:
                 count, armed = count + 1, False
             elif not armed and v <= a:
@@ -1179,7 +1186,7 @@ def l2_pythagoras_check(
             w = list(map(mul, firsts[t], masses[t]))
             for s in range(t, -1, -1):
                 if s < t:
-                    w = _sum_up(w, stages[s + 1].least_members, stages[s])
+                    w = _up(w, M.filtration.parents[s], stages[s].atom_count)
                 gram[s][t] = gram[t][s] = sum(map(mul, firsts[s], w))
 
     lhs = gram[N][N]

@@ -561,7 +561,8 @@ def reference_drift_table(X: AdaptedProcess, P: ProbabilityMeasure) -> list:
     """The exact drift table summed over outcomes, as it was before the atom sums.
 
     Per step n: stage n and the int ``(masses, totals)`` of the scaled
-    increment over ``P.int_weights``, from int 0 in outcome order.
+    increment over ``P.int_weights``, from int 0 in outcome order; the masses
+    are a tuple, as the held stage masses are.
     """
     nums, _ = X.scaled
     table = []
@@ -573,7 +574,7 @@ def reference_drift_table(X: AdaptedProcess, P: ProbabilityMeasure) -> list:
             if w:
                 masses[lab] += w
                 totals[lab] += (a - b) * w
-        table.append((stage, masses, totals))
+        table.append((stage, tuple(masses), totals))
     return table
 
 

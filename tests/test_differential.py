@@ -52,7 +52,8 @@ from mglab import (
 )
 from mglab import integration, make_coin_walk, stopped_process
 from mglab.integration import clear_denominators
-from mglab.processes import _drift_table, _mean_abs_by_stage, _stage_masses, _sum_up
+from mglab.measure import _up
+from mglab.processes import _drift_table, _mean_abs_by_stage, _stage_masses
 from support import (
     rand_filtration,
     rand_fraction,
@@ -403,7 +404,8 @@ def test_float_drift_table_is_the_mass_pyramid_and_the_outcome_loop():
         live = [i for i, w in enumerate(P.weights) if w]
         replaced = [
             (stage, [Fraction(m, P.denominator) if m else 0 for m in ms],
-             _sum_up([(y.values[i] - x.values[i]) * P.weights[i] for i in live], live, stage))
+             _up([(y.values[i] - x.values[i]) * P.weights[i] for i in live],
+                 [stage.labels[i] for i in live], stage.atom_count))
             for stage, ms, x, y in zip(X.filtration.stages, masses, X.values, X.values[1:])
         ]
         assert repr(_drift_table(X, P, masses)) == repr(replaced)
@@ -447,22 +449,32 @@ def test_first_of_equal_maxima_keeps_its_type():
 
 
 def test_stage_masses_match_the_outcome_loop():
-    """Every stage's atom masses, summed up the tree, equal the outcome loop's."""
+    """Every stage's atom masses, summed up the tree, equal the outcome loop's:
+    when first read, when read again, and when read again after another measure."""
     rng = random.Random(10)
     null_atoms = 0
     for _ in range(300):
         space = rand_space(rng, max_size=8)
         P = rand_measure(rng, space)
         F = rand_filtration(rng, space, rng.randint(1, 4))
-        expected = []
-        for stage in F.stages:
-            sums = [0] * stage.atom_count
-            for lab, w in zip(stage.labels, P.int_weights):
-                sums[lab] += w
-            expected.append(sums)
-        masses = _stage_masses(F, P)
-        assert masses == expected
-        assert all(type(m) is int for stage_masses in masses for m in stage_masses)
+        other = rand_measure(rng, space)
+
+        def outcome_loop(Q):
+            expected = []
+            for stage in F.stages:
+                sums = [0] * stage.atom_count
+                for lab, w in zip(stage.labels, Q.int_weights):
+                    sums[lab] += w
+                expected.append(tuple(sums))
+            return expected
+
+        expected = outcome_loop(P)
+        for read in range(3):
+            if read == 2:
+                assert _stage_masses(F, other) == outcome_loop(other)
+            masses = _stage_masses(F, P)
+            assert masses == expected
+            assert all(type(m) is int for stage_masses in masses for m in stage_masses)
         null_atoms += any(not m for stage_masses in masses for m in stage_masses)
     assert null_atoms > 20
 

@@ -1,6 +1,8 @@
 """Filtrations, adapted processes, classification, transforms, stopping,
 upcrossings, and the L2 identity."""
+import gc
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -25,6 +27,7 @@ from mglab import (
     SigmaAlgebra,
     StoppingTime,
     classify,
+    conditional_expectation,
     count_upcrossings,
     discrete_sigma_algebra,
     expectation,
@@ -34,9 +37,11 @@ from mglab import (
     optional_stopping_report,
     stopped_process,
     stopping_tail_bound_check,
+    tower_check,
     transform,
     trivial_sigma_algebra,
     upcrossing_inequality_check,
+    verify_kolmogorov,
     verify_transform_preservation,
 )
 from mglab.processes import _drift_table, _stage_masses
@@ -621,3 +626,78 @@ def test_stopping_preserves_label_family_property(pyr):
     tau = rand_stopping_time(rng, F)
     stopped = stopped_process(S, tau)
     assert classify(stopped, P).is_supermartingale
+
+
+def _kernel_ops(S, P, F, X):
+    """The ten exact checks of one benchmark round on a walk, in its listing order:
+    stakes of 1/2, the first hit of |X| = 2, and conditioning at stages N//3, 2N//3."""
+    N = X.horizon
+    C = PredictableSequence(F, [RandomVariable(S, [Fraction(1, 2)] * S.size)] * N)
+    tau = StoppingTime(F, [next((n for n, v in enumerate(path) if abs(v) == 2), None)
+                           for path in zip(*(rv.values for rv in X.values))])
+    V = RandomVariable(S, [i * 7919 % 19 - 9 for i in range(S.size)])
+    G, H = F.stages[N // 3], F.stages[2 * N // 3]
+    Y = RandomVariable(S, [V.values[G.least_members[k]] for k in G.labels])
+    return [
+        lambda: classify(X, P),
+        lambda: verify_transform_preservation(C, X, P, 1),
+        lambda: stopped_process(X, tau),
+        lambda: optional_stopping_report(X, tau, P),
+        lambda: upcrossing_inequality_check(X, P, -1, 1),
+        lambda: l2_pythagoras_check(X, P),
+        lambda: stopping_tail_bound_check(tau, F, P, 3, Fraction(1, 10)),
+        lambda: conditional_expectation(V, G, P),
+        lambda: tower_check(V, G, H, P),
+        lambda: verify_kolmogorov(V, G, P, Y),
+    ]
+
+
+def test_one_outcome_mass_pass_per_filtration_and_measure(monkeypatch):
+    """Two rounds of the ten checks sum the outcome weights onto atoms once: every
+    other stage mass is added up from a child's, and all of them are held."""
+    import mglab.measure
+
+    S, P, F, X = make_coin_walk(12, Fraction(1, 3))
+    ops = _kernel_ops(S, P, F, X)
+    passes = []
+    up = mglab.measure._up
+
+    def counted(values, parents, count):
+        passes.append(values is P.int_weights)
+        return up(values, parents, count)
+
+    monkeypatch.setattr(mglab.measure, "_up", counted)
+    for _ in range(2):
+        for op in ops:
+            op()
+    assert sum(passes) == 1
+
+
+def test_held_stage_masses_are_never_stale():
+    """Alternating measures on one filtration, two of them distinct but equal, read
+    what fresh objects read; the held masses are tuples and hold no measure alive."""
+    S, P, F, X = make_coin_walk(6, Fraction(1, 3))
+    V = RandomVariable(S, [i * 7 % 5 - 2 for i in range(S.size)])
+    half = ProbabilityMeasure(S, make_coin_walk(6, Fraction(1, 2))[1].weights)
+    twin = ProbabilityMeasure(S, P.weights)
+
+    def readings(F, X, Q, V):
+        return (classify(X, Q), l2_pythagoras_check(X, Q), conditional_expectation(V, F.stages[2], Q),
+                tower_check(V, F.stages[2], F.stages[4], Q), _stage_masses(F, Q))
+
+    def fresh(Q):
+        S2, _, F2, X2 = make_coin_walk(6, Fraction(1, 3))
+        return readings(F2, X2, ProbabilityMeasure(S2, Q.weights), RandomVariable(S2, V.values))
+
+    assert fresh(P) != fresh(half)
+    for Q in (P, half, P, twin, half, twin, P):
+        assert readings(F, X, Q, V) == fresh(Q)
+    assert all(type(masses) is tuple for masses in _stage_masses(F, twin))
+
+    dropped = ProbabilityMeasure(S, P.weights)
+    classify(X, dropped)
+    ref = weakref.ref(dropped)
+    del dropped
+    gc.collect()
+    assert ref() is None
+    assert _stage_masses(F, ProbabilityMeasure(S, half.weights)) == fresh(half)[-1]
