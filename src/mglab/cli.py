@@ -182,7 +182,7 @@ def _transform(spec, P, tol):
     X, C = _require(spec, "process", "predictable")
     bound = spec.bound
     if bound is None:
-        bound = max((abs(v) for rv in C.values for v in rv.values), default=0)
+        bound = max((abs(v) for values in C.nodes for v in values), default=0)
     rep = proc.verify_transform_preservation(C, X, P, bound, tol)
     if not rep.hypothesis_ok:
         return rep, rep.hypothesis_failure, False, ""

@@ -5,8 +5,8 @@ theorem in scope reduces to finitely many exact comparisons: classification
 inspects one-step conditional means atom by atom, transforms and stopped
 processes are built once per atom and expanded to the outcomes, and the
 optional-stopping, upcrossing, and L2 statements are verified exactly.
-A stage-measurable value is read at its atom's least member: where equal values of
-mixed types share an atom (1 and 1.0), every outcome gets the least member's.
+Stage-measurable values are held once per atom (``nodes``), read at the atom's least member:
+where equal values of mixed types share an atom (1 and 1.0), every outcome gets the least member's.
 
 Zero-probability atoms never take part in a classification or verdict;
 where a convention value shows up (conditioning on a null atom) the
@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import chain, compress, product, repeat
 from operator import add, attrgetter, eq, mul, sub
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .integration import (
     RandomVariable,
@@ -126,6 +126,10 @@ class Filtration:
         return tuple(_take(coarse.labels, fine.least_members)
                      for coarse, fine in zip(self.stages, self.stages[1:]))
 
+    def nodes(self, rows: Iterable[Sequence]) -> tuple[tuple, ...]:
+        """``nodes[n][k]``: row n of ``rows`` at the least member of stage n's atom ``k``."""
+        return tuple(_take(row, stage.least_members) for row, stage in zip(rows, self.stages))
+
 
 @dataclass(frozen=True)
 class AdaptedProcess:
@@ -136,9 +140,9 @@ class AdaptedProcess:
     error message names the first stage and atom that a non-adapted value
     splits.
 
-    An exact process also has a scaled form, :attr:`scaled`: its stage
-    values as Python ints over one common denominator, which the drift
-    table and the L2 Gram matrix sum in integers.
+    Exact readers read :attr:`nodes`, X_n once per stage-n atom, and their
+    scaled form :attr:`scaled`, ints over one common denominator, which the
+    drift table and the L2 Gram matrix sum in integers.
     """
 
     filtration: Filtration
@@ -175,15 +179,16 @@ class AdaptedProcess:
         return tuple(rv.values[outcome] for rv in self.values)
 
     @cached_property
-    def scaled(self) -> tuple[tuple[Sequence[int], ...], int] | None:
-        """``(nums, L)`` with ``values[n].values[i] == nums[n][i] / L``, or None.
+    def nodes(self) -> tuple[tuple[Number, ...], ...]:
+        """``nodes[n][k]``: X_n on stage n's atom ``k``, read at its least member."""
+        return self.filtration.nodes(rv.values for rv in self.values)
 
-        ``L`` is the lcm of the denominators of every stage value; None means
-        some value is a float.  Filled on first use and kept, as
-        ``ProbabilityMeasure.int_weights`` is; an all-int process hands back
-        its own value tuples with ``L = 1``, so nothing is copied.
-        """
-        return clear_denominators(*(rv.values for rv in self.values))
+    @cached_property
+    def scaled(self) -> tuple[tuple[Sequence[int], ...], int] | None:
+        """``(nums, L)`` with ``nodes[n][k] == nums[n][k] / L``, L the lcm of their
+        denominators, or None when a node is a float: ``clear_denominators(*nodes)``,
+        so all-int nodes are kept as they are.  Filled on first use and kept."""
+        return clear_denominators(*self.nodes)
 
 
 @dataclass(frozen=True)
@@ -215,6 +220,11 @@ class PredictableSequence:
                     f"splits atom {list(atom.members)}"
                 )
 
+    @cached_property
+    def nodes(self) -> tuple[tuple[Number, ...], ...]:
+        """``nodes[k][j]``: C_{k+1} on stage k's atom ``j``, read at its least member."""
+        return self.filtration.nodes(rv.values for rv in self.values)
+
 
 @dataclass(frozen=True)
 class StoppingTime:
@@ -245,6 +255,11 @@ class StoppingTime:
     @property
     def bounded(self) -> bool:
         return None not in self.times
+
+    @cached_property
+    def nodes(self) -> tuple[tuple[int | None, ...], ...]:
+        """``nodes[n][k]``: tau on stage n's atom ``k``, where it decides {tau <= n}."""
+        return self.filtration.nodes(repeat(self.times))
 
 
 @dataclass(frozen=True)
@@ -398,8 +413,9 @@ def make_coin_walk(
         step = ((1,) * block + (-1,) * block) * (1 << (n - 1))
         prev = tuple(map(add, prev, step))
         values.append(_trusted(RandomVariable, space=space, values=prev))
-    nums = tuple(rv.values for rv in values)
-    walk = _trusted(AdaptedProcess, filtration=filtration, values=tuple(values), scaled=(nums, 1))
+    nodes = tuple(rv.values[:: 1 << (N - n)] for n, rv in enumerate(values))  # least members
+    walk = _trusted(AdaptedProcess, filtration=filtration, values=tuple(values), nodes=nodes,
+                    scaled=(nodes, 1))
     return space, measure, filtration, walk
 
 
@@ -458,9 +474,9 @@ def _drift_table(
     the totals are ints over ``D * L`` for ``(_, L) = X.scaled``, summed over
     atoms: the total on a stage-n atom A is the sum of x_{n+1}(B) m(B) over
     the stage-(n+1) atoms B inside A (moved up over ``Filtration.parents``),
-    minus x_n(A) m(A), each x read at its atom's least member (X is adapted):
-    the per-atom int sums, exact in any order, of the scaled increments over
-    ``P.int_weights``, undivided (a null atom's total is 0).  A float
+    minus x_n(A) m(A), x the nodes of ``X.scaled``: the per-atom int sums,
+    exact in any order, of the scaled increments over ``P.int_weights``,
+    undivided (a null atom's total is 0).  A float
     process's masses and totals are :func:`~mglab.integration.atom_sums` of
     each step's increments, so a float total keeps its outcome-order bits.
     """
@@ -472,10 +488,10 @@ def _drift_table(
             for stage, before, after in zip(stages, X.values, X.values[1:])
         ]
     table = []
-    for stage, fine, parents, before, after, m, fine_m in zip(stages, stages[1:],
-            X.filtration.parents, scaled[0], scaled[0][1:], masses, masses[1:]):
-        inflow = _up(map(mul, _take(after, fine.least_members), fine_m), parents, len(m))
-        outflow = map(mul, _take(before, stage.least_members), m)
+    for stage, parents, before, after, m, fine_m in zip(
+            stages, X.filtration.parents, scaled[0], scaled[0][1:], masses, masses[1:]):
+        inflow = _up(map(mul, after, fine_m), parents, len(m))
+        outflow = map(mul, before, m)
         table.append((stage, m, list(map(sub, inflow, outflow))))
     return table
 
@@ -528,31 +544,28 @@ def transform(C: PredictableSequence, X: AdaptedProcess) -> AdaptedProcess:
     """The discrete stochastic integral Y_n = sum_{k<=n} C_k (X_k - X_{k-1}).
 
     Y_0 = 0, and y_n(B) = y_{n-1}(A) + c_n(A) (x_n(B) - x_{n-1}(A)) once per stage-n atom
-    B in the stage-(n-1) atom A; exact inputs recur in ints over L_C * L_X (Y.scaled).
+    B in the stage-(n-1) atom A, over the nodes; exact inputs recur in ints over
+    L_C * L_X, handed to C·X as its per-atom ``scaled``.
     """
     if C.filtration != X.filtration:
         raise ValueError("stakes and process must share one filtration")
-    stages = X.filtration.stages
-    stakes = [_take(rv.values, s.least_members) for rv, s in zip(C.values, stages)]
-    cleared = X.scaled and clear_denominators(*stakes)
+    cleared = X.scaled and clear_denominators(*C.nodes)
     cs, xs, L = (cleared[0], X.scaled[0], cleared[1] * X.scaled[1]) if cleared else (
-        stakes, [rv.values for rv in X.values], None)
-    ys = [(0,) * stages[0].atom_count]
-    for fine, up, c, before, now in zip(stages[1:], X.filtration.parents, cs, xs, xs[1:]):
-        least = fine.least_members
-        steps = map(mul, _take(c, up), map(sub, _take(now, least), _take(before, least)))
+        C.nodes, X.nodes, None)
+    ys = [(0,) * len(xs[0])]
+    for up, c, before, now in zip(X.filtration.parents, cs, xs, xs[1:]):
+        steps = map(mul, _take(c, up), map(sub, now, _take(before, up)))
         y = tuple(map(add, _take(ys[-1], up), steps))
         ys.append(y if L else tuple(map(as_number, y)))  # whole stage, as the constructor
     if L is not None and L > 1:  # reduce to Y.scaled's L; one Fraction per distinct value
         g = math.gcd(L, *chain.from_iterable(ys))
-        nums, L = [[y // g for y in row] for row in ys], L // g
+        nums, L = tuple([y // g for y in row] for row in ys), L // g
         ys = [_take({y: as_number(Fraction(y, L)) for y in set(row)}, row) for row in nums]
-    values = tuple(_take(y, s.labels) for y, s in zip(ys, stages))
-    scaled = {} if L is None else {"scaled": (values, 1) if L == 1 else (
-        tuple(list(_take(n, s.labels)) for n, s in zip(nums, stages)), L)}
+    scaled = {} if L is None else {"scaled": (tuple(ys), 1) if L == 1 else (nums, L)}
     # Adapted by construction: C_k is stage k-1 and X_k stage k measurable.
-    return _trusted(AdaptedProcess, filtration=X.filtration, **scaled, values=tuple(
-        _trusted(RandomVariable, space=X.space, values=v) for v in values))
+    return _trusted(AdaptedProcess, filtration=X.filtration, nodes=tuple(ys), **scaled,
+                    values=tuple(_trusted(RandomVariable, space=X.space, values=_take(y, s.labels))
+                                 for y, s in zip(ys, X.filtration.stages)))
 
 
 @dataclass(frozen=True)
@@ -586,9 +599,8 @@ class TransformPreservationReport:
 
 def _first_stake_outside(C: PredictableSequence, lo, hi) -> tuple[int, int, Number] | None:
     """(k, i, v) for the first stake C_{k+1}(i) = v outside [lo, hi], in stage and then
-    outcome order, or None; read at least members, each distinct object ranged once."""
-    for k, (rv, stage) in enumerate(zip(C.values, C.filtration.stages)):
-        values = _take(rv.values, stage.least_members)
+    outcome order, or None; read on the nodes, each distinct object ranged once."""
+    for k, (values, stage) in enumerate(zip(C.nodes, C.filtration.stages)):
         distinct = dict(zip(map(id, values), values)).values()
         if not (lo <= min(distinct) and max(distinct) <= hi):
             return next((k, i, v) for i, v in zip(stage.least_members, values) if v < lo or v > hi)
@@ -657,11 +669,8 @@ def verify_transform_preservation(
         return all(not m or numbers_equal(y, c * x, tolerance)
                    for m, x, y, c in zip(masses, dx, dy, cs))
 
-    # The stake on an atom is its value at the atom's least member.
-    identity_ok = all(
-        stage_holds(masses, dx, dy, _take(rv.values, stage.least_members))
-        for (stage, masses, dx), (_, _, dy), rv in zip(x_table, y_table, C.values)
-    )
+    identity_ok = all(stage_holds(masses, dx, dy, cs) for (_, masses, dx), (_, _, dy), cs
+                      in zip(x_table, y_table, C.nodes))
 
     if hypothesis_failure is not None:
         holds: bool | None = None
@@ -695,17 +704,16 @@ def stopped_process(X: AdaptedProcess, tau: StoppingTime) -> AdaptedProcess:
     """
     if tau.filtration != X.filtration:
         raise ValueError("stopping time and process must share one filtration")
-    # Stage n takes X_n on the atoms in {tau >= n}, a stage-(n-1) event, and keeps stage
-    # n-1 elsewhere: values of X's own, adapted since {tau = k} is a stage-k event.
-    values = [X.values[0]]
-    prev = X.values[0].values
-    for n, (rv, stage) in enumerate(zip(X.values[1:], X.filtration.stages[1:]), 1):
-        least = stage.least_members
-        atoms = [x if t is None or t >= n else p for x, p, t in
-                 zip(_take(rv.values, least), _take(prev, least), _take(tau.times, least))]
-        prev = _take(atoms, stage.labels)
-        values.append(_trusted(RandomVariable, space=X.space, values=prev))
-    return _trusted(AdaptedProcess, filtration=X.filtration, values=tuple(values))
+    # Stage n takes X_n on the atoms in {tau >= n}, a stage-(n-1) event, and keeps the
+    # parent node elsewhere: values of X's own, adapted since {tau = k} is a stage-k event.
+    F = X.filtration
+    nodes = [X.nodes[0]]
+    for n, (x, t, up) in enumerate(zip(X.nodes[1:], tau.nodes[1:], F.parents), 1):
+        nodes.append(tuple(v if s is None or s >= n else p
+                           for v, p, s in zip(x, _take(nodes[-1], up), t)))
+    return _trusted(AdaptedProcess, filtration=F, nodes=tuple(nodes), values=(X.values[0],) + tuple(
+        _trusted(RandomVariable, space=X.space, values=_take(y, stage.labels))
+        for y, stage in zip(nodes[1:], F.stages[1:])))
 
 
 @dataclass(frozen=True)
@@ -762,23 +770,21 @@ def optional_stopping_report(
     if tau.filtration != X.filtration:
         raise ValueError("stopping time and process must share one filtration")
     masses, _, verdict = _reading(X, P, tolerance)
-    label, D, stages = verdict.label, P.denominator, X.filtration.stages
+    label, D = verdict.label, P.denominator
     # {tau = k} is a stage-k event: its int mass over D, summed on its stage-k atoms.
-    fired = [sum(compress(ms, map(eq, _take(tau.times, s.least_members), repeat(k))))
-             for k, (s, ms) in enumerate(zip(stages, masses))]
+    fired = [sum(compress(ms, map(eq, t, repeat(k))))
+             for k, (t, ms) in enumerate(zip(tau.nodes, masses))]
     never_mass = Fraction(D - sum(fired), D)
     tau_bounded = tau.bounded
     tau_max = max(tau.times) if tau_bounded else None
     tau_finite = never_mass == 0
 
-    # max keeps the first of equal maxima, type included: X_n and X_n - X_{n-1} are
-    # stage-n measurable, so it sits at a least member.  The leading int 0 stands
-    # for all-zero increments (float zeros included).
-    process_bound = max(chain.from_iterable(
-        map(abs, _take(x.values, s.least_members)) for x, s in zip(X.values, stages)))
+    # max keeps the first of equal maxima, type included, on the nodes (X_{n-1} at the
+    # parent node); the leading int 0 stands for all-zero increments, float zeros included.
+    process_bound = max(chain.from_iterable(map(abs, x) for x in X.nodes))
     increment_bound = max(chain((0,), chain.from_iterable(
-        map(abs, map(sub, _take(x.values, s.least_members), _take(y.values, s.least_members)))
-        for y, x, s in zip(X.values, X.values[1:], stages[1:]))))
+        map(abs, map(sub, x, _take(y, up)))
+        for y, x, up in zip(X.nodes, X.nodes[1:], X.filtration.parents))))
 
     notes = [
         "hypothesis (ii) is applied as: process uniformly bounded and the stopping rule "
@@ -905,8 +911,6 @@ def stopping_tail_bound_check(
         raise ValueError(f"epsilon must lie strictly between 0 and 1, got {eps}")
 
     N = F.horizon
-    times = tau.times
-    stages = F.stages
     masses = _stage_masses(F, P)
 
     hypothesis_by_step: list[bool] = []
@@ -916,36 +920,34 @@ def stopping_tail_bound_check(
         # {tau <= deadline} is a union of stage-deadline atoms: their masses
         # add up to hit in each stage-n atom A, and P(tau <= deadline | A) >
         # eps iff hit > eps * mass, a test in ints over D on positive masses.
-        hits = [m if times[i] is not None and times[i] <= deadline else 0
-                for i, m in zip(stages[deadline].least_members, masses[deadline])]
+        hits = [m if t is not None and t <= deadline else 0
+                for t, m in zip(tau.nodes[deadline], masses[deadline])]
         for j in range(deadline - 1, n - 1, -1):
-            hits = _up(hits, F.parents[j], stages[j].atom_count)
+            hits = _up(hits, F.parents[j], len(masses[j]))
         failed = [
             k for k, (mass, hit) in enumerate(zip(masses[n], hits))
             if mass and not hit * eps.denominator > eps.numerator * mass
         ]
         hypothesis_by_step.append(not failed)
         if failed and witness is None:
-            witness = (n, stages[n].atoms[failed[0]])
+            witness = (n, F.stages[n].atoms[failed[0]])
     hypothesis_ok = all(hypothesis_by_step)
 
-    # NEVER is later than every threshold t <= N of the chain.
-    late = [N + 1 if t is None else t for t in times]
     one_minus = 1 - eps
     tail_chain: list[tuple[int, Fraction, Fraction, bool]] = []
     chain_ok = True
     bound = Fraction(1)
     for k in range(0, N // N_window + 1):
         t = k * N_window
-        # P(tau > t), summed over the stage-t atoms that make up {tau > t}.
-        tail = Fraction(sum(m for i, m in zip(stages[t].least_members, masses[t]) if late[i] > t),
+        # P(tau > t), summed over the stage-t atoms that make up {tau > t}; NEVER is later.
+        tail = Fraction(sum(m for s, m in zip(tau.nodes[t], masses[t]) if s is None or s > t),
                         P.denominator)
         ok = tail <= bound
         tail_chain.append((k, tail, bound, ok))
         chain_ok = chain_ok and ok
         bound = bound * one_minus
 
-    truncated_expectation = weighted_sum([N if t is None else t for t in times], P)
+    truncated_expectation = weighted_sum([N if t is None else t for t in tau.times], P)
     expectation_bound = Fraction(N_window) / eps
     expectation_ok = truncated_expectation <= expectation_bound
 
@@ -1013,12 +1015,11 @@ def count_upcrossings(path_values: Sequence, a, b) -> int:
 def _expected_upcrossings(X: AdaptedProcess, P: ProbabilityMeasure, masses, a, b) -> Fraction:
     """E[U_N[a, b]] over the atoms, with ``masses`` from :func:`_stage_masses`.  The
     paths through a stage-n atom agree on X_0..X_n, so the atom holds their (count,
-    armed) state of :func:`count_upcrossings`: its parent's stepped on its value."""
-    stages = X.filtration.stages
-    states = [(0, X.values[0].values[i] <= a) for i in stages[0].least_members]
-    for fine, parents, rv in zip(stages[1:], X.filtration.parents, X.values[1:]):
+    armed) state of :func:`count_upcrossings`: its parent's stepped on its node."""
+    states = [(0, v <= a) for v in X.nodes[0]]
+    for parents, values in zip(X.filtration.parents, X.nodes[1:]):
         stepped = []
-        for (count, armed), v in zip(_take(states, parents), _take(rv.values, fine.least_members)):
+        for (count, armed), v in zip(_take(states, parents), values):
             if armed and v >= b:
                 count, armed = count + 1, False
             elif not armed and v <= a:
@@ -1034,8 +1035,8 @@ def _mean_abs_by_stage(X: AdaptedProcess, P: ProbabilityMeasure, masses) -> tupl
     if X.scaled is None:
         return tuple(as_number(weighted_sum([abs(v) for v in rv.values], P)) for rv in X.values)
     nums, DL = X.scaled[0], P.denominator * X.scaled[1]
-    return tuple(as_number(Fraction(sum(abs(x[i]) * m for i, m in zip(s.least_members, ms)), DL))
-                 for x, s, ms in zip(nums, X.filtration.stages, masses))
+    return tuple(as_number(Fraction(sum(map(mul, map(abs, x), ms)), DL))
+                 for x, ms in zip(nums, masses))
 
 
 @dataclass(frozen=True)
@@ -1171,23 +1172,21 @@ def l2_pythagoras_check(
     hypothesis_ok = label == MARTINGALE
 
     N = M.horizon
-    scaled = M.scaled
+    nums, L = M.scaled or (None, None)
     gram: list[list[Number]] = [[0] * (N + 1) for _ in range(N + 1)]
-    if scaled is None:
+    if nums is None:
         for s in range(N + 1):
             vs = M.values[s].values
             for t in range(s, N + 1):
                 vt = M.values[t].values
                 gram[s][t] = gram[t][s] = weighted_sum([x * y for x, y in zip(vs, vt)], P)
     else:
-        stages = M.filtration.stages
-        firsts = [list(map(x.__getitem__, st.least_members)) for x, st in zip(scaled[0], stages)]
         for t in range(N + 1):
-            w = list(map(mul, firsts[t], masses[t]))
+            w = list(map(mul, nums[t], masses[t]))
             for s in range(t, -1, -1):
                 if s < t:
-                    w = _up(w, M.filtration.parents[s], stages[s].atom_count)
-                gram[s][t] = gram[t][s] = sum(map(mul, firsts[s], w))
+                    w = _up(w, M.filtration.parents[s], len(nums[s]))
+                gram[s][t] = gram[t][s] = sum(map(mul, nums[s], w))
 
     lhs = gram[N][N]
     rhs = gram[0][0]
@@ -1223,8 +1222,8 @@ def l2_pythagoras_check(
             "informational and the identity is not asserted"
         )
 
-    if scaled is not None:
-        scale = P.denominator * scaled[1] ** 2
+    if L is not None:
+        scale = P.denominator * L ** 2
         lhs, rhs, gap = Fraction(lhs, scale), Fraction(rhs, scale), Fraction(gap, scale)
     return PythagorasReport(
         label=label,

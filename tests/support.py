@@ -38,7 +38,7 @@ from mglab import (
     is_measurable,
     numbers_equal,
 )
-from mglab.integration import atom_sums
+from mglab.integration import atom_sums, clear_denominators
 from mglab.numeric import sign_with_tolerance
 
 
@@ -560,11 +560,12 @@ def reference_stopped_process(X: AdaptedProcess, tau: StoppingTime) -> AdaptedPr
 def reference_drift_table(X: AdaptedProcess, P: ProbabilityMeasure) -> list:
     """The exact drift table summed over outcomes, as it was before the atom sums.
 
-    Per step n: stage n and the int ``(masses, totals)`` of the scaled
-    increment over ``P.int_weights``, from int 0 in outcome order; the masses
-    are a tuple, as the held stage masses are.
+    Per step n: stage n and the int ``(masses, totals)`` of the increment of
+    the outcome values, cleared over one common denominator, over
+    ``P.int_weights``, from int 0 in outcome order; the masses are a tuple,
+    as the held stage masses are.
     """
-    nums, _ = X.scaled
+    nums, _ = clear_denominators(*(rv.values for rv in X.values))
     table = []
     for n in range(X.horizon):
         stage = X.filtration.stages[n]

@@ -164,6 +164,19 @@ def test_verify_hypothesis_failure_exits_one(capsys, tmp_path, walk_doc):
     assert report["reason"]
 
 
+def test_default_stake_bound_is_read_on_the_stake_nodes(capsys, tmp_path, walk_doc):
+    """With no ``bound`` the stake bound is the first of the equal maxima, in outcome
+    order, which sits at a least member: the int 1 there, though 1.0 fills the rest."""
+    doc = json.loads(open(walk_doc).read())
+    doc["predictable"] = [[1, 1.0, 1.0, 1.0], [1, 1.0, 1, 1.0]]
+    path = tmp_path / "mixed_stakes.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run_cli(capsys, "verify", str(path), "transform")
+    report = json.loads(out)
+    assert code == 0 and report["pass"] is True
+    assert report["detail"]["bound"] == 1 and type(report["detail"]["bound"]) is int
+
+
 NO_CLAIM = (
     "the process is not a martingale, supermartingale, or submartingale; optional stopping "
     "makes no claim for it"

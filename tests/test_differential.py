@@ -254,16 +254,19 @@ def _trusted_parts(X: AdaptedProcess) -> tuple:
     """The cached fields a trusted build may fill, next to the values they derive from."""
     return (
         [(s.atom_count, s.least_members) for s in X.filtration.stages],
+        X.nodes,
         X.scaled,
     )
 
 
 def _recomputed_parts(X: AdaptedProcess) -> tuple:
     stages = X.filtration.stages
+    least = [tuple(s.labels.index(k) for k in range(len(set(s.labels)))) for s in stages]
+    nodes = tuple(tuple(rv.values[i] for i in firsts) for rv, firsts in zip(X.values, least))
     return (
-        [(len(set(s.labels)), tuple(s.labels.index(k) for k in range(len(set(s.labels)))))
-         for s in stages],
-        clear_denominators(*(rv.values for rv in X.values)),
+        [(len(set(s.labels)), firsts) for s, firsts in zip(stages, least)],
+        nodes,
+        clear_denominators(*nodes),
     )
 
 
@@ -324,8 +327,10 @@ def test_an_atom_of_equal_values_of_mixed_types_is_read_at_its_least_member():
     """1 and 1.0 (or 1/2 and 0.5) are equal, so they may share an atom.  The
     transform and the stopped process give each atom one value, the least
     member's, so they agree with the outcome loops up to type, and exact
-    stakes at the least members make C·X exact.  A Kolmogorov candidate
-    holding a float anywhere is still summed as a float."""
+    stakes at the least members make C·X exact.  The transform reads X_{n-1}
+    at the parent atom's least member, and a process is exact when its nodes
+    are.  A Kolmogorov candidate holding a float anywhere is still summed as
+    a float."""
     space, P, F, walk = make_coin_walk(3, Fraction(1, 2))
     odd_float = lambda rv: RandomVariable(  # noqa: E731
         space, [float(v) if i % 2 else v for i, v in enumerate(rv.values)])
@@ -353,6 +358,25 @@ def test_an_atom_of_equal_values_of_mixed_types_is_read_at_its_least_member():
         for rv, stage in zip(S.values, F.stages):
             assert all(rv.values[i] is rv.values[stage.least_members[k]]
                        for i, k in enumerate(stage.labels))
+    # X_2 holds floats at odd outcomes only, off its least members, and X_3 ints: C·X
+    # reads X_2 at the parent atom's least member (an int) where the outcome loop reads
+    # each outcome's own (a float), so the values agree and only their types differ.
+    parent_read = AdaptedProcess(F, walk.values[:2] + (odd_float(walk.values[2]), walk.values[3]))
+    Y, R = transform(C, parent_read), reference_transform(C, parent_read)
+    assert [rv.values for rv in Y.values] == [rv.values for rv in R.values]
+    assert {type(v) for v in Y.values[3].values} == {Fraction}
+    assert float in {type(v) for v in R.values[3].values}
+    assert parent_read.scaled is not None and Y.scaled is not None
+    assert verify_transform_preservation(C, parent_read, P, 2)
+    # Exactness is decided on the nodes: X_n + 2**-40 for n >= 1, exact at each least
+    # member and the equal float elsewhere, is summed in ints, so its step-0 drift of
+    # 2**-40, inside the float tolerance, makes it a submartingale, not a martingale.
+    eps = Fraction(1, 2**40)
+    lifted = AdaptedProcess(F, walk.values[:1] + tuple(
+        RandomVariable(space, [v + eps if i in stage.least_members else float(v + eps)
+                               for i, v in enumerate(rv.values)])
+        for rv, stage in zip(walk.values[1:], F.stages[1:])))
+    assert classify(lifted, P).label == "submartingale"
     # E[X_2 | F_1] = X_1; nudged by 2**-44, within the tolerance, on one
     # atom whose odd outcome holds the float.
     nudged = [v + Fraction(1, 2**44) if i < 4 else v for i, v in enumerate(walk.values[1].values)]

@@ -307,14 +307,18 @@ def test_transform_supermartingale_needs_nonnegative_stakes():
 
 
 def test_scaled_stage_values():
-    """Ints over one lcm; an all-int process keeps its own tuples; a float means None."""
+    """Ints over one lcm, one per atom; all-int nodes are kept as they are; a float means None."""
     _, P, F, X = make_coin_walk(3, Fraction(1, 3))
     nums, L = X.scaled
-    assert L == 1 and all(n is rv.values for n, rv in zip(nums, X.values))
+    assert L == 1 and all(n is x for n, x in zip(nums, X.nodes))
     assert X.scaled is X.scaled
     halves = AdaptedProcess(F, [rv.scale(Fraction(1, 2)) for rv in X.values])
     nums, L = halves.scaled
-    assert L == 2 and nums[1] == list(X.values[1].values)
+    assert L == 2 and nums[1] == list(X.nodes[1])
+    for n, stage in enumerate(F.stages):
+        assert len(nums[n]) == stage.atom_count
+        assert all(nums[n][k] == halves.nodes[n][k] * L for k in range(stage.atom_count))
+        assert halves.nodes[n] == tuple(halves.values[n].values[i] for i in stage.least_members)
     assert AdaptedProcess(F, [rv.map(float) for rv in X.values]).scaled is None
 
 
