@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .integration import RandomVariable, weighted_sum
+from .integration import weighted_sum
 from .measure import ProbabilityMeasure, SampleSpace
 from .numeric import Number, as_exact, as_number, format_number
 from .processes import (
@@ -412,20 +412,14 @@ def exact_doubling_process(
     Returns (space, measure, filtration, price, stakes, wealth) where the
     price is the +-1 coin walk on ``n_levels`` flips, the stakes are the
     predictable doubling positions 2**(j-1) while every earlier move was a
-    drop (0 after the rebound), and the wealth is their martingale
-    transform.  Wealth paths here match `simulate_doubling_strategy` paths
-    exactly, outcome for outcome.
+    drop (0 after the rebound), built on their one live atom per stage, and
+    the wealth is their martingale transform.  Wealth paths here match
+    `simulate_doubling_strategy` paths exactly, outcome for outcome.
     """
     space, P, F, price = make_coin_walk(n_levels, p_up)
-    size = space.size
-    # Stake j is live while the first j-1 flips were all tails: the top j-1
-    # bits of the index are all 1, which is the last block of
-    # 2**(n_levels-j+1) outcomes.
-    stakes = []
-    for j in range(1, n_levels + 1):
-        block = size >> (j - 1)
-        stakes.append(RandomVariable(space, (0,) * (size - block) + (2 ** (j - 1),) * block))
-    C = PredictableSequence(F, tuple(stakes))
+    # C_{j+1} is 2**j on stage j's last atom, where the first j flips were all tails,
+    # and 0 on the others: one stage-j row each, predictable by construction.
+    C = F._expand(PredictableSequence, [(0,) * (2 ** j - 1) + (2 ** j,) for j in range(n_levels)])
     wealth = transform(C, price)
     return space, P, F, price, C, wealth
 

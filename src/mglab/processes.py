@@ -2,8 +2,9 @@
 
 Everything here runs on a finite horizon over a finite space, so every
 theorem in scope reduces to finitely many exact comparisons: classification
-inspects one-step conditional means atom by atom, transforms and stopped
-processes are built once per atom and expanded to the outcomes, and the
+inspects one-step conditional means atom by atom, every derived object (the
+coin walk, transforms, stopped processes, the doubling stakes) is built once per
+atom and expanded to the outcomes by ``Filtration._expand``, and the
 optional-stopping, upcrossing, and L2 statements are verified exactly.
 Stage-measurable values are held once per atom (``nodes``), read at the atom's least member:
 where equal values of mixed types share an atom (1 and 1.0), every outcome gets the least member's.
@@ -129,6 +130,14 @@ class Filtration:
     def nodes(self, rows: Iterable[Sequence]) -> tuple[tuple, ...]:
         """``nodes[n][k]``: row n of ``rows`` at the least member of stage n's atom ``k``."""
         return tuple(_take(row, stage.least_members) for row, stage in zip(rows, self.stages))
+
+    def _expand(self, cls, nodes: Sequence[Sequence], **cached):
+        """The inverse of :meth:`nodes`: the ``cls`` (AdaptedProcess or PredictableSequence)
+        whose row n on stage n is ``nodes[n]`` at every outcome, ``cached`` fields passed
+        through.  Nothing is checked: the caller's construction makes row n stage-n measurable."""
+        return _trusted(cls, filtration=self, nodes=tuple(nodes), **cached, values=tuple(
+            _trusted(RandomVariable, space=self.space, values=_take(row, stage.labels))
+            for row, stage in zip(nodes, self.stages)))
 
 
 @dataclass(frozen=True)
@@ -392,7 +401,8 @@ def make_coin_walk(
     # block of 2^(N-n) outcomes from k * 2^(N-n), so the labels are already
     # numbered by least member (one int object per block), each stage
     # refines the one before, and X_n is an int function of the first n
-    # flips: the stages, the filtration and the process skip the checks.
+    # flips, heads minus tails, n - 2 * popcount(k) on atom k: the stages,
+    # the filtration and the process skip the checks.
     stages = tuple(
         _trusted(
             SigmaAlgebra,
@@ -404,19 +414,8 @@ def make_coin_walk(
         for n in range(N + 1)
     )
     filtration = _trusted(Filtration, space=space, stages=stages)
-
-    prev = (0,) * size
-    values = [_trusted(RandomVariable, space=space, values=prev)]
-    for n in range(1, N + 1):
-        # Flip n is bit N - n of the index: blocks of +1 (heads) then -1.
-        block = 1 << (N - n)
-        step = ((1,) * block + (-1,) * block) * (1 << (n - 1))
-        prev = tuple(map(add, prev, step))
-        values.append(_trusted(RandomVariable, space=space, values=prev))
-    nodes = tuple(rv.values[:: 1 << (N - n)] for n, rv in enumerate(values))  # least members
-    walk = _trusted(AdaptedProcess, filtration=filtration, values=tuple(values), nodes=nodes,
-                    scaled=(nodes, 1))
-    return space, measure, filtration, walk
+    nodes = tuple(tuple(n - 2 * k.bit_count() for k in range(1 << n)) for n in range(N + 1))
+    return space, measure, filtration, filtration._expand(AdaptedProcess, nodes, scaled=(nodes, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -563,9 +562,7 @@ def transform(C: PredictableSequence, X: AdaptedProcess) -> AdaptedProcess:
         ys = [_take({y: as_number(Fraction(y, L)) for y in set(row)}, row) for row in nums]
     scaled = {} if L is None else {"scaled": (tuple(ys), 1) if L == 1 else (nums, L)}
     # Adapted by construction: C_k is stage k-1 and X_k stage k measurable.
-    return _trusted(AdaptedProcess, filtration=X.filtration, nodes=tuple(ys), **scaled,
-                    values=tuple(_trusted(RandomVariable, space=X.space, values=_take(y, s.labels))
-                                 for y, s in zip(ys, X.filtration.stages)))
+    return X.filtration._expand(AdaptedProcess, ys, **scaled)
 
 
 @dataclass(frozen=True)
@@ -711,9 +708,14 @@ def stopped_process(X: AdaptedProcess, tau: StoppingTime) -> AdaptedProcess:
     for n, (x, t, up) in enumerate(zip(X.nodes[1:], tau.nodes[1:], F.parents), 1):
         nodes.append(tuple(v if s is None or s >= n else p
                            for v, p, s in zip(x, _take(nodes[-1], up), t)))
-    return _trusted(AdaptedProcess, filtration=F, nodes=tuple(nodes), values=(X.values[0],) + tuple(
-        _trusted(RandomVariable, space=X.space, values=_take(y, stage.labels))
-        for y, stage in zip(nodes[1:], F.stages[1:])))
+    return F._expand(AdaptedProcess, nodes)
+
+
+def _fired(tau: StoppingTime, masses: list[tuple[int, ...]]) -> list[int]:
+    """``fired[k]``: the int mass over ``D`` of {tau = k}, a stage-k event, summed on its
+    stage-k atoms with ``masses`` from :func:`_stage_masses`; NEVER has the rest of ``D``."""
+    return [sum(compress(ms, map(eq, t, repeat(k))))
+            for k, (t, ms) in enumerate(zip(tau.nodes, masses))]
 
 
 @dataclass(frozen=True)
@@ -771,12 +773,10 @@ def optional_stopping_report(
         raise ValueError("stopping time and process must share one filtration")
     masses, _, verdict = _reading(X, P, tolerance)
     label, D = verdict.label, P.denominator
-    # {tau = k} is a stage-k event: its int mass over D, summed on its stage-k atoms.
-    fired = [sum(compress(ms, map(eq, t, repeat(k))))
-             for k, (t, ms) in enumerate(zip(tau.nodes, masses))]
+    fired = _fired(tau, masses)
     never_mass = Fraction(D - sum(fired), D)
     tau_bounded = tau.bounded
-    tau_max = max(tau.times) if tau_bounded else None
+    tau_max = max(tau.nodes[-1]) if tau_bounded else None
     tau_finite = never_mass == 0
 
     # max keeps the first of equal maxima, type included, on the nodes (X_{n-1} at the
@@ -910,8 +910,9 @@ def stopping_tail_bound_check(
     if not 0 < eps < 1:
         raise ValueError(f"epsilon must lie strictly between 0 and 1, got {eps}")
 
-    N = F.horizon
+    N, D = F.horizon, P.denominator
     masses = _stage_masses(F, P)
+    fired = _fired(tau, masses)
 
     hypothesis_by_step: list[bool] = []
     witness: tuple[int, EventSet] | None = None
@@ -939,15 +940,13 @@ def stopping_tail_bound_check(
     bound = Fraction(1)
     for k in range(0, N // N_window + 1):
         t = k * N_window
-        # P(tau > t), summed over the stage-t atoms that make up {tau > t}; NEVER is later.
-        tail = Fraction(sum(m for s, m in zip(tau.nodes[t], masses[t]) if s is None or s > t),
-                        P.denominator)
+        tail = Fraction(D - sum(fired[:t + 1]), D)  # P(tau > t); NEVER is later
         ok = tail <= bound
         tail_chain.append((k, tail, bound, ok))
         chain_ok = chain_ok and ok
         bound = bound * one_minus
 
-    truncated_expectation = weighted_sum([N if t is None else t for t in tau.times], P)
+    truncated_expectation = Fraction(sum(map(mul, range(N + 1), fired)) + N * (D - sum(fired)), D)
     expectation_bound = Fraction(N_window) / eps
     expectation_ok = truncated_expectation <= expectation_bound
 

@@ -299,6 +299,8 @@ def test_coin_walk_matches_a_rebuild_through_the_public_constructors(N, p):
     P, Q = built[1], rebuilt[1]
     assert (P.denominator, P.int_weights) == (Q.denominator, Q.int_weights)
     assert _trusted_parts(built[3]) == _recomputed_parts(built[3])
+    # The walk's nodes and scaled form are those of the rebuilt walk's values, types included.
+    assert repr(_trusted_parts(built[3])) == repr(_recomputed_parts(rebuilt[3]))
 
 
 def test_transform_overflow_is_refused_by_the_public_check():
@@ -384,6 +386,13 @@ def test_an_atom_of_equal_values_of_mixed_types_is_read_at_its_least_member():
     assert verify_kolmogorov(walk.values[2], F.stages[1], P, Y)
     assert reference_verify_kolmogorov(walk.values[2], F.stages[1], P, Y)
     assert not verify_kolmogorov(walk.values[2], F.stages[1], P, RandomVariable(space, nudged))
+    # X_0 holds 1 at its one atom's least member and 1.0 elsewhere: stage 0 of X^tau, like
+    # every later stage, holds the least member's object at every outcome, whatever tau.
+    one = AdaptedProcess(F, (RandomVariable(space, [1] + [1.0] * (space.size - 1)),)
+                         + walk.values[1:])
+    for times in ([0] * space.size, tau.times, [None] * space.size, [3] * space.size):
+        S = stopped_process(one, StoppingTime(F, times))
+        assert all(v is one.values[0].values[0] for v in S.values[0].values)
 
 
 def test_atom_level_drift_table_matches_the_outcome_loop():
@@ -458,6 +467,7 @@ def test_upcrossing_and_stopping_figures_match_the_outcome_loops(pyr):
     assert repr((report.process_bound, report.increment_bound)) == repr(
         reference_stopping_bounds(X)
     )
+    assert report.tau_max == (max(tau.times) if tau.bounded else None)
 
 
 def test_first_of_equal_maxima_keeps_its_type():

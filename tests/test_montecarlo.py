@@ -12,6 +12,8 @@ from mglab import (
     DoublingModel,
     Functional,
     PathEnsemble,
+    PredictableSequence,
+    RandomVariable,
     WalkModel,
     classify,
     count_upcrossings,
@@ -35,6 +37,7 @@ from support import (
     reference_doubling_paths,
     reference_doubling_stakes,
     reference_simulate_walk,
+    reference_transform,
     reference_uniforms,
     reference_upcrossings,
 )
@@ -369,9 +372,19 @@ def test_exact_doubling_wealth_is_transform_of_price():
 
 
 def test_exact_doubling_stakes_match_the_bit_rule():
+    """The stakes are built on their nodes and skip the public checks: the public
+    constructor builds the same stakes from the bit rule, with the same nodes, and
+    the wealth is the outcome-loop transform of the rebuilt stakes, types included."""
     for L in range(1, 11):
-        _, _, _, _, C, _ = exact_doubling_process(L, Fraction(1, 2))
+        space, _, F, price, C, wealth = exact_doubling_process(L, Fraction(1, 2))
         assert [rv.values for rv in C.values] == reference_doubling_stakes(L)
+        rebuilt = PredictableSequence(
+            F, [RandomVariable(space, row) for row in reference_doubling_stakes(L)])
+        assert repr(C) == repr(rebuilt)
+        assert C.nodes == F.nodes(rv.values for rv in C.values) == rebuilt.nodes
+        again = reference_transform(rebuilt, price)
+        assert repr(wealth) == repr(again)
+        assert (wealth.nodes, wealth.scaled) == (again.nodes, again.scaled)
 
 
 def test_exact_doubling_is_martingale_when_fair():
