@@ -92,7 +92,9 @@ class PathEnsemble:
 
     ``paths`` has shape (n_paths, horizon + 1) with column t holding the
     value at time t; rebuilding with the same model_id parameters and
-    master_seed reproduces it bit for bit.
+    master_seed reproduces it bit for bit.  Its dtype is the narrowest signed
+    integer type holding the model's value range; widen with
+    ``.astype(np.int64)`` before arithmetic that can leave that range.
     """
 
     model_id: str
@@ -170,6 +172,12 @@ def _doubling_probability(n_levels, p_up) -> Fraction:
     return p
 
 
+def _narrowest_int(lo: int, hi: int) -> type:
+    """The narrowest signed numpy integer type holding every value in [lo, hi]."""
+    return next(t for t in (np.int8, np.int16, np.int32, np.int64)
+                if np.iinfo(t).min <= lo and hi <= np.iinfo(t).max)
+
+
 def simulate_walk(N: int, p_heads, n_paths: int, seed: int) -> PathEnsemble:
     """Simulate the +-1 walk: i.i.d. steps, +1 with probability ``p_heads``.
 
@@ -179,13 +187,14 @@ def simulate_walk(N: int, p_heads, n_paths: int, seed: int) -> PathEnsemble:
     p = float(_walk_probability(N, p_heads))
     if n_paths < 1:
         raise ValueError("n_paths must be at least 1")
-    paths = np.zeros((n_paths, N + 1), dtype=np.int64)
-    buffer = np.empty(max(_BLOCK, N), dtype=np.int64)  # no block holds more cells
+    dt = _narrowest_int(-N, N)
+    paths = np.zeros((n_paths, N + 1), dtype=dt)
+    buffer = np.empty(max(_BLOCK, N), dtype=dt)  # no block holds more cells
     for r0, up in _coin_blocks(seed, n_paths, N, p):
         steps = buffer[: up.size].reshape(up.shape)
-        np.multiply(up, 2, out=steps)
+        np.multiply(up, dt(2), out=steps)
         steps -= 1
-        np.cumsum(steps, axis=1, out=paths[r0 : r0 + len(up), 1:])
+        np.cumsum(steps, axis=1, dtype=dt, out=paths[r0 : r0 + len(up), 1:])
     return PathEnsemble(
         model_id=f"walk(N={N},p={format_number(as_number(p_heads))})",
         n_paths=n_paths,
@@ -219,8 +228,9 @@ def simulate_doubling_strategy(
         raise ValueError("n_paths must be at least 1")
 
     # Wealth is 1 - 2**j after j straight drops and +1 from the first rebound on.
-    losses = 1 - np.left_shift(np.int64(1), np.arange(1, n_levels + 1, dtype=np.int64))
-    paths = np.zeros((n_paths, n_levels + 1), dtype=np.int64)
+    dt = _narrowest_int(1 - 2 ** n_levels, 1)
+    losses = (1 - np.left_shift(1, np.arange(1, n_levels + 1, dtype=np.int64))).astype(dt)
+    paths = np.zeros((n_paths, n_levels + 1), dtype=dt)
     for r0, up in _coin_blocks(seed, n_paths, n_levels, p):
         np.logical_or.accumulate(up, axis=1, out=up)
         block = paths[r0 : r0 + len(up), 1:]
@@ -258,10 +268,10 @@ class Functional:
     """A named pathwise map, described once for both engines.
 
     ``apply_to_path`` evaluates one trajectory exactly: ints and Fractions
-    in, an exact value out.  ``apply_to_paths`` maps an int64 array
-    of shape (n_paths, horizon + 1) to one float64 sample per row.  The
-    factory classmethods build both from one definition.  ``kind`` names
-    the family, for tracing and as the fallback label.
+    in, an exact value out.  ``apply_to_paths`` maps a signed integer array
+    of any width and shape (n_paths, horizon + 1) to one float64 sample per
+    row.  The factory classmethods build both from one definition.  ``kind``
+    names the family, for tracing and as the fallback label.
 
     Stopping rules receive the path prefix (values up to and including the
     current time) and nothing else, so a rule cannot peek at the future by

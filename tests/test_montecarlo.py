@@ -160,9 +160,49 @@ def test_step_threshold_is_exactly_u_below_p(seed):
             assert paths[path, step + 1] - paths[path, step] == move, (counter, p)
 
 
+@pytest.mark.parametrize("N, dtype", [(127, np.int8), (128, np.int16)])
+def test_walk_paths_take_the_narrowest_type_holding_minus_n_to_n(N, dtype):
+    # p = 0 and p = 1 reach both ends of [-N, N].
+    for p in (0, 1, Fraction(1, 3)):
+        got = simulate_walk(N, p, 300, 7).paths
+        assert got.dtype == dtype, p
+        assert np.array_equal(got, reference_simulate_walk(N, float(Fraction(p)), 300, 7)), p
+
+
+@pytest.mark.parametrize("L, dtype", [(7, np.int8), (8, np.int16), (15, np.int16), (16, np.int32),
+                                      (31, np.int32), (32, np.int64), (60, np.int64)])
+def test_doubling_paths_take_the_narrowest_type_holding_the_wealth(L, dtype):
+    # p = 0 exhausts every budget, so the wealth reaches its least value 1 - 2**L.
+    for p in (0, 1, Fraction(1, 2)):
+        got = simulate_doubling_strategy(0, L, p, 300, 7)[0].paths
+        assert got.dtype == dtype, p
+        assert np.array_equal(got, reference_doubling_paths(L, float(Fraction(p)), 300, 7)), p
+
+
+def test_functionals_give_the_same_samples_on_narrow_and_int64_paths():
+    """Every package functional widens before its arithmetic: at N = 127 and
+    p in {0, 1}, X_N**2 taken in int8 would wrap."""
+    ensembles = [simulate_walk(30, Fraction(1, 3), 3000, 8).paths,
+                 simulate_walk(127, 1, 5, 8).paths, simulate_walk(127, 0, 5, 8).paths,
+                 simulate_doubling_strategy(0, 10, Fraction(1, 2), 3000, 8)[0].paths]
+    functionals = (Functional.terminal(), Functional.terminal_square(),
+                   Functional.upcrossings(-1, 1),
+                   Functional.stopped(lambda prefix: abs(prefix[-1]) >= 2, "first exit of (-2, 2)"))
+    for paths in ensembles:
+        assert paths.dtype != np.int64
+        wide = paths.astype(np.int64)
+        for functional in functionals:
+            narrow_samples = functional.apply_to_paths(paths)
+            assert narrow_samples.dtype == np.float64
+            assert narrow_samples.tobytes() == functional.apply_to_paths(wide).tobytes(), (
+                paths.dtype, paths.shape, functional.kind)
+    assert Functional.terminal_square().apply_to_paths(ensembles[2]).tolist() == [127.0 ** 2] * 5
+
+
 def test_sampling_temporaries_stay_block_sized():
     """Peak traced memory while sampling is little more than the returned
-    paths (n * (horizon + 1) int64s), however many paths there are."""
+    paths (n * (horizon + 1) cells of the narrowest type: int8 for this walk,
+    int16 for this doubling), however many paths there are."""
     n, p = 200_000, Fraction(1, 3)
     tracemalloc.start()
     try:
@@ -174,8 +214,8 @@ def test_sampling_temporaries_stay_block_sized():
         doubling_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert walk_peak / (n * 30) <= 12  # the paths alone take 8.27 B per path-step
-    assert doubling_peak / (n * 10) <= 14  # 8.8 for the paths alone
+    assert walk_peak / (n * 30) <= 2  # the int8 paths alone take 1.03 B per path-step
+    assert doubling_peak / (n * 10) <= 5  # 2.2 for the int16 paths alone
 
 
 # ---------------------------------------------------------------------------
