@@ -201,6 +201,52 @@ def test_optional_stopping_reason_for_unclassified_process(
     assert report["reason"] == reason and report["detail"]["conclusion"] == "not asserted"
 
 
+def test_stopped_reason_for_unclassified_process(capsys, tmp_path, walk_doc):
+    doc = json.loads(open(walk_doc).read())
+    doc["process"] = [[0, 0, 0, 0], [1, 1, -1, -1], [5, 0, 0, -4]]
+    path = tmp_path / "unclassified.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run_cli(capsys, "verify", str(path), "stopped")
+    assert code == 1
+    report = json.loads(out)
+    assert report["pass"] is False and report["hypothesis_ok"] is False
+    assert report["reason"] == (
+        "input classifies as none; stopping preserves martingale, supermartingale, and "
+        "submartingale structure only"
+    )
+    assert report["detail"]["input_label"] == "none"
+
+
+@pytest.fixture
+def submartingale_doc(capsys, tmp_path):
+    """A walk at p = 2/3, stopped at its first hit of |X| = 1, with the interval [-1, 1]."""
+    path = tmp_path / "up.json"
+    code, _, _ = run_cli(capsys, "walk-spec", "--n", "3", "--p", "2/3", "--stop-hit", "1",
+                         "--interval", "-1", "1", "--out", str(path))
+    assert code == 0
+    return str(path)
+
+
+def test_verify_stopped_passes_on_a_submartingale(capsys, submartingale_doc):
+    code, out, _ = run_cli(capsys, "verify", submartingale_doc, "stopped")
+    assert code == 0
+    report = json.loads(out)
+    assert report["pass"] is True and report["hypothesis_ok"] is True
+    assert report["detail"]["input_label"] == "strict-submartingale"
+    assert report["detail"]["stopped_label"] == "submartingale"
+
+
+def test_verify_upcrossing_on_a_submartingale_gives_the_first_note(capsys, submartingale_doc):
+    code, out, _ = run_cli(capsys, "verify", submartingale_doc, "upcrossing")
+    assert code == 1
+    report = json.loads(out)
+    assert report["pass"] is False and report["hypothesis_ok"] is False
+    assert report["reason"] == report["detail"]["notes"][0] == (
+        "process classifies as strict-submartingale, not a supermartingale; figures "
+        "reported, nothing asserted"
+    )
+
+
 def test_verify_bad_kolmogorov_candidate_exits_one(capsys, tmp_path, walk_doc):
     doc = json.loads(open(walk_doc).read())
     doc["candidate"] = [5, 5, 5, 5]
@@ -426,6 +472,42 @@ def test_human_format_same_numbers(capsys, space_doc):
     _, human_out, _ = run_cli(capsys, "sigma", space_doc, "--format", "human")
     assert "atom_count: 3" in human_out
     assert json.loads(json_out)["atom_count"] == 3
+
+
+@pytest.mark.parametrize("output_format", ["json", "human"])
+@pytest.mark.parametrize("command", ["sigma", "verify"])
+def test_out_writes_the_json_text(capsys, tmp_path, space_doc, walk_doc, command, output_format):
+    """``--out`` holds the JSON text and a newline whatever ``--format`` shows on stdout."""
+    argv = ["sigma", space_doc] if command == "sigma" else ["verify", walk_doc, "classify"]
+    code, json_out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    out_path = tmp_path / "report.json"
+    code, out, _ = run_cli(capsys, *argv, "--format", output_format, "--out", str(out_path))
+    assert code == 0
+    assert out_path.read_text(encoding="utf-8") == json_out
+    if output_format == "human":
+        assert out != json_out and f"command: {command}" in out.splitlines()
+    else:
+        assert out == json_out
+
+
+def test_human_format_renders_the_tail_bound_witness(capsys, tmp_path, walk_doc):
+    """The failed hypothesis' witness, [step, [members]], is a list of a scalar and a list."""
+    doc = json.loads(open(walk_doc).read())
+    doc["stopping_time"] = [1, 1, None, None]
+    path = tmp_path / "no_floor.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run_cli(capsys, "verify", str(path), "tail-bound", "--format", "human")
+    assert code == 1
+    assert "hypothesis_ok: False\n" in out
+    assert (
+        "  hypothesis_witness:\n"
+        "    - 1\n"
+        "    -\n"
+        "      - 2\n"
+        "      - 3\n"
+        "  tail_chain:\n"
+    ) in out
 
 
 def test_repeat_runs_byte_identical(capsys):

@@ -306,6 +306,24 @@ def test_transform_supermartingale_needs_nonnegative_stakes():
     assert rep.output_label in (SUPERMARTINGALE, STRICT_SUPERMARTINGALE, MARTINGALE)
 
 
+@pytest.mark.parametrize("stage_values, label", [
+    (([0, 0, 0, 0], [0, 0, 2, 2], [0, 2, 2, 4]), STRICT_SUBMARTINGALE),
+    (([0, 0, 0, 0], [1, 1, -1, -1], [5, 0, 0, -4]), UNCLASSIFIED),
+], ids=["submartingale", "unclassified"])
+def test_transform_claims_nothing_for_submartingales_and_unclassified_inputs(stage_values, label):
+    """Only martingale and supermartingale inputs carry a preservation claim; any other
+    label is a failed premise with no claimed label and no verdict on the output."""
+    C = PredictableSequence(TWO_STAGE, [RandomVariable(ABCD, [1, 1, 1, 1])] * 2)
+    rep = verify_transform_preservation(C, _proc(*stage_values), UNIFORM, bound=1)
+    assert rep.input_label == label
+    assert rep.claimed_label is None
+    assert rep.hypothesis_ok is False and rep.holds is None and not bool(rep)
+    assert rep.hypothesis_failure == (
+        f"input classifies as {label}; preservation is only claimed for martingales and "
+        "supermartingales"
+    )
+
+
 def test_scaled_stage_values():
     """Ints over one lcm, one per atom; all-int nodes are kept as they are; a float means None."""
     _, P, F, X = make_coin_walk(3, Fraction(1, 3))
@@ -517,6 +535,17 @@ def test_tail_bound_hypothesis_witness():
     n, atom = rep.hypothesis_witness
     assert n == 1 and atom.members == (4, 5, 6, 7)
     assert not bool(rep)
+
+
+def test_tail_bound_window_beyond_the_horizon_is_vacuous():
+    """A window longer than the horizon leaves no stage to test: the hypothesis holds
+    vacuously, and the notes say so."""
+    space, P, F, _ = make_coin_walk(2, Fraction(1, 2))
+    tau = StoppingTime(F, [0, 0, 0, 0])
+    rep = stopping_tail_bound_check(tau, F, P, 3, Fraction(1, 2))
+    assert rep.hypothesis_by_step == ()
+    assert rep.hypothesis_ok is True and rep.hypothesis_witness is None
+    assert rep.notes[1:] == ("the window exceeds the horizon, so the hypothesis is vacuous",)
 
 
 def test_tail_bound_rejects_bad_epsilon_and_window():
