@@ -75,29 +75,24 @@ def _config(args) -> int:
     return limit
 
 
-def _human_lines(value, indent: int = 0) -> list[str]:
+def _human_lines(value: dict | list, indent: int = 0) -> list[str]:
+    """A JSON object or array as indented lines: ``key: scalar`` and ``- scalar`` on one
+    line, a nested object or array under a ``key:`` or ``-`` line of its own."""
     pad = "  " * indent
     if isinstance(value, dict):
-        lines = []
-        for k, v in value.items():
-            if isinstance(v, (dict, list)):
-                lines.append(f"{pad}{k}:")
-                lines.extend(_human_lines(v, indent + 1))
-            else:
-                lines.append(f"{pad}{k}: {v}")
-        return lines
-    if isinstance(value, list):
-        if all(not isinstance(v, (dict, list)) for v in value):
-            return [f"{pad}- {v}" for v in value] if value else [f"{pad}(empty)"]
-        lines = []
-        for v in value:
-            if isinstance(v, (dict, list)):
-                lines.append(f"{pad}-")
-                lines.extend(_human_lines(v, indent + 1))
-            else:
-                lines.append(f"{pad}- {v}")
-        return lines
-    return [f"{pad}{value}"]
+        items = [(f"{k}:", v) for k, v in value.items()]
+    elif not value:
+        return [f"{pad}(empty)"]
+    else:
+        items = [("-", v) for v in value]
+    lines = []
+    for head, v in items:
+        if isinstance(v, (dict, list)):
+            lines.append(f"{pad}{head}")
+            lines.extend(_human_lines(v, indent + 1))
+        else:
+            lines.append(f"{pad}{head} {v}")
+    return lines
 
 
 def _emit(report: dict, output_format: str, out_path: str | None = None) -> None:
@@ -207,20 +202,15 @@ def _stopped(spec, P, tol):
         "start_mean": start,
         "stopped_means_by_stage": means,
     }
-    if in_label == proc.UNCLASSIFIED:
+    if in_label not in proc._CLAIMS:
         reason = (
             "input classifies as none; stopping preserves martingale, supermartingale, "
             "and submartingale structure only"
         )
         return detail, reason, False, ""
-    if in_label == proc.MARTINGALE:
-        passed = out_label == proc.MARTINGALE and all(
-            numbers_equal(m, start, tol) for m in means
-        )
-    elif in_label in proc.SUPERMARTINGALE_FAMILY:
-        passed = out_label in proc.SUPERMARTINGALE_FAMILY
-    else:
-        passed = out_label in proc.SUBMARTINGALE_FAMILY
+    family, sign = proc._CLAIMS[in_label]
+    # A stopped martingale also keeps its mean at E[X_0] at every stage.
+    passed = out_label in family and (sign != 0 or all(numbers_equal(m, start, tol) for m in means))
     return detail, None, passed, f"stopped process of a {in_label} classified as {out_label}"
 
 
@@ -380,7 +370,7 @@ def cmd_simulate(args) -> int:
             "seed": seed,
             "terminal_estimate": est,
         }
-    elif args.model == "doubling":
+    else:
         if args.levels is None:
             raise SpecError("--levels", "the doubling model needs a level budget")
         p = _parse_value(args.p, "--p")
@@ -396,8 +386,6 @@ def cmd_simulate(args) -> int:
             "seed": seed,
             "profit_estimate": rep,
         }
-    else:
-        raise SpecError("model", f"unknown model {args.model!r}")
 
     if args.out:
         _write_csv(args.out, ensemble)

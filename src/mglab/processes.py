@@ -74,6 +74,17 @@ LABELS = (
 SUPERMARTINGALE_FAMILY = frozenset({MARTINGALE, SUPERMARTINGALE, STRICT_SUPERMARTINGALE})
 SUBMARTINGALE_FAMILY = frozenset({MARTINGALE, SUBMARTINGALE, STRICT_SUBMARTINGALE})
 
+# What each label lets the preservation theorems claim: the family a transformed or
+# stopped process stays in, and the sign of E[X_tau] - E[X_0] (0 for =, -1 for <=,
+# +1 for >=).  An unclassified process has no entry: nothing is claimed for it.
+_CLAIMS = {
+    MARTINGALE: (frozenset({MARTINGALE}), 0),
+    SUPERMARTINGALE: (SUPERMARTINGALE_FAMILY, -1),
+    STRICT_SUPERMARTINGALE: (SUPERMARTINGALE_FAMILY, -1),
+    SUBMARTINGALE: (SUBMARTINGALE_FAMILY, 1),
+    STRICT_SUBMARTINGALE: (SUBMARTINGALE_FAMILY, 1),
+}
+
 # Sentinel for "the stopping rule never fires on this outcome".  Serialized
 # as JSON null.
 NEVER = None
@@ -624,26 +635,20 @@ def verify_transform_preservation(
     bound = as_number(bound)
     masses, x_table, x_verdict = _reading(X, P, tolerance)
     input_label = x_verdict.label
+    family, sign = _CLAIMS.get(input_label, (None, None))
+    claimed = {0: MARTINGALE, -1: SUPERMARTINGALE}.get(sign)
     hypothesis_failure: str | None = None
-    claimed: str | None = None
-    if input_label == MARTINGALE:
-        claimed = MARTINGALE
-        if offender := _first_stake_outside(C, -bound, bound):
-            k, i, v = offender
-            hypothesis_failure = f"|C_{k + 1}| = {abs(v)} exceeds the bound {bound} at outcome {i}"
-    elif input_label in (SUPERMARTINGALE, STRICT_SUPERMARTINGALE):
-        claimed = SUPERMARTINGALE
-        if offender := _first_stake_outside(C, 0, bound):
-            k, i, v = offender
-            hypothesis_failure = (
-                f"C_{k + 1} = {v} at outcome {i} is outside [0, {bound}], which the "
-                "supermartingale case requires"
-            )
-    else:
-        claimed = None
+    if claimed is None:
         hypothesis_failure = (
             f"input classifies as {input_label}; preservation is only claimed for "
             "martingales and supermartingales"
+        )
+    elif offender := _first_stake_outside(C, 0 if sign else -bound, bound):
+        k, i, v = offender
+        hypothesis_failure = (
+            f"C_{k + 1} = {v} at outcome {i} is outside [0, {bound}], which the "
+            "supermartingale case requires"
+            if sign else f"|C_{k + 1}| = {abs(v)} exceeds the bound {bound} at outcome {i}"
         )
 
     Y = transform(C, X)
@@ -669,13 +674,6 @@ def verify_transform_preservation(
     identity_ok = all(stage_holds(masses, dx, dy, cs) for (_, masses, dx), (_, _, dy), cs
                       in zip(x_table, y_table, C.nodes))
 
-    if hypothesis_failure is not None:
-        holds: bool | None = None
-    elif claimed == MARTINGALE:
-        holds = output_label == MARTINGALE
-    else:
-        holds = output_label in SUPERMARTINGALE_FAMILY
-
     return TransformPreservationReport(
         input_label=input_label,
         claimed_label=claimed,
@@ -684,7 +682,7 @@ def verify_transform_preservation(
         bound=bound,
         output_label=output_label,
         step_identity_ok=identity_ok,
-        holds=holds,
+        holds=None if hypothesis_failure else output_label in family,
     )
 
 
@@ -818,15 +816,11 @@ def optional_stopping_report(
     holds: bool | None = None
     if label == UNCLASSIFIED or value_at_stop is None:
         conclusion = "not asserted"
-    elif label == MARTINGALE:
-        conclusion = "E[X_tau] = E[X_0]"
-        holds = numbers_equal(value_at_stop, value_at_start, tolerance)
-    elif label in (SUPERMARTINGALE, STRICT_SUPERMARTINGALE):
-        conclusion = "E[X_tau] <= E[X_0]"
-        holds = _leq(value_at_stop, value_at_start, tolerance)
     else:
-        conclusion = "E[X_tau] >= E[X_0]"
-        holds = _leq(value_at_start, value_at_stop, tolerance)
+        sign = _CLAIMS[label][1]
+        conclusion = "E[X_tau] " + {0: "=", -1: "<=", 1: ">="}[sign] + " E[X_0]"
+        lo, hi = (value_at_start, value_at_stop) if sign > 0 else (value_at_stop, value_at_start)
+        holds = _leq(lo, hi, tolerance) if sign else numbers_equal(lo, hi, tolerance)
 
     return OptionalStoppingReport(
         label=label,
