@@ -34,6 +34,7 @@ from . import processes as proc
 from .integration import expectation
 from .jsonio import (
     SpecError,
+    _built,
     _epsilon,
     _parse_value,
     _window,
@@ -414,10 +415,8 @@ def cmd_walk_spec(args) -> int:
             next((n for n, v in enumerate(path) if v == level), None) for path in paths
         ]
     if args.interval is not None:
-        a, b = (_parse_value(v, "--interval") for v in args.interval)
-        if not a < b:
-            raise SpecError("--interval", f"need a < b, got a = {a}, b = {b}")
-        spec["interval"] = [a, b]
+        spec["interval"] = _built("--interval", proc._interval,
+                                  *(_parse_value(v, "--interval") for v in args.interval))
     if args.window is not None:
         spec["window"] = _window(args.window, "--window")
     if args.epsilon is not None:

@@ -15,7 +15,8 @@ from fractions import Fraction
 from operator import mul
 
 from .integration import RandomVariable, atom_sums, clear_denominators, is_measurable
-from .measure import EventSet, ProbabilityMeasure, SigmaAlgebra, _atom_masses, _take, _trusted, _up
+from .measure import (EventSet, ProbabilityMeasure, SigmaAlgebra, _agree, _atom_masses, _take,
+                      _trusted, _up)
 from .numeric import DEFAULT_TOLERANCE, as_number, numbers_equal
 
 
@@ -56,8 +57,7 @@ def conditional_expectation(
     report.  ``tolerance`` only matters when X carries floats; exact inputs
     are checked with exact equality.
     """
-    if X.space != G.space or X.space != P.space:
-        raise ValueError("variable, sigma-algebra, and measure must share one space")
+    _agree("variable, sigma-algebra, and measure must share one space", X.space, G.space, P.space)
     masses, totals = atom_sums(X.values, G, P)
     averages = _means(masses, totals)
     # The identity integral_A X dP = integral_A Y dP on an atom reads
@@ -107,8 +107,7 @@ def verify_kolmogorov(
     atoms and both sides are additive.  Any two passing candidates agree on
     every atom of positive probability.
     """
-    if X.space != G.space or X.space != P.space or Y.space != X.space:
-        raise ValueError("all arguments must share one sample space")
+    _agree("all arguments must share one sample space", X.space, G.space, P.space, Y.space)
     if not is_measurable(Y, G):
         return False
     _, lhs = atom_sums(X.values, G, P)
@@ -138,8 +137,7 @@ def tower_check(
     the atom average, so pointwise-everywhere equality is not a theorem
     under the null-atom convention, almost-sure equality is.
     """
-    if X.space != G.space or X.space != H.space or X.space != P.space:
-        raise ValueError("all arguments must share one sample space")
+    _agree("all arguments must share one sample space", X.space, G.space, H.space, P.space)
     atom = H.first_split(G.labels)
     if atom is not None:
         raise ValueError(

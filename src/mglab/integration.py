@@ -35,8 +35,8 @@ from itertools import compress
 from operator import mul
 from typing import Sequence
 
-from .measure import (EventSet, ProbabilityMeasure, SampleSpace, SigmaAlgebra, _atom_masses,
-                      _trusted, _up, _value_split, measure_of)
+from .measure import (EventSet, ProbabilityMeasure, SampleSpace, SigmaAlgebra, _agree,
+                      _atom_masses, _trusted, _up, _value_split, measure_of)
 from .numeric import Number, as_number
 
 
@@ -74,20 +74,16 @@ class RandomVariable:
         return RandomVariable(self.space, tuple(fn(v) for v in self.values))
 
     def __add__(self, other: "RandomVariable") -> "RandomVariable":
-        self._check_same_space(other)
+        _agree("random variables live on different sample spaces", self.space, other.space)
         return RandomVariable(self.space, tuple(a + b for a, b in zip(self.values, other.values)))
 
     def __sub__(self, other: "RandomVariable") -> "RandomVariable":
-        self._check_same_space(other)
+        _agree("random variables live on different sample spaces", self.space, other.space)
         return RandomVariable(self.space, tuple(a - b for a, b in zip(self.values, other.values)))
 
     def scale(self, c: Number) -> "RandomVariable":
         c = as_number(c)
         return RandomVariable(self.space, tuple(c * v for v in self.values))
-
-    def _check_same_space(self, other: "RandomVariable") -> None:
-        if self.space != other.space:
-            raise ValueError("random variables live on different sample spaces")
 
 
 def constant_variable(space: SampleSpace, value) -> RandomVariable:
@@ -149,8 +145,7 @@ def is_measurable(variable: RandomVariable, sigma: SigmaAlgebra) -> bool:
     On a finite space that is the same as every preimage of every value set
     being a member of ``sigma``.  The two objects must share a space.
     """
-    if variable.space != sigma.space:
-        raise ValueError("variable and sigma-algebra live on different spaces")
+    _agree("variable and sigma-algebra live on different spaces", variable.space, sigma.space)
     return _value_split(sigma, variable.values) is None
 
 
@@ -184,8 +179,7 @@ def expectation(X: RandomVariable, P: ProbabilityMeasure) -> Number:
     Agrees with integrating the canonical simple form; the tests hold the
     two routes against each other rather than trusting either alone.
     """
-    if X.space != P.space:
-        raise ValueError("variable and measure live on different spaces")
+    _agree("variable and measure live on different spaces", X.space, P.space)
     return as_number(weighted_sum(X.values, P))
 
 

@@ -41,7 +41,7 @@ from typing import Any
 from .integration import RandomVariable
 from .measure import EventSet, ProbabilityMeasure, SampleSpace, SigmaAlgebra, _trusted
 from .numeric import Number, format_number, parse_number
-from .processes import AdaptedProcess, Filtration, PredictableSequence, StoppingTime
+from .processes import AdaptedProcess, Filtration, PredictableSequence, StoppingTime, _interval
 
 
 class SpecError(ValueError):
@@ -283,10 +283,7 @@ def _read_stopping_time(raw, field: str, spec: dict) -> StoppingTime:
 def _read_interval(raw, field: str, spec: dict) -> tuple[Number, Number]:
     if not isinstance(raw, list) or len(raw) != 2:
         raise SpecError(field, "expected [a, b] with a < b")
-    a, b = (_parse_value(v, f"{field}[{j}]") for j, v in enumerate(raw))
-    if not a < b:
-        raise SpecError(field, f"need a < b, got a = {a}, b = {b}")
-    return a, b
+    return _built(field, _interval, *(_parse_value(v, f"{field}[{j}]") for j, v in enumerate(raw)))
 
 
 # One reader per optional field, in reading order: the first refusal in this

@@ -40,6 +40,13 @@ def _trusted(cls, **fields):
     return obj
 
 
+def _agree(message: str, first, *others) -> None:
+    """Refuse with ``ValueError(message)`` unless every one of ``others`` equals ``first``:
+    the one check that arguments share a sample space or a filtration."""
+    if any(other != first for other in others):
+        raise ValueError(message)
+
+
 def _take(values: Sequence, indices: Sequence[int]) -> tuple:
     """``tuple(values[i] for i in indices)`` in one C-level ``itemgetter`` call."""
     got = itemgetter(*indices)(values)

@@ -36,6 +36,7 @@ from .measure import (
     SampleSpace,
     SigmaAlgebra,
     SizeLimitError,
+    _agree,
     _atom_masses,
     _take,
     _trusted,
@@ -458,8 +459,7 @@ def _reading(
 ) -> tuple[list[tuple], list[tuple[SigmaAlgebra, Sequence, list]], MartingaleClassification]:
     """What every exact report reads first, after refusing a measure on another space:
     X's :func:`_stage_masses`, its :func:`_drift_table` on them and the verdict read off it."""
-    if P.space != X.space:
-        raise ValueError("process and measure live on different sample spaces")
+    _agree("process and measure live on different sample spaces", X.space, P.space)
     masses = _stage_masses(X.filtration, P)
     table = _drift_table(X, P, masses)
     return masses, table, _label(X, table, tolerance)
@@ -557,8 +557,7 @@ def transform(C: PredictableSequence, X: AdaptedProcess) -> AdaptedProcess:
     B in the stage-(n-1) atom A, over the nodes; exact inputs recur in ints over
     L_C * L_X, handed to C·X as its per-atom ``scaled``.
     """
-    if C.filtration != X.filtration:
-        raise ValueError("stakes and process must share one filtration")
+    _agree("stakes and process must share one filtration", X.filtration, C.filtration)
     cleared = X.scaled and clear_denominators(*C.nodes)
     cs, xs, L = (cleared[0], X.scaled[0], cleared[1] * X.scaled[1]) if cleared else (
         C.nodes, X.nodes, None)
@@ -625,29 +624,30 @@ def verify_transform_preservation(
     """Check that transforming X by C keeps its martingale structure.
 
     A martingale stays a martingale under any C with |C_n| <= bound; a
-    supermartingale stays one when 0 <= C_n <= bound.  Stakes outside the
-    allowed range, or an input that is neither, are reported as hypothesis
-    failures rather than theorem failures.  The per-step conditional
-    identity from the proof is verified on every positive-probability atom
-    alongside the final classification; both labels and the identity read
-    one drift table per process, so each increment is summed once.
+    supermartingale or a submartingale stays one when 0 <= C_n <= bound.
+    Stakes outside the allowed range, or an unclassified input, are
+    reported as hypothesis failures rather than theorem failures.  The
+    per-step conditional identity from the proof is verified on every
+    positive-probability atom alongside the final classification; both
+    labels and the identity read one drift table per process, so each
+    increment is summed once.
     """
     bound = as_number(bound)
     masses, x_table, x_verdict = _reading(X, P, tolerance)
     input_label = x_verdict.label
     family, sign = _CLAIMS.get(input_label, (None, None))
-    claimed = {0: MARTINGALE, -1: SUPERMARTINGALE}.get(sign)
+    claimed = {0: MARTINGALE, -1: SUPERMARTINGALE, 1: SUBMARTINGALE}.get(sign)
     hypothesis_failure: str | None = None
     if claimed is None:
         hypothesis_failure = (
             f"input classifies as {input_label}; preservation is only claimed for "
-            "martingales and supermartingales"
+            "martingales, supermartingales, and submartingales"
         )
     elif offender := _first_stake_outside(C, 0 if sign else -bound, bound):
         k, i, v = offender
         hypothesis_failure = (
             f"C_{k + 1} = {v} at outcome {i} is outside [0, {bound}], which the "
-            "supermartingale case requires"
+            f"{claimed} case requires"
             if sign else f"|C_{k + 1}| = {abs(v)} exceeds the bound {bound} at outcome {i}"
         )
 
@@ -697,8 +697,7 @@ def stopped_process(X: AdaptedProcess, tau: StoppingTime) -> AdaptedProcess:
     frozen.  The result is adapted to the same filtration and coincides
     with X_0 plus the transform of X by the predictable stakes 1{n <= tau}.
     """
-    if tau.filtration != X.filtration:
-        raise ValueError("stopping time and process must share one filtration")
+    _agree("stopping time and process must share one filtration", X.filtration, tau.filtration)
     # Stage n takes X_n on the atoms in {tau >= n}, a stage-(n-1) event, and keeps the
     # parent node elsewhere: values of X's own, adapted since {tau = k} is a stage-k event.
     F = X.filtration
@@ -767,8 +766,7 @@ def optional_stopping_report(
     and the report says why.  NEVER on a zero-probability outcome is
     harmless: those outcomes carry no weight in any expectation.
     """
-    if tau.filtration != X.filtration:
-        raise ValueError("stopping time and process must share one filtration")
+    _agree("stopping time and process must share one filtration", X.filtration, tau.filtration)
     masses, _, verdict = _reading(X, P, tolerance)
     label, D = verdict.label, P.denominator
     fired = _fired(tau, masses)
@@ -894,10 +892,8 @@ def stopping_tail_bound_check(
     holds and a chain entry still failed, that would be a defect in this
     package, not a counterexample.
     """
-    if tau.filtration != F:
-        raise ValueError("stopping time was built on a different filtration")
-    if P.space != F.space:
-        raise ValueError("filtration and measure live on different sample spaces")
+    _agree("stopping time was built on a different filtration", F, tau.filtration)
+    _agree("filtration and measure live on different sample spaces", F.space, P.space)
     if not isinstance(N_window, int) or isinstance(N_window, bool) or N_window < 1:
         raise ValueError("the window must be a positive integer")
     eps = Fraction(as_exact(epsilon))
@@ -1202,11 +1198,7 @@ def l2_pythagoras_check(
         None,
     )
     orthogonality_ok = witness is None
-    holds: bool | None
-    if hypothesis_ok:
-        holds = identity_holds and orthogonality_ok
-    else:
-        holds = None
+    holds = identity_holds and orthogonality_ok if hypothesis_ok else None
 
     notes = []
     if not hypothesis_ok:

@@ -236,6 +236,21 @@ def test_verify_stopped_passes_on_a_submartingale(capsys, submartingale_doc):
     assert report["detail"]["stopped_label"] == "submartingale"
 
 
+def test_verify_transform_claims_submartingale_for_nonnegative_stakes(capsys, submartingale_doc):
+    doc = json.loads(open(submartingale_doc).read())
+    doc["predictable"] = [[1] * 8, [1, 1, 1, 1, 0, 0, 0, 0], [2, 2, 0, 0, 1, 1, 0, 0]]
+    with open(submartingale_doc, "w") as fh:
+        json.dump(doc, fh)
+    code, out, _ = run_cli(capsys, "verify", submartingale_doc, "transform")
+    assert code == 0
+    report = json.loads(out)
+    assert report["pass"] is True and report["hypothesis_ok"] is True
+    detail = report["detail"]
+    assert detail["input_label"] == "strict-submartingale"
+    assert detail["claimed_label"] == "submartingale" and detail["bound"] == 2
+    assert detail["output_label"] == "submartingale" and detail["holds"] is True
+
+
 def test_verify_upcrossing_on_a_submartingale_gives_the_first_note(capsys, submartingale_doc):
     code, out, _ = run_cli(capsys, "verify", submartingale_doc, "upcrossing")
     assert code == 1
@@ -625,6 +640,36 @@ def test_simulate_without_numpy_is_an_installation_error(argv):
     assert (code, out) == (2, b"")
     assert err.count(b"\n") == 1 and b"Traceback" not in err, err.decode()
     assert err.startswith(b"installation error: mgl simulate needs numpy"), err.decode()
+
+
+@pytest.mark.parametrize("argv", [("simulate", "walk", "--n", "3"),
+                                  ("simulate", "doubling", "--levels", "3")], ids="-".join)
+def test_simulate_without_numpy_in_process(capsys, monkeypatch, argv):
+    """The same refusal in this process: the engine is imported afresh with numpy blocked."""
+    monkeypatch.delitem(sys.modules, "mglab.montecarlo")
+    monkeypatch.setitem(sys.modules, "numpy", None)
+    assert run_cli(capsys, *argv) == (2, "", (
+        "installation error: mgl simulate needs numpy, which cannot be imported "
+        "(import of numpy halted; None in sys.modules)\n"))
+
+
+def test_simulate_with_the_engine_missing_is_an_internal_error(capsys, monkeypatch):
+    """Only a missing numpy is an installation error; a missing engine is a defect."""
+    monkeypatch.setitem(sys.modules, "mglab.montecarlo", None)
+    assert run_cli(capsys, "simulate", "walk", "--n", "3") == (3, "", (
+        "internal error: ModuleNotFoundError: import of mglab.montecarlo halted; "
+        "None in sys.modules\n"))
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE on this platform")
+def test_entry_point_restores_sigpipe_and_exits_with_the_code_of_main(capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(signal, "signal", lambda *args: calls.append(args))
+    monkeypatch.setattr(sys, "argv", ["mgl", "walk-spec", "--n", "1"])
+    with pytest.raises(SystemExit) as exit_:
+        cli.entry_point()
+    assert exit_.value.code == 0 and calls == [(signal.SIGPIPE, signal.SIG_DFL)]
+    assert json.loads(capsys.readouterr().out)["process"] == [[0, 0], [1, -1]]
 
 
 @pytest.mark.parametrize("module", ["mglab", "mglab.cli"])

@@ -1,38 +1,64 @@
-"""Each public constructor refuses bad input with one exact message.
+"""Each public constructor and check refuses bad input with one exact message.
 
 Code that derives objects from checked ones may skip these checks; the
 public constructors, and the JSON readers built on them, keep every one.
 Each exact report likewise refuses a measure on another sample space, of the
-same size or larger, before it sums anything.  The coin-walk parameters and
-the upcrossing interval have one check each, shared by every entry point that
-takes them; their texts, and which refusal wins, are pinned here per entry point.
+same size or larger, before it sums anything.  Arguments that must share a
+sample space or a filtration go through one guard (``measure._agree``); the
+coin-walk parameters and the upcrossing interval have one check each.  Each of
+these is shared by every entry point that takes such arguments; their texts,
+and which refusal wins, are pinned here per entry point.  A ``(False, reason)``
+verdict is pinned the same way, its reason raised by :func:`_refused`.
 """
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+import mglab.cli as cli
 from mglab import (
     AdaptedProcess,
+    DoublingModel,
+    EventSet,
     Filtration,
     Functional,
+    MartingaleClassification,
+    PathEnsemble,
     PredictableSequence,
+    ProbabilityMeasure,
     RandomVariable,
     SampleSpace,
     SigmaAlgebra,
     SizeLimitError,
+    SpecError,
     StoppingTime,
     WalkModel,
+    check_sigma_axioms,
     classify,
+    conditional_expectation,
+    contains,
     count_upcrossings,
     discrete_sigma_algebra,
+    expectation,
+    format_number,
+    is_measurable,
+    is_probability,
+    is_stopping_time,
     l2_pythagoras_check,
     make_coin_walk,
     optional_stopping_report,
+    parse_process_spec,
+    simulate_doubling_strategy,
     simulate_walk,
+    staircase_approximation,
+    stopped_process,
     stopping_tail_bound_check,
+    tower_check,
+    transform,
     trivial_sigma_algebra,
     uniform_measure,
     upcrossing_inequality_check,
+    verify_kolmogorov,
     verify_transform_preservation,
 )
 
@@ -49,6 +75,11 @@ def _rv(values, space=S3):
 X3 = AdaptedProcess(F3, [_rv([0, 0, 0]), _rv([1, 1, 2])])
 C3 = PredictableSequence(F3, [_rv([1, 1, 1])])
 TAU3 = StoppingTime(F3, [1, 1, 1])
+# A second filtration on S3: stakes and a stopping time that X3 does not share.
+G3 = Filtration(S3, [trivial_sigma_algebra(S3), SigmaAlgebra(S3, [0, 1, 1])])
+C_G3 = PredictableSequence(G3, [_rv([1, 1, 1])])
+TAU_G3 = StoppingTime(G3, [1, 1, 1])
+V_OTHER = RandomVariable(OTHER3, [1, 2, 3])
 FOREIGN = {
     "same size": uniform_measure(OTHER3),
     "larger": uniform_measure(SampleSpace(["p", "q", "r", "s"])),
@@ -61,6 +92,60 @@ REPORTS = {
     "pythagoras": lambda P: l2_pythagoras_check(X3, P),
 }
 U3 = uniform_measure(S3)
+SPACES = "all arguments must share one sample space"
+SHARED_FILTRATION = "stopping time and process must share one filtration"
+# Each entry point that takes arguments which must share a space or a filtration,
+# given one argument from elsewhere.
+FOREIGN_ARGUMENTS = {
+    "RandomVariable.__add__": (
+        lambda: _rv([1, 2, 3]) + V_OTHER, "random variables live on different sample spaces"),
+    "RandomVariable.__sub__": (
+        lambda: _rv([1, 2, 3]) - V_OTHER, "random variables live on different sample spaces"),
+    "is_measurable": (
+        lambda: is_measurable(V_OTHER, F3.stages[1]),
+        "variable and sigma-algebra live on different spaces"),
+    "expectation": (
+        lambda: expectation(V_OTHER, U3), "variable and measure live on different spaces"),
+    "conditional_expectation": (
+        lambda: conditional_expectation(V_OTHER, F3.stages[1], U3),
+        "variable, sigma-algebra, and measure must share one space"),
+    "verify_kolmogorov on a foreign candidate": (
+        lambda: verify_kolmogorov(_rv([1, 2, 3]), F3.stages[1], U3, V_OTHER), SPACES),
+    "tower_check on a foreign measure": (
+        lambda: tower_check(_rv([1, 2, 3]), F3.stages[0], F3.stages[1], FOREIGN["same size"]),
+        SPACES),
+    "transform": (lambda: transform(C_G3, X3), "stakes and process must share one filtration"),
+    "verify_transform_preservation on foreign stakes": (
+        lambda: verify_transform_preservation(C_G3, X3, U3, 1),
+        "stakes and process must share one filtration"),
+    "stopped_process": (lambda: stopped_process(X3, TAU_G3), SHARED_FILTRATION),
+    "optional_stopping_report on a foreign stopping time": (
+        lambda: optional_stopping_report(X3, TAU_G3, U3), SHARED_FILTRATION),
+    "stopping_tail_bound_check on a foreign stopping time": (
+        lambda: stopping_tail_bound_check(TAU_G3, F3, U3, 1, Fraction(1, 2)),
+        "stopping time was built on a different filtration"),
+}
+
+
+def _refused(verdict):
+    """A ``(False, reason)`` verdict raised as ``ValueError(reason)``, so that it is
+    pinned as a row like any refusal."""
+    ok, reason = verdict
+    assert ok is False
+    raise ValueError(reason)
+
+
+def _walk_spec(*flags):
+    """``mgl walk-spec --n 1`` with ``flags``, run in process up to its first refusal."""
+    args = cli.build_parser().parse_args(["walk-spec", "--n", "1", *flags])
+    return args.func(args)
+
+
+def _spec_interval(a, b):
+    return parse_process_spec({"space": {"outcomes": ["x"]}, "interval": [a, b]})
+
+
+PATHS = np.zeros((1, 2), dtype=np.int8)
 HORIZON = "the horizon must be a positive integer"
 CAP_25 = (
     "a horizon of 25 means 2**25 = 33554432 outcomes, over the exact-enumeration cap of 20; "
@@ -164,6 +249,79 @@ CASES = {
             ("float interval", (0.5, -0.0), "need a < b, got a = 0.5, b = 0.0"),
         ]
     },
+    # The spec reader and walk-spec run the same check and name their field.
+    **{
+        f"{name} {case}": (lambda build=build, args=args: build(*args), SpecError,
+                           f"{field}: {message}")
+        for name, build, field in [("spec", _spec_interval, "interval"),
+                                   ("walk-spec", lambda a, b: _walk_spec("--interval", a, b),
+                                    "--interval")]
+        for case, args, message in [
+            ("tied interval", ("1", "1"), "need a < b, got a = 1, b = 1"),
+            ("reversed interval", ("1/2", "1/3"), "need a < b, got a = 1/2, b = 1/3"),
+        ]
+    },
+    **{name: (build, ValueError, message) for name, (build, message) in FOREIGN_ARGUMENTS.items()},
+    "space empty": (lambda: SampleSpace([]), ValueError, "a sample space needs at least one outcome"),
+    "space label type": (
+        lambda: SampleSpace(["a", 1]), TypeError, "outcome labels must be strings"),
+    "event complement outside the space": (
+        lambda: EventSet((0, 3)).complement(S3), ValueError,
+        "event refers to outcomes outside the space"),
+    "event outside the space": (
+        lambda: contains(F3.stages[1], EventSet((0, 5))), ValueError,
+        "outcome index 5 out of range for a space of size 3"),
+    "atom_containing outside the space": (
+        lambda: F3.stages[1].atom_containing(3), ValueError, "outcome index 3 out of range"),
+    "sigma axioms without the empty set": (
+        lambda: _refused(check_sigma_axioms(S2, [EventSet((0, 1))])), ValueError,
+        "the empty set is missing"),
+    "sigma axioms without the whole space": (
+        lambda: _refused(check_sigma_axioms(S2, [EventSet(())])), ValueError,
+        "the whole space is missing"),
+    "measure length": (
+        lambda: ProbabilityMeasure(S3, ["1/2", "1/2"]), ValueError,
+        "got 2 weights for a space of 3 outcomes"),
+    "is_probability length": (
+        lambda: is_probability(S3, ["1/2", "1/2"]), ValueError,
+        "got 2 weights for a space of 3 outcomes"),
+    "is_probability negative weight": (
+        lambda: _refused(is_probability(S3, ["2/3", "-1/3", "2/3"])), ValueError,
+        "weight of outcome 1 (y) is negative: -1/3"),
+    "ensemble without paths": (
+        lambda: PathEnsemble("walk", 0, 1, 0, PATHS[:0]), ValueError,
+        "an ensemble needs at least one path"),
+    "ensemble shape": (
+        lambda: PathEnsemble("walk", 1, 2, 0, PATHS), ValueError,
+        "paths array has shape (1, 2), expected (1, 3)"),
+    **{
+        f"{name} levels": (build, ValueError, "n_levels must be a positive integer")
+        for name, build in [
+            ("simulate_doubling_strategy", lambda: simulate_doubling_strategy(0, 0, "1/2", 10, 0)),
+            ("DoublingModel", lambda: DoublingModel(True, "1/2")),
+        ]
+    },
+    "simulate_doubling_strategy paths": (
+        lambda: simulate_doubling_strategy(0, 2, "1/2", 0, 0), ValueError,
+        "n_paths must be at least 1"),
+    "stakes count": (
+        lambda: PredictableSequence(F3, [_rv([1, 1, 1])] * 2), ValueError,
+        "got 2 stakes for a filtration of horizon 1"),
+    "stakes foreign space": (
+        lambda: PredictableSequence(F3, [RandomVariable(OTHER3, [1, 1, 1])]), ValueError,
+        "C_1 lives on a different sample space"),
+    "classification label": (
+        lambda: MartingaleClassification("fair", None), ValueError,
+        "unknown classification label 'fair'"),
+    **{
+        f"{name} length": (build, ValueError, "got 2 stopping values for a space of 3 outcomes")
+        for name, build in [("StoppingTime", lambda: StoppingTime(F3, [1, 1])),
+                            ("is_stopping_time", lambda: is_stopping_time([1, 1], F3))]
+    },
+    "staircase level": (
+        lambda: staircase_approximation(_rv([1, 2, 3]), 0), ValueError,
+        "approximation level must be at least 1"),
+    "format_number type": (lambda: format_number("1/2"), TypeError, "not a number: '1/2'"),
 }
 
 

@@ -28,6 +28,10 @@ from hypothesis import strategies as st
 import mglab
 from mglab import (
     MARTINGALE,
+    SUBMARTINGALE,
+    SUBMARTINGALE_FAMILY,
+    SUPERMARTINGALE,
+    SUPERMARTINGALE_FAMILY,
     AdaptedProcess,
     Filtration,
     PredictableSequence,
@@ -219,6 +223,29 @@ def test_conditioning_reads_measurable_inputs_on_atoms_like_the_outcome_loops():
         seen["float V"] += any(isinstance(v, float) for v in V.values)
         seen["measurable Y" if is_measurable(Y, G) else "other Y"] += 1
     assert min(seen.values()) > 30, seen
+
+
+def test_transform_keeps_each_one_sided_family_under_nonnegative_stakes():
+    """On _model's exact processes (a supermartingale-family X) and their negations (a
+    submartingale-family -X), stakes in [0, 3] give a claim that holds, every time: the
+    claimed label is the family's, and the output stays in the family."""
+    rng = random.Random(26)
+    seen = dict.fromkeys((MARTINGALE, SUPERMARTINGALE, SUBMARTINGALE), 0)
+    while min(seen.values()) < 40:
+        C, X, P, bound = {check: rest for check, *rest in _model(rng)}[
+            verify_transform_preservation]
+        if X.scaled is None:
+            continue
+        C = PredictableSequence(C.filtration, [rv.map(abs) for rv in C.values])
+        negated = AdaptedProcess(X.filtration, [rv.scale(-1) for rv in X.values])
+        for Y, family, claim in ((X, SUPERMARTINGALE_FAMILY, SUPERMARTINGALE),
+                                 (negated, SUBMARTINGALE_FAMILY, SUBMARTINGALE)):
+            report = verify_transform_preservation(C, Y, P, bound)
+            claimed = MARTINGALE if report.input_label == MARTINGALE else claim
+            assert report.input_label in family and report.claimed_label == claimed
+            assert report.hypothesis_ok and report.step_identity_ok, report
+            assert report.holds is True and report.output_label in family, report
+            seen[claimed] += 1
 
 
 def test_non_martingale_witness_is_the_first_nonzero_outcome_level_product():

@@ -55,6 +55,14 @@ def test_parse_space_descriptor_weights_optional():
     assert P is None and gens == []
 
 
+def test_descriptor_generators_null_or_refused():
+    """Null generators mean none; anything else but an array is refused by name."""
+    assert parse_space_descriptor({"outcomes": ["a"], "generators": None})[2] == []
+    with pytest.raises(SpecError) as err:
+        parse_space_descriptor({"outcomes": ["a"], "generators": 0})
+    assert str(err.value) == "generators: expected an array of events"
+
+
 def test_parse_process_spec_full():
     doc = spec_doc()
     doc["stopping_time"] = [1, 1, None, None]
@@ -278,8 +286,9 @@ FIELD_REFUSALS = {
     "interval ends both bad": (_edit("interval", [None, "x"]),
                                "interval[0]: expected a number or numeric string, got NoneType"),
     "interval tied": (_edit("interval", ["1", 1]), "interval: need a < b, got a = 1, b = 1"),
+    # The check is processes._interval, shared with the library, which reads -0.0 as 0.0.
     "interval reversed": (_edit("interval", [0.5, -0.0]),
-                          "interval: need a < b, got a = 0.5, b = -0.0"),
+                          "interval: need a < b, got a = 0.5, b = 0.0"),
     "window zero": (_edit("window", 0), "window: expected a positive integer"),
     "window bool": (_edit("window", True), "window: expected a positive integer"),
     "window string": (_edit("window", "2"), "window: expected a positive integer"),
@@ -359,6 +368,19 @@ def _entry_rows():
 
 FIELD_REFUSALS.update(_entry_rows())
 FIELD_REFUSALS.update({
+    "document not an object": (lambda doc: [doc], "(document): expected a JSON object"),
+    "space missing": (
+        lambda doc: {k: v for k, v in doc.items() if k != "space"}, "space: missing"),
+    "space not an object": (_edit("space", ["HH"]), "space: expected a JSON object"),
+    "outcomes empty": (
+        _edit("space", {"outcomes": []}), "space.outcomes: expected a non-empty array of labels"),
+    "outcome label": (
+        _edit("space", {"outcomes": ["HH", 1, "TH", "TT"]}),
+        "space.outcomes[1]: labels must be strings"),
+    "weights not an array": (_weights("1/4"), "space.weights: expected an array of rationals"),
+    "weights count": (_weights(["1/2", "1/2"]), "space.weights: got 2 weights for 4 outcomes"),
+    "filtration empty": (_edit("filtration", []),
+                         "filtration: expected a non-empty array of partitions"),
     "weight entry beside a bad sum": (
         _weights(["1/2", "1/2", "1/2", "x"]), "space.weights[3]: cannot parse 'x' as a number"),
     "weight entry beside negative float weights": (

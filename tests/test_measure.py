@@ -51,6 +51,7 @@ def test_event_algebra():
     assert a.complement(ABCD).members == (2, 3)
     assert EMPTY_EVENT.is_subset_of(a)
     assert a.is_subset_of(u) and not u.is_subset_of(a)
+    assert 1 in b and 0 not in b and 1 not in EMPTY_EVENT
 
 
 def test_space_rejects_duplicate_labels():

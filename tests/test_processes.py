@@ -306,21 +306,38 @@ def test_transform_supermartingale_needs_nonnegative_stakes():
     assert rep.output_label in (SUPERMARTINGALE, STRICT_SUPERMARTINGALE, MARTINGALE)
 
 
-@pytest.mark.parametrize("stage_values, label", [
-    (([0, 0, 0, 0], [0, 0, 2, 2], [0, 2, 2, 4]), STRICT_SUBMARTINGALE),
-    (([0, 0, 0, 0], [1, 1, -1, -1], [5, 0, 0, -4]), UNCLASSIFIED),
-], ids=["submartingale", "unclassified"])
-def test_transform_claims_nothing_for_submartingales_and_unclassified_inputs(stage_values, label):
-    """Only martingale and supermartingale inputs carry a preservation claim; any other
-    label is a failed premise with no claimed label and no verdict on the output."""
+SUB = ([0, 0, 0, 0], [0, 0, 2, 2], [0, 2, 2, 4])
+
+
+def test_transform_claims_submartingale_for_nonnegative_stakes():
+    """A submartingale transformed by stakes in [0, bound] stays one; a negative stake
+    is the failed premise of the submartingale case, worded as the supermartingale one."""
+    X = _proc(*SUB)
     C = PredictableSequence(TWO_STAGE, [RandomVariable(ABCD, [1, 1, 1, 1])] * 2)
-    rep = verify_transform_preservation(C, _proc(*stage_values), UNIFORM, bound=1)
-    assert rep.input_label == label
+    rep = verify_transform_preservation(C, X, UNIFORM, bound=1)
+    assert rep.input_label == STRICT_SUBMARTINGALE
+    assert rep.claimed_label == SUBMARTINGALE and rep.output_label == STRICT_SUBMARTINGALE
+    assert rep.hypothesis_ok and rep.step_identity_ok and rep.holds is True and bool(rep)
+    C = PredictableSequence(
+        TWO_STAGE, [RandomVariable(ABCD, [1, 1, 1, 1]), RandomVariable(ABCD, [0, 0, -1, -1])])
+    rep = verify_transform_preservation(C, X, UNIFORM, bound=1)
+    assert rep.claimed_label == SUBMARTINGALE and rep.holds is None and not bool(rep)
+    assert rep.hypothesis_failure == (
+        "C_2 = -1 at outcome 2 is outside [0, 1], which the submartingale case requires")
+
+
+def test_transform_claims_nothing_for_unclassified_inputs():
+    """An unclassified input carries no preservation claim: a failed premise with no
+    claimed label and no verdict on the output."""
+    C = PredictableSequence(TWO_STAGE, [RandomVariable(ABCD, [1, 1, 1, 1])] * 2)
+    rep = verify_transform_preservation(
+        C, _proc([0, 0, 0, 0], [1, 1, -1, -1], [5, 0, 0, -4]), UNIFORM, bound=1)
+    assert rep.input_label == UNCLASSIFIED
     assert rep.claimed_label is None
     assert rep.hypothesis_ok is False and rep.holds is None and not bool(rep)
     assert rep.hypothesis_failure == (
-        f"input classifies as {label}; preservation is only claimed for martingales and "
-        "supermartingales"
+        "input classifies as none; preservation is only claimed for martingales, "
+        "supermartingales, and submartingales"
     )
 
 

@@ -1,9 +1,12 @@
 """The package's public names, each check in a fresh interpreter so that no
-earlier import in the test process decides what ``import mglab`` binds."""
+earlier import in the test process decides what ``import mglab`` binds; what
+``dir(mglab)`` lists does not depend on that, so it is also checked in process."""
 import subprocess
 import sys
 
 import pytest
+
+import mglab
 
 MONTECARLO_NAMES = (
     "MAX_DOUBLING_LEVELS", "CrossValidationReport", "DoublingModel", "DoublingProfitReport",
@@ -59,6 +62,12 @@ def test_dir_lists_every_public_name_and_loads_nothing():
         " [m for m in sys.modules if m.startswith('mglab.')])\n"
     )
     assert out == "[] []\n"
+
+
+def test_dir_in_process_lists_every_public_name_and_submodule():
+    names = dir(mglab)
+    assert names == sorted(names)
+    assert set(mglab.__all__) | set(SUBMODULES) <= set(names)
 
 
 @pytest.mark.parametrize("submodule", SUBMODULES)
