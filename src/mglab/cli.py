@@ -12,8 +12,9 @@ Exit codes are part of the contract:
     2  input error: malformed JSON, schema violation, bad flags; or an
        installation error: numpy, which only ``mgl simulate`` needs, cannot
        be imported
-    3  hypotheses held but the conclusion failed, or an unexpected internal
-       error occurred; either means a defect in this tool, never a
+    3  hypotheses held but the conclusion failed (``mgl verify`` still
+       prints its report, then one line on stderr), or an unexpected
+       internal error occurred; either means a defect in this tool, never a
        counterexample to the mathematics, and the message says so
   141  (shell status) stdout closed early: SIGPIPE ends ``mgl`` silently, as it ends ``cat``
 
@@ -32,23 +33,15 @@ import sys
 from . import conditioning as cond
 from . import processes as proc
 from .integration import expectation
-from .jsonio import (
-    SpecError,
-    _built,
-    _epsilon,
-    _parse_value,
-    _window,
-    parse_process_spec,
-    parse_space_descriptor,
-    to_jsonable,
-)
+from .jsonio import (SpecError, _built, _parse_value, parse_process_spec, parse_space_descriptor,
+                     to_jsonable)
 from .measure import (
     DEFAULT_ENUMERATION_LIMIT,
     SizeLimitError,
     enumerate_sets,
     generate_sigma_algebra,
 )
-from .numeric import DEFAULT_TOLERANCE, format_number, numbers_equal
+from .numeric import DEFAULT_TOLERANCE, numbers_equal
 
 
 class InternalCheckError(RuntimeError):
@@ -148,9 +141,9 @@ def cmd_sigma(args) -> int:
 # verify
 #
 # One runner per selector maps (spec, measure, tolerance) to (detail, reason,
-# passed, defect).  ``reason`` is None exactly when the hypotheses held, and
-# only then is ``defect``, the text of a failed conclusion, built.  Runners
-# look up the checks on `proc` and `cond` at call time.
+# passed).  ``reason`` is None exactly when the hypotheses held; a conclusion
+# that then fails is exit 3 for every selector alike.  Runners look up the
+# checks on `proc` and `cond` at call time.
 
 
 def _require(spec, *fields: str) -> list:
@@ -171,7 +164,7 @@ def _witness_obj(witness):
 def _classify(spec, P, tol):
     (X,) = _require(spec, "process")
     verdict = proc.classify(X, P, tol)
-    return {"label": verdict.label, "witness": _witness_obj(verdict.witness)}, None, True, ""
+    return {"label": verdict.label, "witness": _witness_obj(verdict.witness)}, None, True
 
 
 def _transform(spec, P, tol):
@@ -180,14 +173,7 @@ def _transform(spec, P, tol):
     if bound is None:
         bound = max((abs(v) for values in C.nodes for v in values), default=0)
     rep = proc.verify_transform_preservation(C, X, P, bound, tol)
-    if not rep.hypothesis_ok:
-        return rep, rep.hypothesis_failure, False, ""
-    defect = (
-        "transform preservation failed with hypotheses satisfied: "
-        f"input {rep.input_label}, output {rep.output_label}, step identity "
-        f"{'held' if rep.step_identity_ok else 'failed'}"
-    )
-    return rep, None, bool(rep), defect
+    return rep, rep.hypothesis_failure, bool(rep)
 
 
 def _stopped(spec, P, tol):
@@ -208,11 +194,11 @@ def _stopped(spec, P, tol):
             "input classifies as none; stopping preserves martingale, supermartingale, "
             "and submartingale structure only"
         )
-        return detail, reason, False, ""
+        return detail, reason, False
     family, sign = proc._CLAIMS[in_label]
     # A stopped martingale also keeps its mean at E[X_0] at every stage.
     passed = out_label in family and (sign != 0 or all(numbers_equal(m, start, tol) for m in means))
-    return detail, None, passed, f"stopped process of a {in_label} classified as {out_label}"
+    return detail, None, passed
 
 
 def _optional_stopping(spec, P, tol):
@@ -220,30 +206,20 @@ def _optional_stopping(spec, P, tol):
     rep = proc.optional_stopping_report(X, tau, P, tol)
     if rep.holds is None:
         reason = "; ".join(n for n in rep.notes if "not asserted" in n or "no claim" in n)
-        return rep, reason, False, ""
-    defect = (
-        "optional stopping failed with hypotheses satisfied "
-        f"(E[X_tau] = {format_number(rep.value_at_stop)}, E[X_0] = "
-        f"{format_number(rep.value_at_start)})"
-    )
-    return rep, None, bool(rep), defect
+        return rep, reason, False
+    return rep, None, bool(rep)
 
 
 def _upcrossing(spec, P, tol):
     X, (a, b) = _require(spec, "process", "interval")
     rep = proc.upcrossing_inequality_check(X, P, a, b, tol)
-    if not rep.hypothesis_ok:
-        return rep, rep.notes[0], False, ""
-    return rep, None, bool(rep), "upcrossing inequality failed on a supermartingale"
+    return rep, None if rep.hypothesis_ok else rep.notes[0], bool(rep)
 
 
 def _pythagoras(spec, P, tol):
     (M,) = _require(spec, "process")
     rep = proc.l2_pythagoras_check(M, P, tol)
-    if not rep.hypothesis_ok:
-        return rep, rep.notes[0], False, ""
-    defect = f"the L2 identity failed on a martingale (gap {format_number(rep.gap)})"
-    return rep, None, bool(rep), defect
+    return rep, None if rep.hypothesis_ok else rep.notes[0], bool(rep)
 
 
 def _tower(spec, P, tol):
@@ -255,7 +231,7 @@ def _tower(spec, P, tol):
         "null_atoms": [list(a.members) for a in base.null_atoms],
         "both_nestings_hold": passed,
     }
-    return detail, None, passed, "a tower identity failed on nested sigma-algebras"
+    return detail, None, passed
 
 
 def _kolmogorov(spec, P, tol):
@@ -273,9 +249,8 @@ def _kolmogorov(spec, P, tol):
     }
     if given and not passed:
         reason = "the supplied candidate is not a version of the conditional expectation"
-        return detail, reason, False, ""
-    defect = "the computed conditional expectation failed its defining identity"
-    return detail, None, passed, defect
+        return detail, reason, False
+    return detail, None, passed
 
 
 def _tail_bound(spec, P, tol):
@@ -284,8 +259,8 @@ def _tail_bound(spec, P, tol):
     if not rep.hypothesis_ok:
         witness = _witness_obj(rep.hypothesis_witness)
         reason = f"conditional firing probability fails the epsilon floor at {witness}"
-        return rep, reason, False, ""
-    return rep, None, bool(rep), "the geometric tail chain failed with its hypothesis satisfied"
+        return rep, reason, False
+    return rep, None, bool(rep)
 
 
 THEOREMS = {
@@ -306,13 +281,8 @@ def cmd_verify(args) -> int:
     spec = parse_process_spec(_load_json(args.spec))
     if spec.measure is None:
         raise SpecError("space.weights", "verification needs a probability measure")
-    detail, reason, passed, defect = THEOREMS[args.theorem](spec, spec.measure, args.tolerance)
-    if reason is None and not passed:
-        raise InternalCheckError(
-            f"{defect}; this indicates a defect in this tool, not a counterexample "
-            "to the theorem"
-        )
-    exit_code = 0 if passed else 1
+    detail, reason, passed = THEOREMS[args.theorem](spec, spec.measure, args.tolerance)
+    exit_code = 0 if passed else 1 if reason is not None else 3
     report = {
         "command": "verify",
         "theorem": args.theorem,
@@ -323,6 +293,11 @@ def cmd_verify(args) -> int:
         "detail": detail,
     }
     _emit(report, args.format, args.out)
+    if exit_code == 3:
+        raise InternalCheckError(
+            f"verify {args.theorem}: the conclusion failed with its hypotheses satisfied; "
+            "this indicates a defect in this tool, not a counterexample to the theorem"
+        )
     return exit_code
 
 
@@ -418,9 +393,10 @@ def cmd_walk_spec(args) -> int:
         spec["interval"] = _built("--interval", proc._interval,
                                   *(_parse_value(v, "--interval") for v in args.interval))
     if args.window is not None:
-        spec["window"] = _window(args.window, "--window")
+        spec["window"] = _built("--window", proc._window, args.window)
     if args.epsilon is not None:
-        spec["epsilon"] = _epsilon(_parse_value(args.epsilon, "--epsilon"), "--epsilon")
+        spec["epsilon"] = _built("--epsilon", proc._epsilon,
+                                 _parse_value(args.epsilon, "--epsilon"))
 
     text = json.dumps(to_jsonable(spec), indent=2)
     if args.out:

@@ -41,7 +41,8 @@ from typing import Any
 from .integration import RandomVariable
 from .measure import EventSet, ProbabilityMeasure, SampleSpace, SigmaAlgebra, _trusted
 from .numeric import Number, format_number, parse_number
-from .processes import AdaptedProcess, Filtration, PredictableSequence, StoppingTime, _interval
+from .processes import (AdaptedProcess, Filtration, PredictableSequence, StoppingTime, _epsilon,
+                        _interval, _window)
 
 
 class SpecError(ValueError):
@@ -138,21 +139,6 @@ def _parse_values(raw, field: str, space: SampleSpace) -> RandomVariable:
         for j, v in enumerate(raw):
             _parse_value(v, f"{field}[{j}]")
         raise
-
-
-def _window(raw, field: str) -> int:
-    """A positive-int tail-bound window; ``walk-spec`` shares the check, so its specs read back."""
-    if not isinstance(raw, int) or isinstance(raw, bool) or raw < 1:
-        raise SpecError(field, "expected a positive integer")
-    return raw
-
-
-def _epsilon(value: Number, field: str) -> Fraction:
-    """A tail-bound epsilon, exact and strictly between 0 and 1 (shared as :func:`_window`)."""
-    epsilon = Fraction(value)
-    if not 0 < epsilon < 1:
-        raise SpecError(field, f"must lie strictly between 0 and 1, got {epsilon}")
-    return epsilon
 
 
 def parse_space(obj, field: str = "") -> tuple[SampleSpace, ProbabilityMeasure | None]:
@@ -303,8 +289,8 @@ _READERS = {
     "variable": lambda raw, field, spec: _parse_values(raw, field, spec["space"]),
     "candidate": lambda raw, field, spec: _parse_values(raw, field, spec["space"]),
     "interval": _read_interval,
-    "window": lambda raw, field, spec: _window(raw, field),
-    "epsilon": lambda raw, field, spec: _epsilon(_parse_value(raw, field), field),
+    "window": lambda raw, field, spec: _built(field, _window, raw),
+    "epsilon": lambda raw, field, spec: _built(field, _epsilon, _parse_value(raw, field)),
     "bound": lambda raw, field, spec: _parse_value(raw, field),
 }
 _SPEC_KEYS = frozenset(("space", *_READERS))

@@ -64,13 +64,6 @@ def _hash53_in_place(z: np.ndarray, scratch: np.ndarray) -> None:
     z >>= np.uint64(11)
 
 
-def _uniforms(seed: int, counters: np.ndarray) -> np.ndarray:
-    """IEEE doubles in [0, 1), one per counter, a pure function of (seed, counter)."""
-    z = np.uint64(seed & _MASK64) + counters * _GOLD
-    _hash53_in_place(z, np.empty_like(z))
-    return z * 2.0 ** -53
-
-
 def _coin_blocks(seed: int, n_paths: int, horizon: int, p: float):
     """Yield (r0, up) per block of rows: up[i, j] is u < p for path r0 + i at
     step j, in a buffer that the next block overwrites."""
@@ -426,7 +419,7 @@ def exact_doubling_process(
     the wealth is their martingale transform.  Wealth paths here match
     `simulate_doubling_strategy` paths exactly, outcome for outcome.
     """
-    space, P, F, price = make_coin_walk(n_levels, p_up)
+    space, P, F, price = make_coin_walk(n_levels, _doubling_probability(n_levels, p_up))
     # C_{j+1} is 2**j on stage j's last atom, where the first j flips were all tails,
     # and 0 on the others: one stage-j row each, predictable by construction.
     C = F._expand(PredictableSequence, [(0,) * (2 ** j - 1) + (2 ** j,) for j in range(n_levels)])

@@ -876,6 +876,21 @@ class TailBoundReport:
         return bool(self.hypothesis_ok and self.chain_ok and self.expectation_ok)
 
 
+def _window(window) -> int:
+    """A tail-bound window, refusing anything but a positive int."""
+    if not isinstance(window, int) or isinstance(window, bool) or window < 1:
+        raise ValueError("expected a positive integer")
+    return window
+
+
+def _epsilon(epsilon) -> Fraction:
+    """A tail-bound epsilon, exact, refusing one outside (0, 1)."""
+    eps = Fraction(as_exact(epsilon))
+    if not 0 < eps < 1:
+        raise ValueError(f"must lie strictly between 0 and 1, got {eps}")
+    return eps
+
+
 def stopping_tail_bound_check(
     tau: StoppingTime,
     F: Filtration,
@@ -894,11 +909,8 @@ def stopping_tail_bound_check(
     """
     _agree("stopping time was built on a different filtration", F, tau.filtration)
     _agree("filtration and measure live on different sample spaces", F.space, P.space)
-    if not isinstance(N_window, int) or isinstance(N_window, bool) or N_window < 1:
-        raise ValueError("the window must be a positive integer")
-    eps = Fraction(as_exact(epsilon))
-    if not 0 < eps < 1:
-        raise ValueError(f"epsilon must lie strictly between 0 and 1, got {eps}")
+    _window(N_window)
+    eps = _epsilon(epsilon)
 
     N, D = F.horizon, P.denominator
     masses = _stage_masses(F, P)

@@ -327,47 +327,33 @@ def test_unexpected_exception_maps_to_exit_three(capsys, space_doc, monkeypatch,
 
 
 # selector -> (module, check, report fields forced to fail, or None for a check
-# that returns a bare bool, and the defect text the CLI must print).
+# that returns a bare bool).  `stopped` classifies its input first, which is
+# left as it is, and then the stopped process, which is forced to `none`.
 FAILED_CONCLUSIONS = {
-    "transform": (
-        "proc", "verify_transform_preservation", {"holds": False},
-        "transform preservation failed with hypotheses satisfied: input martingale, "
-        "output martingale, step identity held",
-    ),
-    "optional-stopping": (
-        "proc", "optional_stopping_report", {"holds": False},
-        "optional stopping failed with hypotheses satisfied (E[X_tau] = 0, E[X_0] = 0)",
-    ),
-    "upcrossing": (
-        "proc", "upcrossing_inequality_check", {"holds": False},
-        "upcrossing inequality failed on a supermartingale",
-    ),
-    "pythagoras": (
-        "proc", "l2_pythagoras_check", {"holds": False, "gap": Fraction(1, 7)},
-        "the L2 identity failed on a martingale (gap 1/7)",
-    ),
-    "tail-bound": (
-        "proc", "stopping_tail_bound_check", {"chain_ok": False},
-        "the geometric tail chain failed with its hypothesis satisfied",
-    ),
-    "tower": ("cond", "tower_check", None, "a tower identity failed on nested sigma-algebras"),
-    "kolmogorov": (
-        "cond", "verify_kolmogorov", None,
-        "the computed conditional expectation failed its defining identity",
-    ),
+    "transform": ("proc", "verify_transform_preservation", {"holds": False}),
+    "stopped": ("proc", "classify", {"label": "none"}),
+    "optional-stopping": ("proc", "optional_stopping_report", {"holds": False}),
+    "upcrossing": ("proc", "upcrossing_inequality_check", {"holds": False}),
+    "pythagoras": ("proc", "l2_pythagoras_check", {"holds": False, "gap": Fraction(1, 7)}),
+    "tail-bound": ("proc", "stopping_tail_bound_check", {"chain_ok": False}),
+    "tower": ("cond", "tower_check", None),
+    "kolmogorov": ("cond", "verify_kolmogorov", None),
 }
 
 
-@pytest.mark.parametrize("theorem", list(FAILED_CONCLUSIONS))
-def test_failed_conclusion_with_hypothesis_held_exits_three(
-    capsys, walk_doc, monkeypatch, theorem
-):
-    module_name, check, forced, defect = FAILED_CONCLUSIONS[theorem]
+def _fail_conclusion(monkeypatch, theorem):
+    """Make ``theorem``'s check fail its conclusion while its hypotheses still hold."""
+    module_name, check, forced = FAILED_CONCLUSIONS[theorem]
     module = getattr(cli, module_name)
     real = getattr(module, check)
+    left_alone = 1 if theorem == "stopped" else 0
 
     def broken(*args, **kwargs):
+        nonlocal left_alone
         result = real(*args, **kwargs)
+        if left_alone:
+            left_alone -= 1
+            return result
         if forced is None:
             assert result is True
             return False
@@ -375,12 +361,41 @@ def test_failed_conclusion_with_hypothesis_held_exits_three(
         return dataclasses.replace(result, **forced)
 
     monkeypatch.setattr(module, check, broken)
-    code, out, err = run_cli(capsys, "verify", walk_doc, theorem)
-    assert code == 3 and out == ""
-    assert err == (
-        f"internal invariant violation: {defect}; this indicates a defect in this tool, "
-        "not a counterexample to the theorem\n"
+
+
+def _conclusion_failed(theorem):
+    return (
+        f"internal invariant violation: verify {theorem}: the conclusion failed with its "
+        "hypotheses satisfied; this indicates a defect in this tool, not a counterexample "
+        "to the theorem\n"
     )
+
+
+@pytest.mark.parametrize("theorem", list(FAILED_CONCLUSIONS))
+def test_failed_conclusion_with_hypothesis_held_exits_three(
+    capsys, walk_doc, monkeypatch, theorem
+):
+    _fail_conclusion(monkeypatch, theorem)
+    code, out, err = run_cli(capsys, "verify", walk_doc, theorem)
+    assert code == 3
+    assert err == _conclusion_failed(theorem)
+    report = json.loads(out)
+    assert report["exit_code"] == 3 and report["theorem"] == theorem
+    assert report["hypothesis_ok"] is True and report["reason"] is None
+    assert report["pass"] is False
+
+
+def test_failed_conclusion_prints_the_human_report_too(capsys, walk_doc, monkeypatch):
+    _fail_conclusion(monkeypatch, "stopped")
+    code, out, err = run_cli(capsys, "verify", walk_doc, "stopped", "--format", "human")
+    assert code == 3
+    assert err == _conclusion_failed("stopped")
+    lines = out.splitlines()
+    assert lines[:6] == [
+        "command: verify", "theorem: stopped", "hypothesis_ok: True", "reason: None",
+        "pass: False", "exit_code: 3",
+    ]
+    assert "  stopped_label: none" in lines
 
 
 def test_simulate_walk_reports_estimate(capsys):

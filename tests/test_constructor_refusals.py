@@ -5,7 +5,8 @@ public constructors, and the JSON readers built on them, keep every one.
 Each exact report likewise refuses a measure on another sample space, of the
 same size or larger, before it sums anything.  Arguments that must share a
 sample space or a filtration go through one guard (``measure._agree``); the
-coin-walk parameters and the upcrossing interval have one check each.  Each of
+coin-walk parameters, the upcrossing interval and the tail-bound window and
+epsilon have one check each.  Each of
 these is shared by every entry point that takes such arguments; their texts,
 and which refusal wins, are pinned here per entry point.  A ``(False, reason)``
 verdict is pinned the same way, its reason raised by :func:`_refused`.
@@ -39,6 +40,7 @@ from mglab import (
     contains,
     count_upcrossings,
     discrete_sigma_algebra,
+    exact_doubling_process,
     expectation,
     format_number,
     is_measurable,
@@ -145,6 +147,14 @@ def _spec_interval(a, b):
     return parse_process_spec({"space": {"outcomes": ["x"]}, "interval": [a, b]})
 
 
+def _spec_field(field, raw):
+    return parse_process_spec({"space": {"outcomes": ["x"]}, field: raw})
+
+
+def _tail_bound(window, epsilon):
+    return stopping_tail_bound_check(TAU3, F3, U3, window, epsilon)
+
+
 PATHS = np.zeros((1, 2), dtype=np.int8)
 HORIZON = "the horizon must be a positive integer"
 CAP_25 = (
@@ -158,6 +168,13 @@ WALKS = {
     "WalkModel": WalkModel,
     "simulate_walk": lambda N, p: simulate_walk(N, p, 10, 0),
 }
+POSITIVE = "expected a positive integer"
+WINDOWS = [("zero window", 0, POSITIVE), ("negative window", -3, POSITIVE)]
+NON_INT_WINDOWS = [("bool window", True, POSITIVE), ("string window", "2", POSITIVE)]
+EPSILONS = [
+    (f"epsilon {raw}", raw, f"must lie strictly between 0 and 1, got {shown}")
+    for raw, shown in [("1", "1"), (0, "0"), (-0.5, "-1/2"), ("3/2", "3/2")]
+]
 INTERVALS = {
     "count_upcrossings": lambda a, b: count_upcrossings([0, 1], a, b),
     "upcrossing_inequality_check": lambda a, b: upcrossing_inequality_check(X3, U3, a, b),
@@ -261,6 +278,24 @@ CASES = {
             ("reversed interval", ("1/2", "1/3"), "need a < b, got a = 1/2, b = 1/3"),
         ]
     },
+    # The tail-bound window and epsilon: the library check, and the spec reader and
+    # walk-spec, which run it and name their field.
+    **{
+        f"{name} {case}": (lambda build=build, raw=raw: build(raw), error, f"{field}{message}")
+        for name, build, error, field, cases in [
+            ("stopping_tail_bound_check", lambda w: _tail_bound(w, "1/2"), ValueError, "",
+             WINDOWS + NON_INT_WINDOWS),
+            ("stopping_tail_bound_check", lambda e: _tail_bound(1, e), ValueError, "", EPSILONS),
+            ("spec", lambda w: _spec_field("window", w), SpecError, "window: ",
+             WINDOWS + NON_INT_WINDOWS),
+            ("spec", lambda e: _spec_field("epsilon", e), SpecError, "epsilon: ", EPSILONS),
+            ("walk-spec", lambda w: _walk_spec("--window", str(w)), SpecError, "--window: ",
+             WINDOWS),
+            ("walk-spec", lambda e: _walk_spec("--epsilon", str(e)), SpecError, "--epsilon: ",
+             EPSILONS),
+        ]
+        for case, raw, message in cases
+    },
     **{name: (build, ValueError, message) for name, (build, message) in FOREIGN_ARGUMENTS.items()},
     "space empty": (lambda: SampleSpace([]), ValueError, "a sample space needs at least one outcome"),
     "space label type": (
@@ -299,8 +334,19 @@ CASES = {
         for name, build in [
             ("simulate_doubling_strategy", lambda: simulate_doubling_strategy(0, 0, "1/2", 10, 0)),
             ("DoublingModel", lambda: DoublingModel(True, "1/2")),
+            ("exact_doubling_process", lambda: exact_doubling_process(0, "1/2")),
         ]
     },
+    # The exact doubling builder runs the doubling checks first, then the walk's cap.
+    "exact_doubling_process past 60 levels": (
+        lambda: exact_doubling_process(70, "1/2"), ValueError,
+        "n_levels past 60 overflows 64-bit wealth; this strategy is already ruinous well "
+        "before that"),
+    "exact_doubling_process up-move probability": (
+        lambda: exact_doubling_process(3, 2), ValueError,
+        "up-move probability must lie in [0, 1], got 2"),
+    "exact_doubling_process past the cap": (
+        lambda: exact_doubling_process(25, "1/2"), SizeLimitError, CAP_25),
     "simulate_doubling_strategy paths": (
         lambda: simulate_doubling_strategy(0, 2, "1/2", 0, 0), ValueError,
         "n_paths must be at least 1"),
