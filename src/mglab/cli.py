@@ -12,14 +12,16 @@ Exit codes are part of the contract:
     2  input error: malformed JSON, schema violation, bad flags; or an
        installation error: numpy, which only ``mgl simulate`` needs, cannot
        be imported
-    3  hypotheses held but the conclusion failed (``mgl verify`` still
-       prints its report, then one line on stderr), or an unexpected
+    3  hypotheses held but the conclusion failed (``mgl verify`` prints its
+       report, then its own line on stderr, and returns 3), or an unexpected
        internal error occurred; either means a defect in this tool, never a
        counterexample to the mathematics, and the message says so
   141  (shell status) stdout closed early: SIGPIPE ends ``mgl`` silently, as it ends ``cat``
 
 The enumeration limit can be set per call with ``--limit`` or globally with
-the ``MGL_ENUM_LIMIT`` environment variable.
+the ``MGL_ENUM_LIMIT`` environment variable.  ``--out`` is written before
+anything is printed, so a path that cannot be written is exit 2 with empty
+stdout, whatever the verdict would have been.
 """
 from __future__ import annotations
 
@@ -44,19 +46,14 @@ from .measure import (
 from .numeric import DEFAULT_TOLERANCE, numbers_equal
 
 
-class InternalCheckError(RuntimeError):
-    """Hypotheses held but a proven statement failed: a bug in this tool."""
-
-
 def _default_limit() -> int:
     raw = os.environ.get("MGL_ENUM_LIMIT")
     if raw is None:
         return DEFAULT_ENUMERATION_LIMIT
     try:
-        value = int(raw)
+        return int(raw)
     except ValueError:
         raise ValueError(f"MGL_ENUM_LIMIT must be an integer, got {raw!r}") from None
-    return value
 
 
 def _config(args) -> int:
@@ -96,10 +93,10 @@ def _emit(report: dict, output_format: str, out_path: str | None = None) -> None
         shown = "\n".join(_human_lines(payload))
     else:
         shown = text
-    print(shown)
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
+    print(shown)
 
 
 def _load_json(path: str):
@@ -115,7 +112,6 @@ def _load_json(path: str):
 
 
 def cmd_sigma(args) -> int:
-    limit = _config(args)
     space, _, generators = parse_space_descriptor(_load_json(args.spec))
     sigma = generate_sigma_algebra(space, generators)
     report: dict = {
@@ -127,7 +123,7 @@ def cmd_sigma(args) -> int:
         "set_count": 2 ** sigma.atom_count,
     }
     try:
-        sets = enumerate_sets(sigma, limit)
+        sets = enumerate_sets(sigma, args.limit)
         report["sets"] = [list(s.members) for s in sets]
         report["warning"] = None
     except SizeLimitError as exc:
@@ -277,7 +273,6 @@ THEOREMS = {
 
 
 def cmd_verify(args) -> int:
-    _config(args)
     spec = parse_process_spec(_load_json(args.spec))
     if spec.measure is None:
         raise SpecError("space.weights", "verification needs a probability measure")
@@ -294,10 +289,9 @@ def cmd_verify(args) -> int:
     }
     _emit(report, args.format, args.out)
     if exit_code == 3:
-        raise InternalCheckError(
-            f"verify {args.theorem}: the conclusion failed with its hypotheses satisfied; "
-            "this indicates a defect in this tool, not a counterexample to the theorem"
-        )
+        print(f"internal invariant violation: verify {args.theorem}: the conclusion failed "
+              "with its hypotheses satisfied; this indicates a defect in this tool, not a "
+              "counterexample to the theorem", file=sys.stderr)
     return exit_code
 
 
@@ -329,13 +323,11 @@ def cmd_simulate(args) -> int:
         print(f"installation error: mgl simulate needs numpy, which cannot be imported ({exc})",
               file=sys.stderr)
         return 2
-    _config(args)
-    seed = args.seed if args.seed is not None else 0
     if args.model == "walk":
         if args.n is None:
             raise SpecError("--n", "the walk model needs a horizon")
         p = _parse_value(args.p, "--p")
-        ensemble = simulate_walk(args.n, p, args.paths, seed)
+        ensemble = simulate_walk(args.n, p, args.paths, args.seed)
         est = estimate_functional(ensemble, Functional.terminal())
         report = {
             "command": "simulate",
@@ -343,7 +335,7 @@ def cmd_simulate(args) -> int:
             "n": args.n,
             "p": p,
             "n_paths": args.paths,
-            "seed": seed,
+            "seed": args.seed,
             "terminal_estimate": est,
         }
     else:
@@ -351,7 +343,7 @@ def cmd_simulate(args) -> int:
             raise SpecError("--levels", "the doubling model needs a level budget")
         p = _parse_value(args.p, "--p")
         entry = _parse_value(args.entry, "--entry")
-        ensemble, rep = simulate_doubling_strategy(entry, args.levels, p, args.paths, seed)
+        ensemble, rep = simulate_doubling_strategy(entry, args.levels, p, args.paths, args.seed)
         report = {
             "command": "simulate",
             "model": "doubling",
@@ -359,7 +351,7 @@ def cmd_simulate(args) -> int:
             "p": p,
             "entry_price": entry,
             "n_paths": args.paths,
-            "seed": seed,
+            "seed": args.seed,
             "profit_estimate": rep,
         }
 
@@ -375,7 +367,6 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_walk_spec(args) -> int:
-    _config(args)  # rejects bad shared flags, though walk-spec uses none of them
     p = _parse_value(args.p, "--p")
     space, measure, filtration, walk = proc.make_coin_walk(args.n, p)
     spec: dict = {
@@ -476,13 +467,8 @@ def main(argv=None) -> int:
         code = exc.code if isinstance(exc.code, int) else 2
         return 0 if code == 0 else 2
     try:
+        args.limit = _config(args)
         return args.func(args)
-    except SpecError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
-    except InternalCheckError as exc:
-        print(f"internal invariant violation: {exc}", file=sys.stderr)
-        return 3
     except (ValueError, TypeError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2

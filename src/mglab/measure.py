@@ -379,7 +379,7 @@ class ProbabilityMeasure:
     int_weights: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        # as_exact hands back a Fraction as it is: only the ints need wrapping.
+        # as_exact returns an int or a Fraction: only the ints need wrapping.
         weights = tuple(w if type(w) is Fraction else Fraction(w)
                         for w in map(as_exact, self.weights))
         object.__setattr__(self, "weights", weights)

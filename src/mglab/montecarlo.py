@@ -269,7 +269,8 @@ class Functional:
     Stopping rules receive the path prefix (values up to and including the
     current time) and nothing else, so a rule cannot peek at the future by
     construction; it must return True to stop.  A rule that never fires is
-    censored at the horizon.
+    censored at the horizon.  The prefix is one list per path that grows in
+    place: a rule reads it and must not keep or modify it.
     """
 
     kind: str
@@ -288,7 +289,7 @@ class Functional:
                    lambda paths: paths[:, -1].astype(np.float64) ** 2)
 
     @classmethod
-    def stopped(cls, rule: Callable[[tuple], bool], label: str = "stopped value") -> "Functional":
+    def stopped(cls, rule: Callable[[list], bool], label: str = "stopped value") -> "Functional":
         if not callable(rule):
             raise TypeError(
                 "a stopping rule must be a callable taking the path prefix; anything else "
@@ -296,9 +297,9 @@ class Functional:
             )
 
         def on_path(path: Sequence) -> Number:
-            prefix: tuple = ()
+            prefix: list = []
             for v in path:
-                prefix = prefix + (v,)
+                prefix.append(v)
                 if rule(prefix):
                     return v
             return path[-1]
@@ -306,7 +307,7 @@ class Functional:
         # The rule is arbitrary prefix-measurable code, so it runs path by
         # path, on Python ints.
         def on_paths(paths: np.ndarray) -> np.ndarray:
-            return np.fromiter((float(on_path(tuple(row.tolist()))) for row in paths),
+            return np.fromiter((float(on_path(row.tolist())) for row in paths),
                                dtype=np.float64, count=paths.shape[0])
 
         return cls("stopped", label, on_path, on_paths)

@@ -40,26 +40,14 @@ def as_number(value) -> Number:
 
 
 def as_exact(value) -> Fraction | int:
-    """Coerce to an exact rational, rejecting floats that came from inexact input.
+    """Coerce to an exact rational: :func:`as_number`, with a float made a Fraction.
 
-    Accepts ints, Fractions, and strings like ``"3/4"`` or ``"0.25"``.  Floats
-    are converted through their exact binary value, so ``0.5`` is fine but
+    A float is converted through its exact binary value, so ``0.5`` is fine but
     ``0.1`` becomes the nearby dyadic rational; callers that need a clean
     decimal should pass a string.
     """
-    if isinstance(value, bool):
-        raise TypeError("booleans are not valid numeric values")
-    if isinstance(value, int):
-        return value
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, float):
-        if not math.isfinite(value):
-            raise ValueError(f"numeric values must be finite, got {value!r}")
-        return Fraction(value)
-    if isinstance(value, str):
-        return parse_number(value)
-    raise TypeError(f"expected an exact rational, got {type(value).__name__}")
+    value = as_number(value)
+    return Fraction(value) if isinstance(value, float) else value
 
 
 def parse_number(text: str) -> Number:

@@ -130,7 +130,7 @@ REQUIRED_FIELDS = {
 def test_verify_missing_field_is_input_error(capsys, tmp_path, walk_doc, theorem, index):
     assert REQUIRED_FIELDS.keys() == cli.THEOREMS.keys()
     fields = REQUIRED_FIELDS[theorem]
-    doc = json.loads(open(walk_doc).read())
+    doc = json.loads(Path(walk_doc).read_text())
     # Drop this field and every later one, so the first in order must be named.
     for field in fields[index:]:
         del doc[field]
@@ -153,7 +153,7 @@ def test_verify_missing_weights_is_input_error(capsys, tmp_path):
 
 
 def test_verify_hypothesis_failure_exits_one(capsys, tmp_path, walk_doc):
-    doc = json.loads(open(walk_doc).read())
+    doc = json.loads(Path(walk_doc).read_text())
     doc["stopping_time"] = [1, 1, None, None]
     path = tmp_path / "unbounded.json"
     path.write_text(json.dumps(doc))
@@ -167,7 +167,7 @@ def test_verify_hypothesis_failure_exits_one(capsys, tmp_path, walk_doc):
 def test_default_stake_bound_is_read_on_the_stake_nodes(capsys, tmp_path, walk_doc):
     """With no ``bound`` the stake bound is the first of the equal maxima, in outcome
     order, which sits at a least member: the int 1 there, though 1.0 fills the rest."""
-    doc = json.loads(open(walk_doc).read())
+    doc = json.loads(Path(walk_doc).read_text())
     doc["predictable"] = [[1, 1.0, 1.0, 1.0], [1, 1.0, 1, 1.0]]
     path = tmp_path / "mixed_stakes.json"
     path.write_text(json.dumps(doc))
@@ -190,7 +190,7 @@ NO_CLAIM = (
 def test_optional_stopping_reason_for_unclassified_process(
     capsys, tmp_path, walk_doc, stopping_time, reason
 ):
-    doc = json.loads(open(walk_doc).read())
+    doc = json.loads(Path(walk_doc).read_text())
     doc["process"] = [[0, 0, 0, 0], [1, 1, -1, -1], [5, 0, 0, -4]]
     doc["stopping_time"] = stopping_time
     path = tmp_path / "unclassified.json"
@@ -202,7 +202,7 @@ def test_optional_stopping_reason_for_unclassified_process(
 
 
 def test_stopped_reason_for_unclassified_process(capsys, tmp_path, walk_doc):
-    doc = json.loads(open(walk_doc).read())
+    doc = json.loads(Path(walk_doc).read_text())
     doc["process"] = [[0, 0, 0, 0], [1, 1, -1, -1], [5, 0, 0, -4]]
     path = tmp_path / "unclassified.json"
     path.write_text(json.dumps(doc))
@@ -237,7 +237,7 @@ def test_verify_stopped_passes_on_a_submartingale(capsys, submartingale_doc):
 
 
 def test_verify_transform_claims_submartingale_for_nonnegative_stakes(capsys, submartingale_doc):
-    doc = json.loads(open(submartingale_doc).read())
+    doc = json.loads(Path(submartingale_doc).read_text())
     doc["predictable"] = [[1] * 8, [1, 1, 1, 1, 0, 0, 0, 0], [2, 2, 0, 0, 1, 1, 0, 0]]
     with open(submartingale_doc, "w") as fh:
         json.dump(doc, fh)
@@ -263,7 +263,7 @@ def test_verify_upcrossing_on_a_submartingale_gives_the_first_note(capsys, subma
 
 
 def test_verify_bad_kolmogorov_candidate_exits_one(capsys, tmp_path, walk_doc):
-    doc = json.loads(open(walk_doc).read())
+    doc = json.loads(Path(walk_doc).read_text())
     doc["candidate"] = [5, 5, 5, 5]
     path = tmp_path / "cand.json"
     path.write_text(json.dumps(doc))
@@ -275,7 +275,7 @@ def test_verify_bad_kolmogorov_candidate_exits_one(capsys, tmp_path, walk_doc):
 
 
 def test_verify_good_kolmogorov_candidate(capsys, tmp_path, walk_doc):
-    doc = json.loads(open(walk_doc).read())
+    doc = json.loads(Path(walk_doc).read_text())
     doc["candidate"] = [1, 1, -1, -1]
     path = tmp_path / "cand_ok.json"
     path.write_text(json.dumps(doc))
@@ -285,7 +285,7 @@ def test_verify_good_kolmogorov_candidate(capsys, tmp_path, walk_doc):
 
 
 def test_verify_non_nested_tower_is_input_error(capsys, tmp_path, walk_doc):
-    doc = json.loads(open(walk_doc).read())
+    doc = json.loads(Path(walk_doc).read_text())
     doc["conditioning_fine"] = [[0, 2], [1, 3]]
     path = tmp_path / "crossed.json"
     path.write_text(json.dumps(doc))
@@ -303,16 +303,6 @@ def test_malformed_json_is_input_error(capsys, tmp_path):
 def test_missing_file_is_input_error(capsys):
     code, _, err = run_cli(capsys, "verify", "/no/such/file.json", "classify")
     assert code == 2
-
-
-def test_internal_error_maps_to_exit_three(capsys, space_doc, monkeypatch):
-    def boom(args):
-        raise cli.InternalCheckError("synthetic defect")
-
-    monkeypatch.setattr(cli, "cmd_sigma", boom)
-    code, _, err = run_cli(capsys, "sigma", space_doc)
-    assert code == 3
-    assert "internal invariant violation" in err
 
 
 @pytest.mark.parametrize("exc", [RuntimeError("synthetic bug"), MemoryError("synthetic")])
@@ -523,7 +513,7 @@ def test_out_writes_the_json_text(capsys, tmp_path, space_doc, walk_doc, command
 
 def test_human_format_renders_the_tail_bound_witness(capsys, tmp_path, walk_doc):
     """The failed hypothesis' witness, [step, [members]], is a list of a scalar and a list."""
-    doc = json.loads(open(walk_doc).read())
+    doc = json.loads(Path(walk_doc).read_text())
     doc["stopping_time"] = [1, 1, None, None]
     path = tmp_path / "no_floor.json"
     path.write_text(json.dumps(doc))
@@ -554,6 +544,61 @@ def test_bad_flags_exit_two(capsys, space_doc):
     assert code == 2
     code, _, _ = run_cli(capsys, "nonsense")
     assert code == 2
+
+
+# One argv per subcommand, each of which would run to exit 0.
+SUBCOMMANDS = {
+    "sigma": ("cmd_sigma", lambda space, walk: ("sigma", space)),
+    "verify": ("cmd_verify", lambda space, walk: ("verify", walk, "classify")),
+    "simulate": ("cmd_simulate", lambda space, walk: ("simulate", "walk", "--n", "3")),
+    "walk-spec": ("cmd_walk_spec", lambda space, walk: ("walk-spec", "--n", "3")),
+}
+BAD_SHARED_FLAGS = {
+    "tolerance": ((), ("--tolerance", "-1"), "tolerance must be positive and finite"),
+    "limit": ((), ("--limit", "0"), "enumeration limit must be at least 1"),
+    "env-limit": (("MGL_ENUM_LIMIT", "many"), (),
+                  "MGL_ENUM_LIMIT must be an integer, got 'many'"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_SHARED_FLAGS)
+@pytest.mark.parametrize("command", SUBCOMMANDS)
+def test_bad_shared_flag_exits_two_before_any_work(
+    capsys, monkeypatch, space_doc, walk_doc, command, case
+):
+    func, argv = SUBCOMMANDS[command]
+    env, flags, message = BAD_SHARED_FLAGS[case]
+    if env:
+        monkeypatch.setenv(*env)
+    ran = []
+    monkeypatch.setattr(cli, func, ran.append)
+    code, out, err = run_cli(capsys, *argv(space_doc, walk_doc), *flags)
+    assert (code, out, err, ran) == (2, "", f"input error: {message}\n", [])
+
+
+def test_bad_shared_flag_is_reported_before_missing_numpy(capsys, monkeypatch):
+    monkeypatch.delitem(sys.modules, "mglab.montecarlo")
+    monkeypatch.setitem(sys.modules, "numpy", None)
+    assert run_cli(capsys, "simulate", "walk", "--n", "3", "--tolerance", "-1") == (
+        2, "", "input error: tolerance must be positive and finite\n")
+
+
+@pytest.mark.parametrize("command", [*SUBCOMMANDS, "verify-failed-conclusion"])
+def test_out_under_a_missing_directory_exits_two_with_empty_stdout(
+    capsys, monkeypatch, tmp_path, space_doc, walk_doc, command
+):
+    """``--out`` is written before stdout, so an unwritable path is exit 2 whatever
+    the verdict, and a failed conclusion prints neither its report nor its exit-3 line."""
+    missing = tmp_path / "missing" / ("x.csv" if command == "simulate" else "x.json")
+    if command == "verify-failed-conclusion":
+        _fail_conclusion(monkeypatch, "transform")
+        argv = ("verify", walk_doc, "transform")
+    else:
+        argv = SUBCOMMANDS[command][1](space_doc, walk_doc)
+    code, out, err = run_cli(capsys, *argv, "--out", str(missing))
+    assert (code, out) == (2, "")
+    assert err == f"input error: [Errno 2] No such file or directory: '{missing}'\n"
+    assert not missing.parent.exists()
 
 
 # Python's json reads Infinity, NaN and 1e400 as non-finite floats.

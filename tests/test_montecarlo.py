@@ -328,11 +328,15 @@ def test_stopped_rule_sees_prefix_only():
     seen = []
 
     def spy(prefix):
-        seen.append(len(prefix))
+        seen.append(list(prefix))
         return False
 
     estimate_functional(ens, Functional.stopped(spy, "never"))
-    assert min(seen) == 1 and max(seen) == 6
+    assert len(seen) == 50 * 6
+    # The rule never fires, so it is asked at t = 0..5 of each path in turn.
+    for i, prefix in enumerate(seen):
+        path, t = divmod(i, 6)
+        assert prefix == ens.paths[path, : t + 1].tolist()
 
 
 def test_stopped_functional_can_stop_at_time_zero():

@@ -99,6 +99,14 @@ def test_as_exact_uses_binary_value_of_float():
     assert as_exact(0.1) != Fraction(1, 10)
 
 
+def test_as_exact_follows_the_rules_of_as_number():
+    with pytest.raises(TypeError) as exc:
+        as_exact(None)
+    assert str(exc.value) == "expected int, Fraction, float, or numeric string, got NoneType"
+    v = as_exact(Fraction(4, 2))
+    assert v == 2 and type(v) is int
+
+
 def test_is_exact():
     assert is_exact(3) and is_exact(Fraction(1, 3))
     assert not is_exact(0.5)
