@@ -3,10 +3,15 @@
 The exact modules stop at 2**20 outcomes; this one picks up from there.
 Streams are counter-based: the value used for path i at step t is a hash of
 (master seed, i * horizon + t), so an ensemble is a pure function of its
-parameters and any single path can be regenerated in isolation.  The samplers
-hash blocks of about 2**15 counters, whose temporaries stay in cache, and the
-stream is the same however it is blocked.  A step is up when its hash's top 53
-bits k are below ceil(p * 2**53), which is exactly u < p for u = k * 2**-53.
+parameters and any single path can be regenerated in isolation.  The walk
+sampler hashes blocks of about 2**15 counters, whose temporaries stay in cache,
+laid out time-major, step by step across a block of paths, so that the running
+sum adds whole rows.  A doubling path reads no coin after its first rebound, and
+those coins are never hashed: the doubling sampler goes through a block one
+level at a time and hashes only the paths still losing, about 1/p hashes per
+path.  Neither the blocking nor the skipped coins change the stream.  A step is
+up when its hash's top 53 bits k are below ceil(p * 2**53), which is exactly
+u < p for u = k * 2**-53.
 
 The hash is the splitmix64 finalizer applied twice.  One round is the
 standard splitmix64 output stage and shows measurable bias when driven by
@@ -45,38 +50,34 @@ _MIX2 = np.uint64(0x94D049BB133111EB)
 # Cells per block: one block's hash temporaries stay in a core's L2 cache.
 _BLOCK = 1 << 15
 # Rows per upcrossing-scan tile: enough to outweigh each numpy call's fixed cost.
-_TILE_ROWS = 1 << 11
+_TILE_ROWS = 1 << 13
 
 # Stakes double at every level, so wealth spans +-(2**levels); keep clear of
 # int64 range.
 MAX_DOUBLING_LEVELS = 60
 
 
-def _hash53_in_place(z: np.ndarray, scratch: np.ndarray) -> None:
-    """Turn z = seed + counter * gold into the k of its uniform k * 2**-53."""
-    for _ in range(2):
-        z += _GOLD
-        z ^= np.right_shift(z, np.uint64(30), out=scratch)
-        z *= _MIX1
-        z ^= np.right_shift(z, np.uint64(27), out=scratch)
-        z *= _MIX2
-        z ^= np.right_shift(z, np.uint64(31), out=scratch)
-    z >>= np.uint64(11)
+def _mix_in_place(z: np.ndarray, scratch: np.ndarray) -> None:
+    """One splitmix64 finalizer round."""
+    z ^= np.right_shift(z, np.uint64(30), out=scratch)
+    z *= _MIX1
+    z ^= np.right_shift(z, np.uint64(27), out=scratch)
+    z *= _MIX2
+    z ^= np.right_shift(z, np.uint64(31), out=scratch)
 
 
-def _coin_blocks(seed: int, n_paths: int, horizon: int, p: float):
-    """Yield (r0, up) per block of rows: up[i, j] is u < p for path r0 + i at
-    step j, in a buffer that the next block overwrites."""
-    threshold = np.uint64(math.ceil(p * 2.0 ** 53))
-    rows = min(max(1, _BLOCK // horizon), n_paths)
-    offsets = np.arange(rows * horizon, dtype=np.uint64) * _GOLD
-    z, scratch, up = np.empty_like(offsets), np.empty_like(offsets), np.empty(offsets.shape, bool)
-    for r0 in range(0, n_paths, rows):
-        n = (min(r0 + rows, n_paths) - r0) * horizon
-        np.add(offsets[:n], np.uint64((seed + r0 * horizon * int(_GOLD)) & _MASK64), out=z[:n])
-        _hash53_in_place(z[:n], scratch[:n])
-        np.less(z[:n], threshold, out=up[:n])
-        yield r0, up[:n].reshape(-1, horizon)
+def _up_moves(z: np.ndarray, scratch: np.ndarray, p: float, out: np.ndarray) -> np.ndarray:
+    """out = u < p for the uniforms of z = seed + (counter + 1) * gold, which is
+    hashed in place.  u < p is (hash >> 11) < k for k = ceil(p * 2**53), which is
+    hash < k << 11; at p = 1, where k << 11 is 2**64, every move is up."""
+    k = math.ceil(p * 2.0 ** 53)
+    if k == 1 << 53:
+        out.fill(True)
+        return out
+    _mix_in_place(z, scratch)
+    z += _GOLD
+    _mix_in_place(z, scratch)
+    return np.less(z, np.uint64(k << 11), out=out)
 
 
 @dataclass(frozen=True, eq=False)
@@ -182,12 +183,20 @@ def simulate_walk(N: int, p_heads, n_paths: int, seed: int) -> PathEnsemble:
         raise ValueError("n_paths must be at least 1")
     dt = _narrowest_int(-N, N)
     paths = np.zeros((n_paths, N + 1), dtype=dt)
-    buffer = np.empty(max(_BLOCK, N), dtype=dt)  # no block holds more cells
-    for r0, up in _coin_blocks(seed, n_paths, N, p):
-        steps = buffer[: up.size].reshape(up.shape)
-        np.multiply(up, dt(2), out=steps)
-        steps -= 1
-        np.cumsum(steps, axis=1, dtype=dt, out=paths[r0 : r0 + len(up), 1:])
+    rows = min(max(1, _BLOCK // N), n_paths)
+    # A block is time-major: cell (t, i) is step t of path r0 + i, counter (r0 + i) * N + t.
+    offsets = (np.arange(1, N + 1, dtype=np.uint64)[:, None]
+               + np.arange(rows, dtype=np.uint64) * np.uint64(N)) * _GOLD
+    z, scratch = np.empty(offsets.size, np.uint64), np.empty(offsets.size, np.uint64)
+    up, steps = np.empty(offsets.size, bool), np.empty(offsets.size, dt)
+    for r0 in range(0, n_paths, rows):
+        m = min(rows, n_paths - r0)
+        n = N * m
+        np.add(offsets[:, :m], np.uint64((seed + r0 * N * int(_GOLD)) & _MASK64),
+               out=z[:n].reshape(N, m))
+        np.multiply(_up_moves(z[:n], scratch[:n], p, up[:n]), dt(2), out=steps[:n])
+        steps[:n] -= 1
+        np.cumsum(steps[:n].reshape(N, m), axis=0, dtype=dt, out=paths[r0 : r0 + m, 1:].T)
     return PathEnsemble(
         model_id=f"walk(N={N},p={format_number(as_number(p_heads))})",
         n_paths=n_paths,
@@ -220,15 +229,25 @@ def simulate_doubling_strategy(
     if n_paths < 1:
         raise ValueError("n_paths must be at least 1")
 
-    # Wealth is 1 - 2**j after j straight drops and +1 from the first rebound on.
+    # Wealth is 1 - 2**j after j straight drops and +1 from the first rebound on,
+    # so a block hashes level j only for the rows that have not rebounded yet.
     dt = _narrowest_int(1 - 2 ** n_levels, 1)
-    losses = (1 - np.left_shift(1, np.arange(1, n_levels + 1, dtype=np.int64))).astype(dt)
-    paths = np.zeros((n_paths, n_levels + 1), dtype=dt)
-    for r0, up in _coin_blocks(seed, n_paths, n_levels, p):
-        np.logical_or.accumulate(up, axis=1, out=up)
-        block = paths[r0 : r0 + len(up), 1:]
-        block[...] = losses
-        np.copyto(block, 1, where=up)
+    paths = np.ones((n_paths, n_levels + 1), dtype=dt)
+    paths[:, 0] = 0
+    rows = min(_BLOCK, n_paths)
+    offsets = np.arange(rows, dtype=np.uint64) * np.uint64(n_levels) * _GOLD
+    z, scratch, up = np.empty(rows, np.uint64), np.empty(rows, np.uint64), np.empty(rows, bool)
+    for r0 in range(0, n_paths, rows):
+        alive, block = np.arange(min(rows, n_paths - r0)), paths[r0 : r0 + rows]
+        for j in range(n_levels):
+            n = len(alive)
+            np.take(offsets, alive, out=z[:n])
+            z[:n] += np.uint64((seed + (r0 * n_levels + j + 1) * int(_GOLD)) & _MASK64)
+            alive = alive[~_up_moves(z[:n], scratch[:n], p, up[:n])]
+            if not len(alive):
+                break
+            block[alive, j + 1] = 1 - 2 ** (j + 1)
+    del offsets, z, scratch  # so that the report's float64 copies do not peak on top of them
 
     ensemble = PathEnsemble(
         model_id=(
@@ -324,24 +343,29 @@ def _upcrossings_vectorized(paths: np.ndarray, a, b) -> np.ndarray:
     """Per-path upcrossing counts via the same two-state scan, columnwise.
 
     armed[t] = (armed[t-1] and X_t < b) or X_t <= a; as a < b, an upcrossing
-    completes exactly where armed falls to False.  Tiles of about _BLOCK cells
-    are scanned transposed; row 0 of a tile's state comes from the tile before.
+    completes exactly where armed falls to False.  On integer paths X <= a is
+    X <= floor(a) and X < b is X < ceil(b), so both compare in the paths' own
+    type, with each bound clamped to one step past that type's range.  Tiles of
+    _TILE_ROWS rows are copied and scanned transposed; row 0 of a tile's state
+    comes from the tile before.
     """
-    a = float(a)
-    b = float(b)
+    info = np.iinfo(paths.dtype)
+    a, b = (min(max(v, info.min - 1), info.max + 1) for v in (math.floor(a), math.ceil(b)))
     n_paths, width = paths.shape
     counts = np.zeros(n_paths, dtype=np.int64)
-    # One set of buffers per call; a tile never holds more than _BLOCK cells.
-    tile_buf, held_buf = np.empty(_BLOCK), np.empty(_BLOCK, dtype=bool)
-    armed_buf, row_counts = np.empty(_BLOCK + _TILE_ROWS, dtype=bool), np.empty(_TILE_ROWS, int)
+    # One set of buffers per call; a tile copy takes at most 256 KB.
+    cells = 8 * _BLOCK // paths.itemsize
+    tile_buf, held_buf = np.empty(cells, paths.dtype), np.empty(cells, dtype=bool)
+    armed_buf = np.empty(cells + _TILE_ROWS, dtype=bool)
+    row_counts = np.empty(_TILE_ROWS, np.uint8)
     for r0 in range(0, n_paths, _TILE_ROWS):
         rows = paths[r0 : r0 + _TILE_ROWS]
         n = len(rows)
-        cols = _BLOCK // n
+        # armed falls at most once per two columns, so 255 columns count in a uint8.
+        cols = min(cells // n, 255)
         armed_buf[:n] = False
         for c0 in range(0, width, cols):
             k = min(cols, width - c0)
-            # float64 is the type the comparisons with a and b cast to anyway
             tile = tile_buf[: k * n].reshape(k, n)
             tile[...] = rows[:, c0 : c0 + k].T
             armed = armed_buf[: (k + 1) * n].reshape(k + 1, n)
@@ -350,7 +374,7 @@ def _upcrossings_vectorized(paths: np.ndarray, a, b) -> np.ndarray:
             for t in range(k):
                 held[t] &= armed[t]
                 armed[t + 1] |= held[t]
-            falls = np.greater(armed[:-1], armed[1:], out=held)
+            falls = np.greater(armed[:-1], armed[1:], out=held).view(np.uint8)
             counts[r0 : r0 + n] += np.add.reduce(falls, axis=0, out=row_counts[:n])
             armed[0] = armed[k]  # the next column tile starts from this state
     return counts

@@ -77,6 +77,26 @@ def test_seed_zero_counter_zero_is_not_degenerate():
     assert 0.0 < float(reference_uniforms(0, np.zeros(1, dtype=np.uint64))[0]) < 1.0
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "seed aliasing: the seed is added to (counter + 1) * gold unhashed, so "
+    "reference_uniforms(0x9E3779B97F4A7C15, c) equals reference_uniforms(0, c + 1)"))
+def test_seeds_one_gold_apart_sample_different_walks():
+    """Path i of an N=1 walk under seed gold would be path i + 1 under seed 0."""
+    gold = 0x9E3779B97F4A7C15
+    assert not np.array_equal(simulate_walk(1, Fraction(1, 2), 1000, gold).paths[:-1],
+                              simulate_walk(1, Fraction(1, 2), 1000, 0).paths[1:])
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "horizon aliasing: the counter is the flat path * horizon + step, so with seed 3 "
+    "the increments of path 1 of an N=10 walk equal steps 10-19 of path 0 of an N=20 walk"))
+def test_walks_of_two_horizons_share_no_increments():
+    """Path 2j + 1 of an N=10 walk would step as the second half of path j of an N=20 walk."""
+    short = np.diff(simulate_walk(10, Fraction(1, 2), 40, 3).paths).reshape(20, 2, 10)[:, 1]
+    long = np.diff(simulate_walk(20, Fraction(1, 2), 20, 3).paths)[:, 10:]
+    assert not np.array_equal(short, long)
+
+
 # ---------------------------------------------------------------------------
 # the row-blocked kernels against the one-shot references
 
@@ -111,15 +131,34 @@ def test_blocked_doubling_matches_the_one_shot_kernel(p, seed):
             assert np.array_equal(got, want), (L, n)
 
 
+@pytest.mark.parametrize("p", [Fraction(1, 2), 0])
+def test_lazy_doubling_matches_the_one_shot_kernel_past_its_first_block(p):
+    """A block hashes level j only for its rows that have not rebounded: at
+    p = 1/2 every row of a block has rebounded long before level 60, so the
+    live set empties inside each block; at p = 0 it never empties."""
+    n = _BLOCK + 3
+    got = simulate_doubling_strategy(0, MAX_DOUBLING_LEVELS, p, n, 5)[0].paths
+    assert np.array_equal(got, reference_doubling_paths(MAX_DOUBLING_LEVELS, float(p), n, 5))
+    assert set(got[:, -1].tolist()) == ({1} if p else {1 - 2 ** MAX_DOUBLING_LEVELS})
+
+
 @pytest.fixture(scope="module")
 def block_ensembles():
-    # The scan tiles rows in _TILE_ROWS and columns in _BLOCK // _TILE_ROWS;
-    # at N = 100 a row block spans seven column tiles.
+    # The scan tiles rows in _TILE_ROWS and an int8 tile of _TILE_ROWS rows in
+    # columns of 32; at N = 100 such a row block spans four column tiles.
     walks = [simulate_walk(30, Fraction(1, 2), n, 4).paths
              for n in (1, _TILE_ROWS - 1, _TILE_ROWS, _TILE_ROWS + 1, 2 * _TILE_ROWS + 700)]
-    walks.append(simulate_walk(100, Fraction(1, 2), 2100, 4).paths)
-    return walks + [simulate_doubling_strategy(0, L, Fraction(1, 2), n, 4)[0].paths
-                    for L, n in [(3, 20000), (8, 9000), (12, 7000)]]
+    walks += [simulate_walk(100, Fraction(1, 2), n, 4).paths for n in (2100, _TILE_ROWS + 5)]
+    # int8, int16, int16 and int64 wealth; at p = 1/100 most of the last exhaust their budget.
+    doublings = [simulate_doubling_strategy(0, L, p, n, 4)[0].paths
+                 for L, p, n in [(3, Fraction(1, 2), 20000), (8, Fraction(1, 2), 9000),
+                                 (12, Fraction(1, 2), 7000), (40, Fraction(1, 100), 3000)]]
+    # Paths that visit both ends of their type's range, where a bound clamped one
+    # step short would count visits that do not cross it.
+    rng = np.random.default_rng(0)
+    ends = [rng.choice(np.array([t.min, t.min + 1, -1, 0, 1, t.max - 1, t.max], t.dtype), (64, 12))
+            for t in map(np.iinfo, (np.int8, np.int16, np.int64))]
+    return walks + doublings + ends
 
 
 def _assert_upcrossings_match(paths, a, b):
@@ -129,7 +168,17 @@ def _assert_upcrossings_match(paths, a, b):
     assert np.array_equal(samples, want.astype(np.float64))
 
 
-@pytest.mark.parametrize("a, b", [(-1, 1), (-0.5, 1.5), (0, 3), (-7, -1)])
+@pytest.mark.parametrize("a, b", [
+    (-1, 1), (-0.5, 1.5), (0, 3), (-7, -1),
+    # past the int8 range, on one side or both; the int16 and int64 wealth reaches -200
+    (-200, 200), (-200, 0), (-1, 200), (-129, -128), (127, 128),
+    # past the int64 range
+    (-1e300, 1e300), (-1e300, -1), (1, 1e300), (Fraction(-10 ** 30, 3), 2),
+    (-(2 ** 39) - 0.5, 2 ** 64),
+    # not integers
+    (Fraction(-3, 2), Fraction(5, 2)), (Fraction(-1, 3), Fraction(1, 3)), (-2.5, 0.25),
+    (-1000.5, 0.999),
+])
 def test_blocked_upcrossings_match_the_one_shot_scan(block_ensembles, a, b):
     for paths in block_ensembles:
         _assert_upcrossings_match(paths, a, b)
@@ -137,6 +186,8 @@ def test_blocked_upcrossings_match_the_one_shot_scan(block_ensembles, a, b):
 
 def test_blocked_upcrossings_on_paths_longer_than_a_block():
     _assert_upcrossings_match(simulate_walk(_BLOCK + 5, Fraction(1, 2), 2, 4).paths, -0.5, 1.5)
+    # A zigzag completes an upcrossing every two steps, the most a tile's count can hold.
+    _assert_upcrossings_match(np.resize(np.array([-1, 1], np.int8), (3, 3001)), -1, 1)
 
 
 @pytest.mark.parametrize("seed", [0, 9])
